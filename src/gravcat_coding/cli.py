@@ -182,7 +182,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help=f"parallel worker processes (default: ${JOBS_ENV_VAR} or the CPU count)",
+        help=f"worker processes for numeric grids (default: ${JOBS_ENV_VAR} or the CPU count)",
     )
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format (default: csv)"

@@ -1,0 +1,115 @@
+"""The closed-form engine: one array formula for the gravcat thermal state and its capacity.
+
+Inputs broadcast as numpy arrays (or floats); ``q = 1 - p`` is the amplitude
+kept by the weak measurement, so ``q = 1`` is the unmeasured state and
+``q = 0`` the projective endpoint, where chi is exactly 1.  No small quantity
+is formed as a difference: the exponent (theta - gamma)/T is taken as
+omega^2 / ((theta + gamma) T), 1 - omega/theta as gamma^2 / (theta (theta +
+omega)), and the small corner eigenvalue from the block determinant (Vieta).
+Every eigenvalue is a product or sum of positive terms, so each keeps full
+relative precision even after division by a tiny success probability.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+MIN_SUCCESS_PROBABILITY = 1e-300
+
+
+class ZeroSuccessProbabilityError(ValueError):
+    """Post-selection branch has vanishing probability; ``index`` locates the first such element."""
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def check_success(success) -> None:
+    """Raise ``ZeroSuccessProbabilityError`` where the kept branch has vanishing probability."""
+    success = np.asarray(success)
+    bad = success < MIN_SUCCESS_PROBABILITY
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
+        raise ZeroSuccessProbabilityError(
+            f"post-selection success probability {float(success[index]):.3e} vanishes", index
+        )
+
+
+class ClosedFormTerms(NamedTuple):
+    """Thermal entries, success probability, post-selected spectrum and averaged halves.
+
+    The thermal state is diag(alpha_minus, beta, beta, alpha_plus) with kappa
+    on the outer anti-diagonal and eta between the middle basis states; the
+    Pauli-averaged state is diag(nu, mu, nu, mu) / 2.
+    """
+
+    alpha_minus: np.ndarray
+    alpha_plus: np.ndarray
+    beta: np.ndarray
+    kappa: np.ndarray
+    eta: np.ndarray
+    success: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    nu: np.ndarray
+    mu: np.ndarray
+
+
+def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
+    """The one definition of the gravcat closed forms, over broadcast arrays."""
+    theta = np.hypot(omega, gamma)
+    # omega = gamma = 0 is H = 0, whose state is exactly I/4: the stand-in
+    # theta = 1 makes omega/theta = gamma/theta = 0 and the flag makes
+    # 1 - omega/theta exactly 1 (it adds 0 wherever theta > 0)
+    degenerate = theta == 0.0
+    safe = theta + degenerate
+    rw = omega / safe
+    rg = gamma / safe
+    one_minus_rw = rg * (gamma / (safe + omega)) + degenerate
+    x = theta / temperature
+    ex2 = np.exp(-2.0 * x)                                           # exp(-2 theta/T)
+    exy = np.exp(-(omega / (safe + gamma)) * (omega / temperature))  # exp(-(theta - gamma)/T)
+    ey2 = np.exp(-2.0 * gamma / temperature)                         # exp(-2 gamma/T)
+    z = (1.0 + ex2) + exy * (1.0 + ey2)                              # Z exp(-theta/T)
+    alpha_minus = (one_minus_rw + ex2 * (1.0 + rw)) / (2.0 * z)
+    alpha_plus = ((1.0 + rw) + ex2 * one_minus_rw) / (2.0 * z)
+    kappa = rg * -np.expm1(-2.0 * x) / (2.0 * z)
+    beta = exy * (1.0 + ey2) / (2.0 * z)
+    eta = exy * -np.expm1(-2.0 * gamma / temperature) / (2.0 * z)
+
+    # the measurement keeps alpha_minus and scales kappa, beta, eta by q and
+    # alpha_plus by q^2; the corner block is [[a, c], [c, b]]
+    a, b, c = alpha_minus, alpha_plus * q * q, kappa * q
+    success = a + 2.0 * beta * q + b
+    check_success(success)
+    corner_hi = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    # Vieta: the block determinant q^2 (alpha_minus alpha_plus - kappa^2) is q^2 ex2 / z^2
+    corner_lo = (q * q * ex2 / (z * z)) / corner_hi
+    middle = (exy * q / z, exy * ey2 * q / z)  # (beta + eta) q and (beta - eta) q
+    spectrum = tuple(v / success for v in (corner_hi, corner_lo, *middle))
+    nu = (a + beta * q) / success
+    mu = (b + beta * q) / success
+    return ClosedFormTerms(alpha_minus, alpha_plus, beta, kappa, eta, success, spectrum, nu, mu)
+
+
+def _entropy_bits(*values):
+    """Sum of -v log2 v; an exact 0 contributes 0 and a NaN propagates."""
+    return sum(-v * np.log2(v + (v == 0.0)) for v in values)
+
+
+def closed_form_entropies(terms: ClosedFormTerms):
+    """(S(rho), S(rho_bar)) in bits; chi is S(rho_bar) - S(rho)."""
+    return _entropy_bits(*terms.spectrum), 1.0 + _entropy_bits(terms.nu, terms.mu)
+
+
+def chi_closed_form(omega, gamma, temperature, q=1.0):
+    """Dense-coding capacity over broadcast arrays, with q = 1 - p.
+
+    Inputs are not validated here (``GravcatParams`` holds the domain rules).
+    """
+    entropy_state, entropy_average = closed_form_entropies(
+        _closed_form_terms(omega, gamma, temperature, q)
+    )
+    return entropy_average - entropy_state

@@ -11,12 +11,12 @@ states, each serving as the other's oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .closed_form import _closed_form_terms, closed_form_entropies
 from .linalg import (
     DensityMatrix,
     InvalidStateError,
@@ -30,7 +30,7 @@ from .linalg import (
     partial_trace_first,
     tensor,
 )
-from .thermal import GravcatParams, thermal_closed_form
+from .thermal import GravcatParams
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
 
@@ -120,31 +120,27 @@ def capacity_numeric(rho) -> CapacityReport:
     )
 
 
-def capacity_closed_form(params: GravcatParams) -> CapacityReport:
-    """Analytic capacity of the gravcat thermal state.
+def closed_form_report(params: GravcatParams, strength: float | None = None) -> CapacityReport:
+    """Capacity report of the closed-form engine; ``strength=None`` means no measurement.
 
-    The state spectrum splits into the outer-block pair
-    a_pm = [(alpha- + alpha+) +- sqrt((alpha- - alpha+)^2 + 4 kappa^2)]/2 and
-    the inner pair b_pm = beta +- |eta|; the averaged state is diagonal with
-    doubly degenerate halves (alpha_pm + beta)/2.
+    The state spectrum and the averaged halves come from ``closed_form``,
+    where every eigenvalue is a product or sum of positive terms.
     """
-    cf = thermal_closed_form(params)
-    disc = math.hypot(cf.alpha_minus - cf.alpha_plus, 2.0 * abs(cf.kappa))
-    outer = cf.alpha_minus + cf.alpha_plus
-    a_plus = 0.5 * (outer + disc)
-    a_minus = 0.5 * (outer - disc)  # can underflow to 0 at low T
-    b_plus = cf.beta + abs(cf.eta)
-    b_minus = cf.beta - abs(cf.eta)
-    spectrum = tuple(sorted((a_plus, a_minus, b_plus, b_minus), reverse=True))
-    entropy_state = entropy_bits(spectrum)
-    half_minus = 0.5 * (cf.alpha_minus + cf.beta)
-    half_plus = 0.5 * (cf.alpha_plus + cf.beta)
-    entropy_average = entropy_bits((half_minus, half_minus, half_plus, half_plus))
-    chi = entropy_average - entropy_state
+    q = 1.0 if strength is None else 1.0 - strength
+    terms = _closed_form_terms(params.omega, params.gamma, params.temperature, q)
+    entropy_state, entropy_average = closed_form_entropies(terms)
+    chi = float(entropy_average - entropy_state)
     return CapacityReport(
         chi=chi,
-        entropy_state=entropy_state,
-        entropy_average=entropy_average,
-        state_spectrum=spectrum,
+        entropy_state=float(entropy_state),
+        entropy_average=float(entropy_average),
+        state_spectrum=tuple(sorted((float(v) for v in terms.spectrum), reverse=True)),
         advantage=classify_advantage(chi),
+        strength=strength,
+        success_probability=None if strength is None else float(terms.success),
     )
+
+
+def capacity_closed_form(params: GravcatParams) -> CapacityReport:
+    """Analytic capacity of the gravcat thermal state (no measurement, q = 1)."""
+    return closed_form_report(params)

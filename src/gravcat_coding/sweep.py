@@ -1,10 +1,12 @@
 """Capacity grids over parameter planes, and their CSV/JSON serialization.
 
 A sweep evaluates chi on a uniform inclusive 2-D grid; any two of
-{omega, gamma, T, p} form the axes and the rest are fixed.  Output is
-deterministic byte-for-byte for identical invocations: cells may be computed
-in parallel, but assembly and formatting are ordered, floats are rendered as
-shortest round-trip decimals, and no timestamps are serialized.
+{omega, gamma, T, p} form the axes and the rest are fixed.  The closed-form
+engine evaluates the whole grid in one array call; the numeric engine goes
+cell by cell, optionally with rows spread over worker processes.  Output is
+deterministic byte-for-byte for identical invocations: assembly and
+formatting are ordered, floats are rendered as shortest round-trip decimals,
+and no timestamps are serialized.
 """
 
 from __future__ import annotations
@@ -12,18 +14,17 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .closed_form import ZeroSuccessProbabilityError, chi_closed_form
 from .coding import capacity_closed_form, capacity_numeric
 from .linalg import InvalidStateError
 from .thermal import (
     GravcatParams,
     InvalidParameterError,
-    MIN_TEMPERATURE,
     build_hamiltonian,
     gibbs_numeric,
 )
@@ -93,26 +94,6 @@ class AxisSpec:
         return cls(name=name, start=start, stop=stop, count=count)
 
 
-def validate_axis_domain(axis: AxisSpec, *, allow_zero_omega: bool = False) -> None:
-    """Check the axis bounds against the parameter's validity domain."""
-    lo, hi = axis.start, axis.stop
-    if axis.name == "omega":
-        floor = 0.0 if allow_zero_omega else math.nextafter(0.0, 1.0)
-        if lo < floor:
-            raise InvalidParameterError("axis omega: omega must be positive")
-    elif axis.name == "gamma":
-        if lo < 0.0:
-            raise InvalidParameterError("axis gamma: gamma must be nonnegative")
-    elif axis.name == "T":
-        if lo < MIN_TEMPERATURE:
-            raise InvalidParameterError(
-                f"axis T: temperature must be positive (minimum {MIN_TEMPERATURE:g})"
-            )
-    elif axis.name == "p":
-        if lo < 0.0 or hi > 1.0:
-            raise InvalidParameterError("axis p: measurement strength must lie in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """A computed capacity grid: values[iy][ix] = chi(x_values[ix], y_values[iy])."""
@@ -123,8 +104,6 @@ class SweepGrid:
     values: np.ndarray
     engine: str
     version: str = __version__
-    # metadata only; never serialized, since emitted bytes must be run-stable
-    created_at: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
 
 def cell_capacity(
@@ -152,43 +131,44 @@ def cell_capacity(
     raise InvalidParameterError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
 
 
-def _cell_point(
-    x_name: str, x_value: float, y_name: str, y_value: float, fixed: dict[str, float]
-) -> dict[str, float]:
-    point = dict(fixed)
-    point[x_name] = x_value
-    point[y_name] = y_value
-    return point
+def _cell_error(point: dict[str, float], exc: Exception) -> RuntimeError:
+    coords = ", ".join(f"{k}={v:g}" for k, v in sorted(point.items()))
+    return RuntimeError(f"sweep cell ({coords}) failed: {exc}")
 
 
-def _row_values(
+def _closed_form_grid(x_axis: AxisSpec, y_axis: AxisSpec, fixed: dict[str, float]) -> np.ndarray:
+    """values[iy, ix] for every cell, in one array call."""
+    x_values, y_values = x_axis.values(), y_axis.values()
+    point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
+    q = 1.0 - point["p"] if "p" in point else 1.0
+    try:
+        return chi_closed_form(point["omega"], point["gamma"], point["T"], q)
+    except ZeroSuccessProbabilityError as exc:
+        iy, ix = exc.index
+        cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
+        raise _cell_error(cell, exc) from exc
+
+
+def _numeric_row(
     y_value: float,
     *,
-    engine: str,
     x_name: str,
     x_values: tuple[float, ...],
     y_name: str,
     fixed: dict[str, float],
     allow_zero_omega: bool,
 ) -> list[float]:
-    """One grid row; must stay a module-level function so worker processes can pickle it."""
+    """One numeric-engine row; module-level so that worker processes can pickle it."""
     row = []
     for x_value in x_values:
-        point = _cell_point(x_name, x_value, y_name, y_value, fixed)
+        point = {**fixed, x_name: x_value, y_name: y_value}
         try:
-            row.append(
-                cell_capacity(
-                    engine,
-                    omega=point["omega"],
-                    gamma=point["gamma"],
-                    temperature=point["T"],
-                    strength=point.get("p"),
-                    allow_zero_omega=allow_zero_omega,
-                )
-            )
-        except Exception as exc:
-            coords = ", ".join(f"{k}={v:g}" for k, v in sorted(point.items()))
-            raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
+            row.append(cell_capacity(
+                "numeric", point["omega"], point["gamma"], point["T"], point.get("p"),
+                allow_zero_omega=allow_zero_omega,
+            ))
+        except (ValueError, ArithmeticError) as exc:
+            raise _cell_error(point, exc) from exc
     return row
 
 
@@ -201,10 +181,13 @@ def evaluate_sweep(
     *,
     allow_zero_omega: bool = False,
 ) -> SweepGrid:
-    """Evaluate chi over the grid; rows may run in parallel worker processes.
+    """Evaluate chi over the grid.
 
     ``fixed`` must cover exactly the parameters that are not axes ("p" is
-    optional: leaving it out means no weak measurement).
+    optional: leaving it out means no weak measurement).  The closed-form
+    engine evaluates every cell in one array call; ``jobs > 1`` spreads the
+    numeric engine's rows over worker processes and does not apply to the
+    closed form.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(
@@ -212,8 +195,6 @@ def evaluate_sweep(
         )
     if x_axis.name == y_axis.name:
         raise InvalidParameterError(f"axes must name distinct parameters, both are {x_axis.name!r}")
-    validate_axis_domain(x_axis, allow_zero_omega=allow_zero_omega)
-    validate_axis_domain(y_axis, allow_zero_omega=allow_zero_omega)
     axis_names = {x_axis.name, y_axis.name}
     required = {"omega", "gamma", "T"} - axis_names
     allowed = required | ({"p"} - axis_names)
@@ -225,37 +206,48 @@ def evaluate_sweep(
         raise InvalidParameterError(
             f"fixed value(s) conflict with the axes or are unknown: {', '.join(sorted(extra))}"
         )
-    if "p" in fixed and not 0.0 <= fixed["p"] <= 1.0:
+    # every cell must be a valid parameter point; no axis value lies below its
+    # start, so the corner at both starts checks the whole grid
+    corner = {x_axis.name: x_axis.start, y_axis.name: y_axis.start, **fixed}
+    GravcatParams(
+        corner["omega"], corner["gamma"], corner["T"], allow_degenerate_omega=allow_zero_omega
+    )
+    axis_p = [bound for a in (x_axis, y_axis) if a.name == "p" for bound in (a.start, a.stop)]
+    if not all(0.0 <= p <= 1.0 for p in axis_p + [fixed.get("p", 0.0)]):
         raise InvalidParameterError("p: measurement strength must lie in [0, 1]")
 
-    x_values = tuple(float(v) for v in x_axis.values())
-    y_values = tuple(float(v) for v in y_axis.values())
-    worker = partial(
-        _row_values,
-        engine=engine,
-        x_name=x_axis.name,
-        x_values=x_values,
-        y_name=y_axis.name,
-        fixed=dict(fixed),
-        allow_zero_omega=allow_zero_omega,
-    )
-    if jobs > 1:
-        chunk = max(1, len(y_values) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, y_values, chunksize=chunk))
+    if engine == "closed_form":
+        values = _closed_form_grid(x_axis, y_axis, fixed)
     else:
-        rows = [worker(y) for y in y_values]
-    return SweepGrid(
-        x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=np.array(rows), engine=engine
-    )
+        worker = partial(
+            _numeric_row,
+            x_name=x_axis.name,
+            x_values=tuple(x_axis.values().tolist()),
+            y_name=y_axis.name,
+            fixed=dict(fixed),
+            allow_zero_omega=allow_zero_omega,
+        )
+        y_values = y_axis.values().tolist()
+        if jobs > 1:
+            chunk = max(1, len(y_values) // (4 * jobs))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(worker, y_values, chunksize=chunk))
+        else:
+            rows = [worker(y) for y in y_values]
+        values = np.array(rows)
+    return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=values, engine=engine)
 
 
-def _check_chi_range(values: np.ndarray) -> None:
-    for v in np.asarray(values).ravel():
-        if not CHI_MIN <= v <= CHI_MAX:  # also catches NaN
-            raise InvalidStateError(
-                f"capacity value {v!r} escapes [{CHI_MIN:g}, {CHI_MAX:g}]; refusing to emit"
-            )
+def _checked_values(grid: SweepGrid) -> np.ndarray:
+    """The grid values as floats, refused if any escapes the capacity range."""
+    values = np.asarray(grid.values, dtype=float)
+    inside = (values >= CHI_MIN) & (values <= CHI_MAX)  # NaN is never inside
+    if not inside.all():
+        bad = float(values.flat[int(inside.argmin())])
+        raise InvalidStateError(
+            f"capacity value {bad!r} escapes [{CHI_MIN:g}, {CHI_MAX:g}]; refusing to emit"
+        )
+    return values
 
 
 def format_float(v) -> str:
@@ -273,17 +265,17 @@ def render_csv(grid: SweepGrid) -> str:
     Line 1 is ``# <tool> v<version> engine=<e> fixed=<k=v,...>``, line 2 the
     header ``y\\x,<x values>``, then one row per y value.
     """
-    _check_chi_range(grid.values)
+    values = _checked_values(grid)
     fixed_part = ",".join(f"{k}={format_float(v)}" for k, v in _ordered_fixed(grid.fixed))
     lines = [f"# {TOOL_NAME} v{grid.version} engine={grid.engine} fixed={fixed_part}"]
-    lines.append("y\\x," + ",".join(format_float(x) for x in grid.x_axis.values()))
-    for y_value, row in zip(grid.y_axis.values(), grid.values):
-        lines.append(format_float(y_value) + "," + ",".join(format_float(c) for c in row))
+    lines.append("y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())))
+    for y_value, row in zip(grid.y_axis.values().tolist(), values.tolist()):
+        lines.append(repr(y_value) + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def render_json(grid: SweepGrid) -> str:
-    _check_chi_range(grid.values)
+    values = _checked_values(grid)
     payload = {
         "schema_version": 1,
         "tool": TOOL_NAME,
@@ -292,9 +284,9 @@ def render_json(grid: SweepGrid) -> str:
         "x_axis": grid.x_axis.to_dict(),
         "y_axis": grid.y_axis.to_dict(),
         "fixed": dict(_ordered_fixed(grid.fixed)),
-        "x_values": [float(v) for v in grid.x_axis.values()],
-        "y_values": [float(v) for v in grid.y_axis.values()],
-        "values": [[float(c) for c in row] for row in grid.values],
+        "x_values": grid.x_axis.values().tolist(),
+        "y_values": grid.y_axis.values().tolist(),
+        "values": values.tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import _closed_form_terms
 from .linalg import (
     DensityMatrix,
     PAULI_I,
@@ -137,45 +138,25 @@ class ThermalClosedForm:
 
 
 def thermal_closed_form(params: GravcatParams) -> ThermalClosedForm:
-    """Closed-form thermal-state entries, evaluated overflow-safely.
+    """Closed-form thermal-state entries (see ``closed_form`` for the formulas).
 
-    All cosh/sinh ratios are computed with the dominant exponential
-    exp(theta/T) factored out, so only exp of non-positive arguments ever
-    appears; a naive cosh evaluation would overflow near T ~ theta/700.
+    The entries are evaluated with the dominant exponential exp(theta/T)
+    factored out, so they stay finite at any valid temperature.
     """
-    theta = params.theta
-    x = theta / params.temperature
-    y = params.gamma / params.temperature
-    ex2 = math.exp(-2.0 * x)            # exp(-2 theta/T)
-    exy = math.exp(-(x - y))            # exp(-(theta - gamma)/T)
-    ey2 = math.exp(-2.0 * y)            # exp(-2 gamma/T)
-    one_m_ex2 = -math.expm1(-2.0 * x)   # 1 - ex2 without cancellation
-    one_m_ey2 = -math.expm1(-2.0 * y)
-    z_shifted = (1.0 + ex2) + exy * (1.0 + ey2)   # Z * exp(-theta/T)
-    # omega/theta and gamma/theta; both -> 0 in the fully degenerate
-    # omega = gamma = 0 limit, where the state is exactly I/4
-    rw = params.omega / theta if theta > 0.0 else 0.0
-    rg = params.gamma / theta if theta > 0.0 else 0.0
-    # grouped so that no difference of near-equal terms appears: at gamma = 0
-    # (rw = 1) the naive (1+ex2) - rw (1-ex2) rounds to zero once ex2 drops
-    # below machine epsilon, wiping out the alpha_minus tail
-    alpha_minus = ((1.0 - rw) + ex2 * (1.0 + rw)) / (2.0 * z_shifted)
-    alpha_plus = ((1.0 + rw) + ex2 * (1.0 - rw)) / (2.0 * z_shifted)
-    kappa = rg * one_m_ex2 / (2.0 * z_shifted)
-    beta = exy * (1.0 + ey2) / (2.0 * z_shifted)
-    eta = exy * one_m_ey2 / (2.0 * z_shifted)
+    terms = _closed_form_terms(params.omega, params.gamma, params.temperature, 1.0)
+    x = params.theta / params.temperature
     if x <= 700.0:
-        partition = 2.0 * (math.cosh(x) + math.cosh(y))
+        partition = 2.0 * (math.cosh(x) + math.cosh(params.gamma / params.temperature))
     else:
         partition = math.inf
     return ThermalClosedForm(
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
-        beta=beta,
-        kappa=kappa,
-        eta=eta,
+        alpha_minus=float(terms.alpha_minus),
+        alpha_plus=float(terms.alpha_plus),
+        beta=float(terms.beta),
+        kappa=float(terms.kappa),
+        eta=float(terms.eta),
         partition_function=partition,
-        theta=theta,
+        theta=params.theta,
     )
 
 

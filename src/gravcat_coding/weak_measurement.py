@@ -14,19 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CapacityReport, classify_advantage
-from .linalg import DensityMatrix, as_density, entropy_bits, tensor
-from .thermal import GravcatParams, ThermalClosedForm, thermal_closed_form
-
-MIN_SUCCESS_PROBABILITY = 1e-300
+from .closed_form import chi_closed_form, check_success
+from .coding import CapacityReport, closed_form_report
+from .linalg import DensityMatrix, as_density, tensor
+from .thermal import GravcatParams, ThermalClosedForm
 
 
 class OutOfRangeError(ValueError):
     """Measurement strength outside [0, 1]."""
-
-
-class ZeroSuccessProbabilityError(ValueError):
-    """Post-selection branch has vanishing probability."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +58,7 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     k = tensor(qwm_operator(strength), qwm_operator(strength))
     unnormalized = k @ dm.matrix @ k.conj().T
     success = float(np.trace(unnormalized).real)
-    if success < MIN_SUCCESS_PROBABILITY:
-        raise ZeroSuccessProbabilityError(
-            f"post-selection success probability {success:.3e} vanishes"
-        )
+    check_success(success)
     state = unnormalized / success
     return PostSelectedState(
         state=DensityMatrix(0.5 * (state + state.conj().T), validated=True),
@@ -85,10 +77,7 @@ def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelected
     _check_strength(strength)
     q = 1.0 - strength
     success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
-    if success < MIN_SUCCESS_PROBABILITY:
-        raise ZeroSuccessProbabilityError(
-            f"post-selection success probability {success:.3e} vanishes"
-        )
+    check_success(success)
     m = (
         np.array(
             [
@@ -105,43 +94,15 @@ def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelected
 
 
 def capacity_wm_closed_form(params: GravcatParams, strength: float) -> CapacityReport:
-    """Analytic capacity after the weak measurement.
+    """Analytic capacity after the weak measurement, for any strength in [0, 1].
 
-    The surviving state's spectrum is the corner pair
-    c_pm = ([am + ap q^2] +- sqrt([am - ap q^2]^2 + 4 kappa^2 q^2)) / (2 P_s)
-    plus the middle pair d_pm = (beta +- |eta|) q / P_s; the averaged state
-    is diagonal with halves nu/2 and mu/2 where nu P_s = am + beta q and
-    mu P_s = ap q^2 + beta q.  p = 1 exactly is excluded here (several terms
-    need limits); use `apply_qwm` for the projective endpoint.
+    The surviving state keeps the X pattern (see `wm_state_closed_form`);
+    its spectrum and averaged halves come from ``closed_form``.  At p = 1
+    the state is the |00> projector and chi is exactly 1, unless that
+    branch has vanishing probability (``ZeroSuccessProbabilityError``).
     """
-    if not (math.isfinite(strength) and 0.0 <= strength < 1.0):
-        raise OutOfRangeError(
-            f"measurement strength must lie in [0, 1) for the closed-form capacity, got {strength!r}"
-        )
-    cf = thermal_closed_form(params)
-    q = 1.0 - strength
-    success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
-    corner_sum = cf.alpha_minus + cf.alpha_plus * q * q
-    disc = math.hypot(cf.alpha_minus - cf.alpha_plus * q * q, 2.0 * abs(cf.kappa) * q)
-    c_plus = 0.5 * (corner_sum + disc) / success
-    c_minus = 0.5 * (corner_sum - disc) / success  # can underflow to 0
-    d_plus = (cf.beta + abs(cf.eta)) * q / success
-    d_minus = (cf.beta - abs(cf.eta)) * q / success
-    nu = (cf.alpha_minus + cf.beta * q) / success
-    mu = (cf.alpha_plus * q * q + cf.beta * q) / success
-    spectrum = tuple(sorted((c_plus, c_minus, d_plus, d_minus), reverse=True))
-    entropy_state = entropy_bits(spectrum)
-    entropy_average = entropy_bits((0.5 * nu, 0.5 * nu, 0.5 * mu, 0.5 * mu))
-    chi = entropy_average - entropy_state
-    return CapacityReport(
-        chi=chi,
-        entropy_state=entropy_state,
-        entropy_average=entropy_average,
-        state_spectrum=spectrum,
-        advantage=classify_advantage(chi),
-        strength=strength,
-        success_probability=success,
-    )
+    _check_strength(strength)
+    return closed_form_report(params, strength)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -177,32 +138,31 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-9) -> tupl
 
 
 STRENGTH_GRID_POINTS = 1001
-STRENGTH_MAX = 1.0 - 1e-9  # closed form needs p < 1
+STRENGTH_MAX = 1.0 - 1e-9  # upper end of the scan; chi(p = 1) is exactly 1
 
 
 def optimize_strength(params: GravcatParams) -> tuple[float, float]:
     """Measurement strength maximizing the closed-form capacity.
 
-    A 1001-point uniform grid on [0, 1 - 1e-9] locates the maximum, then a
-    golden-section refinement on the bracketing interval narrows it to 1e-9.
-    The capacity profile can be non-monotonic with plateaus, so the
-    deterministic grid comes first; derivative-based search is deliberately
-    avoided.  The result never falls below the p = 0 capacity.
+    A 1001-point uniform grid on [0, 1 - 1e-9], scored in one array call,
+    locates the maximum (the first one on ties), then a golden-section
+    refinement on the bracketing interval narrows it to 1e-9.  The capacity
+    profile can be non-monotonic with plateaus, so the deterministic grid
+    comes first; derivative-based search is deliberately avoided.  The
+    result never falls below the p = 0 capacity.
     """
-
-    def chi_at(p: float) -> float:
-        return capacity_wm_closed_form(params, p).chi
-
     step = STRENGTH_MAX / (STRENGTH_GRID_POINTS - 1)
-    grid = [i * step for i in range(STRENGTH_GRID_POINTS)]
-    values = [chi_at(p) for p in grid]
-    best = max(range(STRENGTH_GRID_POINTS), key=values.__getitem__)
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < STRENGTH_GRID_POINTS - 1 else grid[-1]
-    p_refined, chi_refined = golden_section_maximize(chi_at, lo, hi, tol=1e-9)
+    grid = np.arange(STRENGTH_GRID_POINTS) * step  # bit-identical to i * step
+    values = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - grid)
+    best = int(values.argmax())
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, STRENGTH_GRID_POINTS - 1)])
+    p_refined, chi_refined = golden_section_maximize(
+        lambda p: capacity_wm_closed_form(params, p).chi, lo, hi, tol=1e-9
+    )
     candidates = [
-        (values[0], 0.0),
-        (values[best], grid[best]),
+        (float(values[0]), 0.0),
+        (float(values[best]), float(grid[best])),
         (chi_refined, p_refined),
     ]
     chi_star, p_star = max(candidates, key=lambda t: (t[0], -t[1]))  # ties -> smaller p

@@ -61,6 +61,28 @@ def test_capacity_invalid_temperature(capsys):
     assert "temperature must be positive" in error["message"]
 
 
+def test_capacity_at_projective_endpoint(capsys):
+    code, out, _ = run_cli(
+        capsys, "capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--p", "1"
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["chi"] == 1.0 and payload["strength"] == 1.0
+    code, _, err = run_cli(
+        capsys, "capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "ZeroSuccessProbabilityError"
+
+
+def test_sweep_reaching_projective_endpoint(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--x", "T:0.1:1:3", "--y", "p:0:1:3", "--omega", "1", "--gamma", "1"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "1.0,1.0,1.0,1.0"
+
+
 def test_capacity_missing_flag(capsys):
     code, _, err = run_cli(capsys, "capacity", "--gamma", "0", "--temp", "1")
     assert code == 2

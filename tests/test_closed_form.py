@@ -1,0 +1,191 @@
+"""The closed-form engine: a committed high-precision table, regressions, and
+properties that need no oracle.
+
+``tests/data/golden_chi.json`` is written by ``scripts/make_golden_chi.py``
+(mpmath, 60 and 100 digits, no closed-form spectrum); this suite only reads it.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gravcat_coding import (
+    AxisSpec,
+    GravcatParams,
+    SweepGrid,
+    ZeroSuccessProbabilityError,
+    apply_qwm,
+    build_hamiltonian,
+    capacity_closed_form,
+    capacity_numeric,
+    capacity_wm_closed_form,
+    chi_closed_form,
+    evaluate_sweep,
+    gibbs_numeric,
+    optimize_strength,
+    render_csv,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
+GOLDEN_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def golden():
+    table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert table["columns"] == ["omega", "gamma", "T", "p", "chi"]
+    points = np.array([row[:4] for row in table["points"]])
+    chi = np.array([float(row[4]) for row in table["points"]])
+    return points, chi
+
+
+# ------------------------------------------------------- golden table
+
+def test_golden_table_covers_the_domain(golden):
+    points, _ = golden
+    omega, gamma, temperature, strength = points.T
+    assert len(points) >= 400
+    assert omega.min() < 1e-2 and omega.max() > 1e2
+    assert 0.05 < (gamma == 0.0).mean() < 0.2
+    assert temperature.min() < 1e-5 and temperature.max() > 1e2
+    assert (strength == 0.0).any() and (1.0 - strength).min() < 1e-8
+
+
+def test_golden_table_array_engine(golden):
+    points, want = golden
+    omega, gamma, temperature, strength = points.T
+    got = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
+    assert np.abs(got - want).max() <= GOLDEN_TOL
+
+
+def test_golden_table_scalar_reports(golden):
+    points, want = golden
+    for (omega, gamma, temperature, strength), chi in zip(points.tolist(), want.tolist()):
+        params = GravcatParams(omega, gamma, temperature)
+        assert abs(capacity_wm_closed_form(params, strength).chi - chi) <= GOLDEN_TOL
+        if strength == 0.0:
+            assert abs(capacity_closed_form(params).chi - chi) <= GOLDEN_TOL
+
+
+# ------------------------------------------------------- regressions
+# chi values are mpmath evaluations at these exact float inputs; the old
+# closed form raised InvalidStateError on the first point and was 0.544 bits,
+# 5.0e-5 bits and 2.6e-10 bits off on the next three
+
+@pytest.mark.parametrize(
+    "omega, gamma, temperature, strength, want",
+    [
+        (299.08, 1.09e-6, 0.935, 0.99999965, 1.0004503357552348298),
+        (644.1, 1.05e-5, 2.70e-5, 1.0 - 7.2e-9, 1.9889847365328211880),
+        (621.09, 1.4e-4, 3.0e-4, 0.9999985, 1.0500497761674184563),
+    ],
+)
+def test_measured_capacity_without_cancellation(omega, gamma, temperature, strength, want):
+    report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), strength)
+    assert abs(report.chi - want) < 1e-13
+
+
+def test_plain_capacity_exponent_without_cancellation():
+    # gamma >> omega at low T: theta/T and gamma/T are each ~3e7 and differ by ~4
+    report = capacity_closed_form(GravcatParams(0.0873, 172.5, 5.6e-6))
+    assert abs(report.chi - 1.8642785666605935973) < 1e-13
+
+
+def test_optimizer_agrees_with_numeric_route_at_a_cold_point():
+    params = GravcatParams(2.9423374852881232, 9.993036120958809e-05, 0.011439857518148635)
+    p_star, chi_star = optimize_strength(params)
+    rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
+    assert abs(chi_star - capacity_numeric(apply_qwm(rho, p_star).state).chi) < 1e-9
+    assert chi_star >= capacity_wm_closed_form(params, 0.0).chi
+
+
+# ------------------------------------------- properties with no oracle
+
+def test_power_of_two_scaling_is_bit_exact(golden):
+    # chi depends only on omega/T, gamma/T and p, and scaling all three
+    # energies by 2^k is exact in floating point
+    points, _ = golden
+    omega, gamma, temperature, strength = points.T
+    base = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
+    for k in range(-3, 6):
+        f = 2.0**k
+        scaled = chi_closed_form(omega * f, gamma * f, temperature * f, 1.0 - strength)
+        assert np.array_equal(scaled, base), k
+
+
+def test_sweep_cells_equal_scalar_reports_bit_for_bit():
+    x = AxisSpec("T", 0.003, 2.0, 7)
+    y = AxisSpec("p", 0.0, 1.0, 6)
+    grid = evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.4})
+    for iy, strength in enumerate(y.values().tolist()):
+        for ix, temperature in enumerate(x.values().tolist()):
+            params = GravcatParams(1.3, 0.4, temperature)
+            assert grid.values[iy, ix] == capacity_wm_closed_form(params, strength).chi
+
+
+def test_grid_bytes_do_not_depend_on_chunking():
+    x = AxisSpec("gamma", 0.0, 3.0, 37)
+    y = AxisSpec("omega", 0.01, 3.0, 23)
+    whole = evaluate_sweep(x, y, {"T": 0.01, "p": 0.7})
+    rows = np.array(
+        [chi_closed_form(omega, x.values(), 0.01, 1.0 - 0.7) for omega in y.values()]
+    )
+    cells = np.array(
+        [[chi_closed_form(omega, gamma, 0.01, 1.0 - 0.7) for gamma in x.values()]
+         for omega in y.values()]
+    )
+    assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
+    by_rows = SweepGrid(x_axis=x, y_axis=y, fixed=whole.fixed, values=rows, engine=whole.engine)
+    assert render_csv(by_rows) == render_csv(whole)
+
+
+def test_projective_endpoint_is_exactly_one_bit():
+    omega = np.array([0.1, 1.0, 3.0, 700.0])
+    gamma = np.array([0.0, 1.0, 0.2, 1e-6])
+    temperature = np.array([0.5, 1.0, 0.01, 30.0])
+    assert np.array_equal(chi_closed_form(omega, gamma, temperature, 0.0), np.ones(4))
+
+
+def test_plain_capacity_equals_zero_strength_bit_for_bit(golden):
+    points, _ = golden
+    for omega, gamma, temperature, _ in points[::10].tolist():
+        params = GravcatParams(omega, gamma, temperature)
+        assert capacity_closed_form(params).chi == capacity_wm_closed_form(params, 0.0).chi
+
+
+def test_report_decomposes_exactly(golden):
+    points, _ = golden
+    for omega, gamma, temperature, strength in points[::25].tolist():
+        report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), strength)
+        assert report.chi == report.entropy_average - report.entropy_state
+        assert list(report.state_spectrum) == sorted(report.state_spectrum, reverse=True)
+        assert abs(sum(report.state_spectrum) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("omega, gamma", [(0.0, 0.0), (0.0, 0.8)])
+def test_degenerate_splitting_matches_numeric_engine(omega, gamma):
+    for strength in (0.0, 0.5, 0.9, 1.0):
+        params = GravcatParams(omega, gamma, 0.7, allow_degenerate_omega=True)
+        closed = capacity_wm_closed_form(params, strength).chi
+        rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
+        numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
+        assert abs(closed - numeric) < 1e-12, strength
+    # H = 0 leaves I/4: no capacity before the measurement, a product state after
+    params = GravcatParams(0.0, 0.0, 1.0, allow_degenerate_omega=True)
+    assert capacity_closed_form(params).chi == 0.0
+    assert abs(capacity_wm_closed_form(params, 0.5).chi - 0.081704165945510485) < 1e-15
+
+
+def test_nan_input_propagates():
+    assert math.isnan(chi_closed_form(1.0, 1.0, math.nan, 1.0))
+    assert math.isnan(chi_closed_form(math.nan, 0.0, 1.0, 0.5))
+
+
+def test_vanishing_success_names_the_first_element():
+    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
+    with pytest.raises(ZeroSuccessProbabilityError) as info:
+        chi_closed_form(1.0, 0.0, temperature, 0.0)
+    assert info.value.index == (0, 1)

@@ -128,10 +128,11 @@ def test_capacity_decays_with_temperature_at_every_splitting():
 
 
 def test_parallel_rows_match_serial():
+    # worker processes serve the numeric engine only; the closed form is one array call
     x = AxisSpec("gamma", 0.0, 2.0, 6)
     y = AxisSpec("omega", 0.2, 2.0, 5)
-    serial = evaluate_sweep(x, y, {"T": 0.5}, jobs=1)
-    parallel = evaluate_sweep(x, y, {"T": 0.5}, jobs=2)
+    serial = evaluate_sweep(x, y, {"T": 0.5}, engine="numeric", jobs=1)
+    parallel = evaluate_sweep(x, y, {"T": 0.5}, engine="numeric", jobs=2)
     assert np.array_equal(serial.values, parallel.values)
 
 
@@ -144,15 +145,18 @@ def test_fixed_strength_changes_cells():
 
 
 def test_cell_failures_abort_with_context():
-    # the closed-form capacity excludes p = 1 exactly; a sweep touching it
-    # aborts with the offending cell's coordinates instead of emitting rows
-    with pytest.raises(RuntimeError, match=r"sweep cell \(.*p=1.*\) failed"):
-        evaluate_sweep(
-            AxisSpec("p", 0.0, 1.0, 3),
-            AxisSpec("T", 0.5, 1.0, 2),
-            {"omega": 1.0, "gamma": 1.0},
-            engine="closed_form",
-        )
+    # at gamma = 0 and omega/T = 1000 the |00> branch kept at p = 1 has
+    # vanishing probability; the sweep aborts naming the first such cell
+    # (row-major) instead of emitting rows, on either engine
+    first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
+    for engine in ("closed_form", "numeric"):
+        with pytest.raises(RuntimeError, match=first_bad):
+            evaluate_sweep(
+                AxisSpec("p", 0.0, 1.0, 3),
+                AxisSpec("T", 1e-3, 2e-3, 2),
+                {"omega": 1.0, "gamma": 0.0},
+                engine=engine,
+            )
 
 
 def test_unknown_engine_rejected():
@@ -181,6 +185,40 @@ def test_csv_layout_is_exact():
     for iy, line in enumerate(lines[2:4]):
         cells = [float(tok) for tok in line.split(",")[1:]]
         assert cells == [float(v) for v in grid.values[iy]]
+
+
+def test_render_bytes_are_pinned():
+    grid = SweepGrid(
+        x_axis=AxisSpec("gamma", 0.0, 1.0, 3),
+        y_axis=AxisSpec("omega", 0.5, 1.5, 2),
+        fixed={"T": 0.7},
+        values=np.array([[0.1, 1e-17, 2.0], [1.0000000000000002, 0.0, -1e-11]]),
+        engine="closed_form",
+    )
+    assert render_csv(grid) == (
+        "# gravcat-coding v0.1.0 engine=closed_form fixed=T=0.7\n"
+        "y\\x,0.0,0.5,1.0\n"
+        "0.5,0.1,1e-17,2.0\n"
+        "1.5,1.0000000000000002,0.0,-1e-11\n"
+    )
+    text = render_json(grid)
+    assert '"x_values": [\n    0.0,\n    0.5,\n    1.0\n  ]' in text
+    assert '"values": [\n    [\n      0.1,\n      1e-17,\n      2.0\n    ],' in text
+    assert '      1.0000000000000002,\n      0.0,\n      -1e-11\n' in text
+
+
+def test_writer_refuses_nan_cells():
+    grid = SweepGrid(
+        x_axis=AxisSpec("gamma", 0.0, 1.0, 2),
+        y_axis=AxisSpec("omega", 0.5, 1.5, 2),
+        fixed={"T": 0.7},
+        values=np.array([[0.5, 0.4], [np.nan, 0.2]]),
+        engine="closed_form",
+    )
+    with pytest.raises(InvalidStateError, match="nan"):
+        render_csv(grid)
+    with pytest.raises(InvalidStateError, match="nan"):
+        render_json(grid)
 
 
 def test_csv_fixed_values_in_canonical_order():

@@ -117,9 +117,20 @@ def test_zero_strength_reduces_to_plain_capacity():
         assert abs(with_wm.chi - plain.chi) < 1e-12
 
 
-def test_capacity_rejects_projective_endpoint():
+def test_capacity_at_projective_endpoint_is_exactly_one_bit():
+    # p = 1 leaves the |00> projector: no limit is needed, chi is exactly 1
+    for omega, gamma, temperature in ((1.0, 1.0, 1.0), (2.0, 0.0, 0.3), (0.5, 3.0, 5.0)):
+        report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), 1.0)
+        assert report.chi == 1.0
+        assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(OutOfRangeError):
-        capacity_wm_closed_form(GravcatParams(1, 1, 1), 1.0)
+        capacity_wm_closed_form(GravcatParams(1, 1, 1), 1.0 + 1e-12)
+
+
+def test_projective_endpoint_with_vanishing_branch_raises():
+    # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0
+    with pytest.raises(ZeroSuccessProbabilityError):
+        capacity_wm_closed_form(GravcatParams(1.0, 0.0, 1e-3), 1.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
