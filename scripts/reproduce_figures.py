@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,9 +22,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--outdir", default="figures", help="output directory (default: figures)")
     parser.add_argument(
         "--engine", choices=("closed_form", "numeric"), default="closed_form",
-        help="evaluation engine (default: closed_form; numeric is the slow cross-check)",
+        help="evaluation engine (default: closed_form; numeric is the matrix cross-check)",
     )
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument(
         "--ids", nargs="*", default=sorted(FIGURES), help="subset of figure ids to produce"
     )
@@ -39,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for fid in args.ids:
         started = time.perf_counter()
-        grid = figure_grid(fid, engine=args.engine, jobs=args.jobs)
+        grid = figure_grid(fid, engine=args.engine)
         target = outdir / f"figure_{fid}.csv"
         target.write_text(render_csv(grid), encoding="utf-8")
         sidecar = target.with_suffix(target.suffix + ".json")

@@ -4,7 +4,8 @@ Subcommands: ``capacity`` (one parameter point, JSON), ``sweep`` (2-D grid,
 CSV/JSON), ``figure`` (built-in grid presets), ``optimize`` (best measurement
 strength), ``verify`` (cross-engine report).  Exit codes are stable: 0 on
 success, 1 when verification finds a deviation over threshold, 2 on bad
-usage or invalid parameters (with a JSON error object on stderr).
+usage, invalid parameters or an unwritable output path (with a JSON error
+object on stderr).
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from .coding import capacity_closed_form, capacity_numeric
 from .sweep import (
+    ENGINES,
     AxisSpec,
     FIGURES,
     evaluate_sweep,
@@ -31,8 +32,6 @@ from .verify import verification_report
 from .version import __version__
 from .weak_measurement import apply_qwm, capacity_wm_closed_form, optimize_strength
 
-JOBS_ENV_VAR = "GRAVCAT_JOBS"
-
 
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
@@ -44,23 +43,6 @@ def _write_output(text: str, output: str | None) -> None:
 def _emit_error(exc: BaseException) -> None:
     payload = {"schema_version": 1, "error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(json.dumps(payload) + "\n")
-
-
-def _resolve_jobs(requested: int | None) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise InvalidParameterError("--jobs must be at least 1")
-        return requested
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-        if jobs < 1:
-            raise InvalidParameterError(f"{JOBS_ENV_VAR} must be at least 1")
-        return jobs
-    return os.cpu_count() or 1
 
 
 def _params_from_args(args: argparse.Namespace) -> GravcatParams:
@@ -108,12 +90,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     y_axis = AxisSpec.parse(args.y)
     fixed = _fixed_from_args(args)
     grid = evaluate_sweep(
-        x_axis,
-        y_axis,
-        fixed,
-        engine=args.engine,
-        jobs=_resolve_jobs(args.jobs),
-        allow_zero_omega=args.allow_zero_omega,
+        x_axis, y_axis, fixed, engine=args.engine, allow_zero_omega=args.allow_zero_omega
     )
     text = render_csv(grid) if args.format == "csv" else render_json(grid)
     _write_output(text, args.output)
@@ -123,9 +100,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     x_axis = AxisSpec.parse(args.x) if args.x else None
     y_axis = AxisSpec.parse(args.y) if args.y else None
-    grid = figure_grid(
-        args.id, engine=args.engine, jobs=_resolve_jobs(args.jobs), x_axis=x_axis, y_axis=y_axis
-    )
+    grid = figure_grid(args.id, engine=args.engine, x_axis=x_axis, y_axis=y_axis)
     text = render_csv(grid) if args.format == "csv" else render_json(grid)
     _write_output(text, args.output)
     if args.output is not None:
@@ -177,12 +152,8 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=("closed_form", "numeric"), default="closed_form",
+        "--engine", choices=ENGINES, default="closed_form",
         help="evaluation engine (default: closed_form)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"worker processes for numeric grids (default: ${JOBS_ENV_VAR} or the CPU count)",
     )
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format (default: csv)"
@@ -200,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("capacity", help="capacity at one parameter point (JSON)")
     _add_point_flags(p_cap, with_p=True)
     p_cap.add_argument(
-        "--engine", choices=("closed_form", "numeric"), default="closed_form",
+        "--engine", choices=ENGINES, default="closed_form",
         help="evaluation engine (default: closed_form)",
     )
     _add_output_flag(p_cap)
@@ -241,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         _emit_error(exc)
         return 2
 

@@ -16,15 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import LocatedError, first_index
+
 MIN_SUCCESS_PROBABILITY = 1e-300
 
 
-class ZeroSuccessProbabilityError(ValueError):
+class ZeroSuccessProbabilityError(LocatedError):
     """Post-selection branch has vanishing probability; ``index`` locates the first such element."""
-
-    def __init__(self, message: str, index: tuple[int, ...] | None = None) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 def check_success(success) -> None:
@@ -32,7 +30,7 @@ def check_success(success) -> None:
     success = np.asarray(success)
     bad = success < MIN_SUCCESS_PROBABILITY
     if bad.any():
-        index = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
+        index = first_index(bad)
         raise ZeroSuccessProbabilityError(
             f"post-selection success probability {float(success[index]):.3e} vanishes", index
         )

@@ -25,6 +25,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     as_density,
+    dagger,
     eigh,
     entropy_bits,
     partial_trace_first,
@@ -80,6 +81,29 @@ class CapacityReport:
         return out
 
 
+_SIGNALS = tuple(tensor(sigma, PAULI_I) for sigma in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+
+
+def two_qubit_matrix(rho) -> np.ndarray:
+    """The matrix of a two-qubit state, checked at the public boundary."""
+    dm = as_density(rho, check_psd=False)
+    if dm.dim != 4:
+        raise InvalidStateError(f"expected a 4x4 two-qubit state, got dim {dm.dim}")
+    return dm.matrix
+
+
+def _twirl(rho) -> np.ndarray:
+    """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized."""
+    avg = 0.25 * sum(u @ rho @ u for u in _SIGNALS)  # each Pauli factor is Hermitian
+    return 0.5 * (avg + dagger(avg))
+
+
+def _entropies(rho):
+    """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states."""
+    spectrum = eigh(rho).eigenvalues
+    return spectrum, entropy_bits(spectrum), entropy_bits(eigh(_twirl(rho)).eigenvalues)
+
+
 def ensemble_average(rho) -> DensityMatrix:
     """Average of the four signal encodings: (1/4) sum_i (s_i (x) I) rho (s_i (x) I).
 
@@ -87,15 +111,7 @@ def ensemble_average(rho) -> DensityMatrix:
     equals (I/2) (x) tr_A(rho), which `ensemble_average_via_marginal`
     computes directly.
     """
-    dm = as_density(rho, check_psd=False)
-    if dm.dim != 4:
-        raise InvalidStateError(f"expected a 4x4 two-qubit state, got dim {dm.dim}")
-    acc = np.zeros_like(dm.matrix)
-    for sigma in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
-        u = tensor(sigma, PAULI_I)
-        acc += u @ dm.matrix @ u  # each Pauli factor is Hermitian
-    avg = 0.25 * acc
-    return DensityMatrix(0.5 * (avg + avg.conj().T), validated=True)
+    return DensityMatrix(_twirl(two_qubit_matrix(rho)), validated=True)
 
 
 def ensemble_average_via_marginal(rho) -> DensityMatrix:
@@ -106,15 +122,12 @@ def ensemble_average_via_marginal(rho) -> DensityMatrix:
 
 def capacity_numeric(rho) -> CapacityReport:
     """chi = S(ensemble_average(rho)) - S(rho) on an arbitrary two-qubit state."""
-    dm = as_density(rho, check_psd=False)
-    spectrum = eigh(dm.matrix).eigenvalues
-    entropy_state = entropy_bits(spectrum)
-    entropy_average = entropy_bits(eigh(ensemble_average(dm).matrix).eigenvalues)
-    chi = entropy_average - entropy_state
+    spectrum, entropy_state, entropy_average = _entropies(two_qubit_matrix(rho))
+    chi = float(entropy_average - entropy_state)
     return CapacityReport(
         chi=chi,
-        entropy_state=entropy_state,
-        entropy_average=entropy_average,
+        entropy_state=float(entropy_state),
+        entropy_average=float(entropy_average),
         state_spectrum=tuple(float(v) for v in spectrum),
         advantage=classify_advantage(chi),
     )

@@ -1,15 +1,15 @@
-"""Dense complex Hermitian mini-kernel for the 2x2 / 4x4 problems in this package.
+"""Dense complex Hermitian kernel for the 2x2 / 4x4 problems in this package.
 
-Hermitian matrices are plain complex numpy arrays.  The eigensolver is a
-cyclic Jacobi iteration with complex plane rotations: dependency-free,
-deterministic for identical input bits, and accurate to machine precision
-at these sizes.  Everything downstream (entropies, Gibbs operators, state
-oracles) is built on `eigh`.
+Hermitian matrices are plain complex numpy arrays, and every kernel here
+works on stacks: the matrices are the last two axes, anything before them
+indexes the stack.  The eigensolver is LAPACK's ``zheevd`` through
+``np.linalg.eigh``, which treats each matrix of a stack on its own, so a
+matrix gets the same bits alone or inside any stack.  Everything downstream
+(entropies, Gibbs operators, state oracles) is built on `eigh`.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +34,15 @@ class NonFiniteResultError(ArithmeticError):
     """A scalar function overflowed or produced a non-finite value on the spectrum."""
 
 
-class InvalidStateError(ValueError):
+class LocatedError(ValueError):
+    """An error of an array kernel; ``index`` locates the first offending element."""
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+class InvalidStateError(LocatedError):
     """Matrix violates the density-matrix contract (trace, positivity, or shape)."""
 
 
@@ -42,13 +50,23 @@ class NumericalNoiseWarning(UserWarning):
     """An eigenvalue noticeably below zero was clamped; treat results with care."""
 
 
+def first_index(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true element of ``mask``, in row-major order."""
+    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising ``NotHermitianError`` if it is
-    not square and Hermitian within ``tol`` (absolute, element-wise)."""
+    """Return ``m`` as a complex array, raising ``NotHermitianError`` unless its
+    last two axes are square and Hermitian within ``tol`` (absolute, element-wise)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
+    dev = float(np.abs(a - dagger(a)).max()) if a.size else 0.0
     if not dev <= tol:  # also catches NaN
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {dev:.3e} (tolerance {tol:.0e})"
@@ -64,61 +82,20 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_TOL = 1e-14
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((np.abs(off) ** 2).sum()))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q] (and its mirror) in place."""
-    apq = complex(a[p, q])
-    r = abs(apq)
-    if r == 0.0:
-        return
-    # the pivot phase comes from atan2, not apq/r: dividing by a subnormal
-    # |apq| overflows inside numpy's complex division
-    arg = math.atan2(apq.imag, apq.real)
-    conj_phase = complex(math.cos(arg), -math.sin(arg))
-    ang = 0.5 * math.atan2(2.0 * r, (a[p, p] - a[q, q]).real)
-    c, s = math.cos(ang), math.sin(ang)
-    # unitary on the (p, q) plane: a phase factoring the pivot real, then a
-    # real rotation killing it
-    u = np.array([[c, -s], [s * conj_phase, c * conj_phase]], dtype=complex)
-    a[:, [p, q]] = a[:, [p, q]] @ u
-    a[[p, q], :] = u.conj().T @ a[[p, q], :]
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    v[:, [p, q]] = v[:, [p, q]] @ u
-
-
 def eigh(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-14
-    (scaled by the input norm, since an absolute 1e-14 is unreachable in
-    double precision once ``||m||`` grows past ~1e2) or 100 sweeps pass.
-    Each off-diagonal norm decreases monotonically, so termination is
-    guaranteed either way.
+    LAPACK's ``zheevd`` (through ``np.linalg.eigh``) works on each matrix of
+    the last two axes separately; the order is reversed to descending.
     """
-    a = require_hermitian(m).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    tol = _JACOBI_OFF_TOL * max(1.0, float(np.sqrt((np.abs(a) ** 2).sum())))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_norm(a) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q)
-    vals = np.diag(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(vals[order], v[:, order])
+    values, vectors = np.linalg.eigh(require_hermitian(m))
+    return Spectrum(values[..., ::-1], vectors[..., ::-1])
+
+
+def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dagger over stacks, re-symmetrized."""
+    out = (vectors * values[..., np.newaxis, :]) @ dagger(vectors)
+    return 0.5 * (out + dagger(out))
 
 
 def matrix_function(m, f) -> np.ndarray:
@@ -137,8 +114,7 @@ def matrix_function(m, f) -> np.ndarray:
             raise NonFiniteResultError(f"f({lam!r}) did not evaluate to a finite value") from exc
     if not np.isfinite(fvals).all():
         raise NonFiniteResultError("scalar function produced overflow or NaN on the spectrum")
-    out = (spec.eigenvectors * fvals) @ spec.eigenvectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    return from_spectrum(spec.eigenvectors, fvals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,35 +154,37 @@ def as_density(rho, *, check_psd: bool = True) -> DensityMatrix:
     return DensityMatrix.from_array(rho, check_psd=check_psd)
 
 
-def entropy_bits(eigenvalues) -> float:
-    """Shannon entropy in bits of a spectrum, with the noise-clamping policy.
+def entropy_bits(eigenvalues):
+    """Shannon entropy in bits of a spectrum (the last axis), with the noise-clamping policy.
 
     Values in [-1e-10, 0) are treated as exact zeros (0 log 0 == 0).  Values
     in [-1e-8, -1e-10) are clamped too but flagged with
     ``NumericalNoiseWarning``.  Anything below -1e-8 raises
-    ``InvalidStateError``.
+    ``InvalidStateError``, whose ``index`` locates the first such value.  A
+    stack of spectra gives an array over the leading axes.
     """
-    total = 0.0
-    for lam in np.asarray(eigenvalues, dtype=float):
-        lam = float(lam)
-        if lam < EIG_ERROR_FLOOR:
-            raise InvalidStateError(f"eigenvalue {lam:.6e} is below the {EIG_ERROR_FLOOR:.0e} floor")
-        if lam <= 0.0:
-            if lam < EIG_CLAMP_FLOOR:
-                warnings.warn(
-                    f"clamping noisy eigenvalue {lam:.3e} to zero",
-                    NumericalNoiseWarning,
-                    stacklevel=2,
-                )
-            continue
-        total -= lam * math.log2(lam)
-    return max(total, 0.0)
+    lam = np.asarray(eigenvalues, dtype=float)
+    below = lam < EIG_ERROR_FLOOR
+    if below.any():
+        index = first_index(below)
+        raise InvalidStateError(
+            f"eigenvalue {lam[index]:.6e} is below the {EIG_ERROR_FLOOR:.0e} floor", index
+        )
+    noisy = lam < EIG_CLAMP_FLOOR
+    if noisy.any():
+        warnings.warn(
+            f"clamping noisy eigenvalue {lam[first_index(noisy)]:.3e} to zero",
+            NumericalNoiseWarning,
+            stacklevel=2,
+        )
+    kept = np.where(lam <= 0.0, 1.0, lam)  # a clamped value adds 1 log 1 = 0; NaN stays
+    return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho log2 rho), in bits."""
     dm = as_density(rho, check_psd=False)  # positivity is policed by entropy_bits
-    return entropy_bits(eigh(dm.matrix).eigenvalues)
+    return float(entropy_bits(eigh(dm.matrix).eigenvalues))
 
 
 def tensor(a, b) -> np.ndarray:

@@ -1,38 +1,31 @@
 """Capacity grids over parameter planes, and their CSV/JSON serialization.
 
 A sweep evaluates chi on a uniform inclusive 2-D grid; any two of
-{omega, gamma, T, p} form the axes and the rest are fixed.  The closed-form
-engine evaluates the whole grid in one array call; the numeric engine goes
-cell by cell, optionally with rows spread over worker processes.  Output is
-deterministic byte-for-byte for identical invocations: assembly and
-formatting are ordered, floats are rendered as shortest round-trip decimals,
-and no timestamps are serialized.
+{omega, gamma, T, p} form the axes and the rest are fixed.  Each engine is
+one array function chi(omega, gamma, T, q) with q = 1 - p, and a grid on
+either engine is one call to it, so a cell has the same bits in a grid, a
+row or alone.  Output is deterministic byte-for-byte for identical
+invocations: formatting is ordered, floats are rendered as shortest
+round-trip decimals, and no timestamps are serialized.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .closed_form import ZeroSuccessProbabilityError, chi_closed_form
-from .coding import capacity_closed_form, capacity_numeric
-from .linalg import InvalidStateError
-from .thermal import (
-    GravcatParams,
-    InvalidParameterError,
-    build_hamiltonian,
-    gibbs_numeric,
-)
+from .closed_form import chi_closed_form
+from .linalg import InvalidStateError, LocatedError
+from .thermal import GravcatParams, InvalidParameterError
 from .version import TOOL_NAME, __version__
-from .weak_measurement import apply_qwm, capacity_wm_closed_form
+from .weak_measurement import _check_strength, chi_numeric
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
-ENGINES = ("closed_form", "numeric")
+ENGINE_FUNCTIONS = {"closed_form": chi_closed_form, "numeric": chi_numeric}
+ENGINES = tuple(ENGINE_FUNCTIONS)
 
 DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
     "omega": (0.01, 3.0, 200),
@@ -106,6 +99,15 @@ class SweepGrid:
     version: str = __version__
 
 
+def _engine_function(engine: str):
+    try:
+        return ENGINE_FUNCTIONS[engine]
+    except KeyError:
+        raise InvalidParameterError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
+        ) from None
+
+
 def cell_capacity(
     engine: str,
     omega: float,
@@ -115,61 +117,15 @@ def cell_capacity(
     *,
     allow_zero_omega: bool = False,
 ) -> float:
-    """chi for one parameter point, on either engine."""
+    """chi for one validated parameter point, on either engine."""
     params = GravcatParams(
         omega=omega, gamma=gamma, temperature=temperature, allow_degenerate_omega=allow_zero_omega
     )
-    if engine == "closed_form":
-        if strength is None:
-            return capacity_closed_form(params).chi
-        return capacity_wm_closed_form(params, strength).chi
-    if engine == "numeric":
-        rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-        if strength is not None:
-            rho = apply_qwm(rho, strength).state
-        return capacity_numeric(rho).chi
-    raise InvalidParameterError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
-
-
-def _cell_error(point: dict[str, float], exc: Exception) -> RuntimeError:
-    coords = ", ".join(f"{k}={v:g}" for k, v in sorted(point.items()))
-    return RuntimeError(f"sweep cell ({coords}) failed: {exc}")
-
-
-def _closed_form_grid(x_axis: AxisSpec, y_axis: AxisSpec, fixed: dict[str, float]) -> np.ndarray:
-    """values[iy, ix] for every cell, in one array call."""
-    x_values, y_values = x_axis.values(), y_axis.values()
-    point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
-    q = 1.0 - point["p"] if "p" in point else 1.0
-    try:
-        return chi_closed_form(point["omega"], point["gamma"], point["T"], q)
-    except ZeroSuccessProbabilityError as exc:
-        iy, ix = exc.index
-        cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
-        raise _cell_error(cell, exc) from exc
-
-
-def _numeric_row(
-    y_value: float,
-    *,
-    x_name: str,
-    x_values: tuple[float, ...],
-    y_name: str,
-    fixed: dict[str, float],
-    allow_zero_omega: bool,
-) -> list[float]:
-    """One numeric-engine row; module-level so that worker processes can pickle it."""
-    row = []
-    for x_value in x_values:
-        point = {**fixed, x_name: x_value, y_name: y_value}
-        try:
-            row.append(cell_capacity(
-                "numeric", point["omega"], point["gamma"], point["T"], point.get("p"),
-                allow_zero_omega=allow_zero_omega,
-            ))
-        except (ValueError, ArithmeticError) as exc:
-            raise _cell_error(point, exc) from exc
-    return row
+    q = 1.0
+    if strength is not None:
+        _check_strength(strength)
+        q = 1.0 - strength
+    return float(_engine_function(engine)(params.omega, params.gamma, params.temperature, q))
 
 
 def evaluate_sweep(
@@ -177,22 +133,16 @@ def evaluate_sweep(
     y_axis: AxisSpec,
     fixed: dict[str, float],
     engine: str = "closed_form",
-    jobs: int = 1,
     *,
     allow_zero_omega: bool = False,
 ) -> SweepGrid:
-    """Evaluate chi over the grid.
+    """Evaluate chi over the grid in one call to the engine's array function.
 
     ``fixed`` must cover exactly the parameters that are not axes ("p" is
-    optional: leaving it out means no weak measurement).  The closed-form
-    engine evaluates every cell in one array call; ``jobs > 1`` spreads the
-    numeric engine's rows over worker processes and does not apply to the
-    closed form.
+    optional: leaving it out means no weak measurement).  A failure at a
+    cell aborts the sweep with the coordinates of the first failing cell.
     """
-    if engine not in ENGINES:
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
+    chi = _engine_function(engine)
     if x_axis.name == y_axis.name:
         raise InvalidParameterError(f"axes must name distinct parameters, both are {x_axis.name!r}")
     axis_names = {x_axis.name, y_axis.name}
@@ -216,25 +166,16 @@ def evaluate_sweep(
     if not all(0.0 <= p <= 1.0 for p in axis_p + [fixed.get("p", 0.0)]):
         raise InvalidParameterError("p: measurement strength must lie in [0, 1]")
 
-    if engine == "closed_form":
-        values = _closed_form_grid(x_axis, y_axis, fixed)
-    else:
-        worker = partial(
-            _numeric_row,
-            x_name=x_axis.name,
-            x_values=tuple(x_axis.values().tolist()),
-            y_name=y_axis.name,
-            fixed=dict(fixed),
-            allow_zero_omega=allow_zero_omega,
-        )
-        y_values = y_axis.values().tolist()
-        if jobs > 1:
-            chunk = max(1, len(y_values) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(worker, y_values, chunksize=chunk))
-        else:
-            rows = [worker(y) for y in y_values]
-        values = np.array(rows)
+    x_values, y_values = x_axis.values(), y_axis.values()
+    point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
+    q = 1.0 - point["p"] if "p" in point else 1.0
+    try:
+        values = chi(point["omega"], point["gamma"], point["T"], q)
+    except LocatedError as exc:
+        iy, ix = exc.index[:2]
+        cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
+        coords = ", ".join(f"{k}={v:g}" for k, v in sorted(cell.items()))
+        raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
     return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=values, engine=engine)
 
 
@@ -317,7 +258,6 @@ FIGURES: dict[str, FigurePreset] = {
 def figure_grid(
     figure_id: str,
     engine: str = "closed_form",
-    jobs: int = 1,
     x_axis: AxisSpec | None = None,
     y_axis: AxisSpec | None = None,
 ) -> SweepGrid:
@@ -329,7 +269,7 @@ def figure_grid(
         raise InvalidParameterError(
             f"figure {figure_id} uses axes ({preset.x}, {preset.y}), got ({x.name}, {y.name})"
         )
-    return evaluate_sweep(x, y, dict(preset.fixed), engine=engine, jobs=jobs)
+    return evaluate_sweep(x, y, dict(preset.fixed), engine=engine)
 
 
 def figure_config(figure_id: str, grid: SweepGrid) -> dict:

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _closed_form_terms
-from .linalg import (
-    DensityMatrix,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    eigh,
-    matrix_function,
-    require_hermitian,
-    tensor,
-)
+from .linalg import DensityMatrix, PAULI_I, PAULI_X, PAULI_Z, eigh, from_spectrum, tensor
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
@@ -110,11 +101,20 @@ def coupling_from_geometry(geom: GravcatGeometry) -> float:
     return 0.5 * geom.G * geom.mass**2 * (1.0 / d - 1.0 / geom.d_prime)
 
 
+_SPLITTING = tensor(PAULI_I, PAULI_Z) + tensor(PAULI_Z, PAULI_I)
+_EXCHANGE = tensor(PAULI_X, PAULI_X)
+
+
+def _hamiltonian(omega, gamma) -> np.ndarray:
+    """Stack of 4x4 Hamiltonians over broadcast ``omega`` and ``gamma``."""
+    omega = np.asarray(omega, dtype=float)[..., np.newaxis, np.newaxis]
+    gamma = np.asarray(gamma, dtype=float)[..., np.newaxis, np.newaxis]
+    return 0.5 * omega * _SPLITTING - gamma * _EXCHANGE
+
+
 def build_hamiltonian(params: GravcatParams) -> np.ndarray:
     """4x4 Hamiltonian: (omega/2)(I(x)sz + sz(x)I) - gamma sx(x)sx."""
-    splitting = 0.5 * params.omega * (tensor(PAULI_I, PAULI_Z) + tensor(PAULI_Z, PAULI_I))
-    exchange = params.gamma * tensor(PAULI_X, PAULI_X)
-    return splitting - exchange
+    return _hamiltonian(params.omega, params.gamma)
 
 
 @dataclass(frozen=True)
@@ -174,19 +174,22 @@ def assemble_thermal_state(cf: ThermalClosedForm) -> DensityMatrix:
     return DensityMatrix.from_array(m, check_psd=True)
 
 
-def gibbs_numeric(hamiltonian, temperature: float) -> DensityMatrix:
-    """Thermal state exp(-H/T)/Z via the spectral decomposition.
+def _gibbs(hamiltonian, temperature) -> np.ndarray:
+    """Stack of thermal states exp(-H/T)/Z from one eigendecomposition per matrix.
 
-    The spectrum is shifted by its ground energy before exponentiating, so
-    the computation is overflow-safe at any valid temperature.
+    The Boltzmann weights are taken relative to the ground energy, so they
+    lie in (0, 1] and nothing overflows at any valid temperature.
     """
+    spec = eigh(hamiltonian)
+    ground = spec.eigenvalues[..., -1:]  # eigenvalues are descending
+    weights = np.exp((ground - spec.eigenvalues) / np.asarray(temperature)[..., np.newaxis])
+    return from_spectrum(spec.eigenvectors, weights / weights.sum(axis=-1, keepdims=True))
+
+
+def gibbs_numeric(hamiltonian, temperature: float) -> DensityMatrix:
+    """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`)."""
     if not (math.isfinite(temperature) and temperature >= MIN_TEMPERATURE):
         raise InvalidParameterError(
             f"temperature must be positive (minimum {MIN_TEMPERATURE:g} in natural units)"
         )
-    h = require_hermitian(hamiltonian)
-    ground = float(eigh(h).eigenvalues[-1])  # eigenvalues are descending
-    shifted = -(h - ground * np.eye(h.shape[0], dtype=complex)) / temperature
-    boltzmann = matrix_function(shifted, math.exp)
-    rho = boltzmann / float(np.trace(boltzmann).real)
-    return DensityMatrix(0.5 * (rho + rho.conj().T), validated=True)
+    return DensityMatrix(_gibbs(hamiltonian, temperature), validated=True)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import chi_closed_form, check_success
-from .coding import CapacityReport, closed_form_report
-from .linalg import DensityMatrix, as_density, tensor
-from .thermal import GravcatParams, ThermalClosedForm
+from .coding import CapacityReport, _entropies, closed_form_report, two_qubit_matrix
+from .linalg import DensityMatrix
+from .thermal import GravcatParams, ThermalClosedForm, _gibbs, _hamiltonian
 
 
 class OutOfRangeError(ValueError):
@@ -47,6 +47,20 @@ def qwm_operator(strength: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - strength)]], dtype=complex)
 
 
+def _post_select(rho, q):
+    """(Q(x)Q) rho (Q(x)Q)^dagger / P_s and P_s over a stack, with Q = diag(1, sqrt(q)).
+
+    Q(x)Q is diagonal with k = (1, s, s, s^2), s = sqrt(q), so the
+    conjugation scales entry (i, j) by k_i k_j.
+    """
+    s = np.sqrt(np.asarray(q, dtype=float))
+    k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)
+    kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])
+    success = kept.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    check_success(success)
+    return kept / success[..., np.newaxis, np.newaxis], success
+
+
 def apply_qwm(rho, strength: float) -> PostSelectedState:
     """Measure both qubits weakly and post-select: (Q(x)Q) rho (Q(x)Q)^dagger / P_s.
 
@@ -54,16 +68,23 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     allowed as long as the surviving branch has nonzero probability.
     """
     _check_strength(strength)
-    dm = as_density(rho, check_psd=False)
-    k = tensor(qwm_operator(strength), qwm_operator(strength))
-    unnormalized = k @ dm.matrix @ k.conj().T
-    success = float(np.trace(unnormalized).real)
-    check_success(success)
-    state = unnormalized / success
+    state, success = _post_select(two_qubit_matrix(rho), 1.0 - strength)
     return PostSelectedState(
-        state=DensityMatrix(0.5 * (state + state.conj().T), validated=True),
-        success_probability=success,
+        state=DensityMatrix(state, validated=True), success_probability=float(success)
     )
+
+
+def chi_numeric(omega, gamma, temperature, q=1.0):
+    """Dense-coding capacity through the matrix route, over broadcast arrays, with q = 1 - p.
+
+    Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
+    each on the whole stack of 4x4 matrices; no closed form enters.  Inputs
+    are not validated here (``GravcatParams`` holds the domain rules).
+    """
+    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
+    state, _ = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
+    _, entropy_state, entropy_average = _entropies(state)
+    return entropy_average - entropy_state
 
 
 def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelectedState:

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import gravcat_coding.verify as verify_module
 from gravcat_coding import GravcatParams, capacity_closed_form
-from gravcat_coding.cli import JOBS_ENV_VAR, _resolve_jobs, main
+from gravcat_coding.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -94,7 +98,7 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "sweep", "--x", "gamma:0:1:4", "--y", "omega:0.5:1.5:3",
-        "--temp", "0.7", "--jobs", "1", "--output", str(target),
+        "--temp", "0.7", "--output", str(target),
     )
     assert code == 0 and out == ""
     lines = target.read_text().splitlines()
@@ -106,7 +110,7 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
 def test_sweep_is_byte_deterministic(tmp_path, capsys):
     args = (
         "sweep", "--x", "gamma:0:2:5", "--y", "T:0.1:1:4",
-        "--omega", "1.2", "--p", "0.4", "--jobs", "2",
+        "--omega", "1.2", "--p", "0.4",
     )
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -119,7 +123,7 @@ def test_sweep_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
         "sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2",
-        "--temp", "0.7", "--jobs", "1", "--format", "json",
+        "--temp", "0.7", "--format", "json",
     )
     payload = json.loads(out)
     assert code == 0
@@ -131,7 +135,7 @@ def test_sweep_axis_conflicts(capsys):
     code, _, err = run_cli(
         capsys,
         "sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2",
-        "--temp", "0.7", "--gamma", "1.0", "--jobs", "1",
+        "--temp", "0.7", "--gamma", "1.0",
     )
     assert code == 2
     assert "conflict" in json.loads(err)["message"]
@@ -139,7 +143,7 @@ def test_sweep_axis_conflicts(capsys):
 
 def test_sweep_missing_fixed_value(capsys):
     code, _, err = run_cli(
-        capsys, "sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2", "--jobs", "1"
+        capsys, "sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2"
     )
     assert code == 2
     assert "missing fixed value" in json.loads(err)["message"]
@@ -149,14 +153,18 @@ def test_sweep_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--y", "omega:0.5:1.5:2", "--temp", "1"])
     assert exc.value.code == 2
+    # there is no --jobs flag: every grid is one array call in one process
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2", "--temp", "1",
+              "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_figure_writes_csv_and_sidecar(tmp_path, capsys):
     target = tmp_path / "fig5a.csv"
     code, _, _ = run_cli(
         capsys,
-        "figure", "5a", "--x", "T:0.1:1:4", "--y", "p:0:0.9:3",
-        "--jobs", "1", "--output", str(target),
+        "figure", "5a", "--x", "T:0.1:1:4", "--y", "p:0:0.9:3", "--output", str(target),
     )
     assert code == 0
     header = target.read_text().splitlines()[0]
@@ -170,7 +178,7 @@ def test_figure_writes_csv_and_sidecar(tmp_path, capsys):
 def test_figure_stdout_skips_sidecar(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
-        capsys, "figure", "6a", "--x", "gamma:0:1:3", "--y", "p:0:0.5:2", "--jobs", "1"
+        capsys, "figure", "6a", "--x", "gamma:0:1:3", "--y", "p:0:0.5:2"
     )
     assert code == 0
     assert out.startswith("# gravcat-coding")
@@ -258,25 +266,29 @@ def test_verify_failure_exits_one_but_reports(capsys, monkeypatch):
     assert all(not entry["passed"] for entry in payload["checks"].values())
 
 
-def test_jobs_resolution(monkeypatch):
-    assert _resolve_jobs(3) == 3
-    monkeypatch.setenv(JOBS_ENV_VAR, "5")
-    assert _resolve_jobs(None) == 5
-    assert _resolve_jobs(2) == 2  # explicit flag wins over the environment
-    monkeypatch.setenv(JOBS_ENV_VAR, "zero")
-    with pytest.raises(Exception, match=JOBS_ENV_VAR):
-        _resolve_jobs(None)
-    monkeypatch.delenv(JOBS_ENV_VAR)
-    assert _resolve_jobs(None) >= 1
-
-
-def test_sweep_honours_jobs_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(JOBS_ENV_VAR, "2")
-    target = tmp_path / "env.csv"
-    code, _, _ = run_cli(
-        capsys,
-        "sweep", "--x", "gamma:0:1:3", "--y", "omega:0.5:1.5:2",
-        "--temp", "0.7", "--output", str(target),
+@pytest.mark.parametrize("target", ["directory", "missing/parent.json"])
+def test_unwritable_output_exits_two(tmp_path, capsys, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    code, out, err = run_cli(
+        capsys, "capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", str(path)
     )
-    assert code == 0
-    assert target.exists()
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] in ("IsADirectoryError", "FileNotFoundError")
+    assert str(path) in error["message"]
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, gravcat_coding.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

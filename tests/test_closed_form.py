@@ -23,6 +23,7 @@ from gravcat_coding import (
     capacity_numeric,
     capacity_wm_closed_form,
     chi_closed_form,
+    chi_numeric,
     evaluate_sweep,
     gibbs_numeric,
     optimize_strength,
@@ -31,6 +32,7 @@ from gravcat_coding import (
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
 GOLDEN_TOL = 1e-12
+NUMERIC_GOLDEN_TOL = 1e-10  # the matrix route measures 4.8e-13 bits at worst
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,13 @@ def test_golden_table_array_engine(golden):
     omega, gamma, temperature, strength = points.T
     got = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
     assert np.abs(got - want).max() <= GOLDEN_TOL
+
+
+def test_golden_table_numeric_engine(golden):
+    points, want = golden
+    omega, gamma, temperature, strength = points.T
+    got = chi_numeric(omega, gamma, temperature, 1.0 - strength)
+    assert np.abs(got - want).max() <= NUMERIC_GOLDEN_TOL
 
 
 def test_golden_table_scalar_reports(golden):

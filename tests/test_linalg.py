@@ -16,6 +16,7 @@ from gravcat_coding import (
     PAULI_Y,
     PAULI_Z,
     eigh,
+    entropy_bits,
     matrix_function,
     partial_trace_first,
     tensor,
@@ -173,6 +174,19 @@ def test_entropy_rejects_genuinely_negative_eigenvalues():
     rho = np.diag([1.0 + 5e-8, -5e-8, 0.0, 0.0]).astype(complex)
     with pytest.raises(InvalidStateError):
         von_neumann_entropy(rho)
+
+
+def test_entropy_policy_over_a_stack_of_spectra():
+    spectra = np.array([[[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                        [[0.25, 0.25, 0.25, 0.25], [1.0 + 5e-9, -5e-9, 0.0, 0.0]]])
+    with pytest.warns(NumericalNoiseWarning):
+        out = entropy_bits(spectra)
+    assert out.shape == (2, 2)
+    assert np.allclose(out, [[1.0, 0.0], [2.0, 0.0]], atol=1e-12, rtol=0)
+    spectra[1, 0, 2] = -5e-8
+    with pytest.raises(InvalidStateError) as info:
+        entropy_bits(spectra)
+    assert info.value.index == (1, 0, 2)
 
 
 @given(density_matrices(dim=4))

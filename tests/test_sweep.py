@@ -9,6 +9,7 @@ from gravcat_coding import (
     InvalidStateError,
     SweepGrid,
     cell_capacity,
+    chi_numeric,
     evaluate_sweep,
     figure_config,
     figure_grid,
@@ -127,13 +128,18 @@ def test_capacity_decays_with_temperature_at_every_splitting():
     assert (grid.values[:, -1] < grid.values[:, 0]).all()
 
 
-def test_parallel_rows_match_serial():
-    # worker processes serve the numeric engine only; the closed form is one array call
-    x = AxisSpec("gamma", 0.0, 2.0, 6)
-    y = AxisSpec("omega", 0.2, 2.0, 5)
-    serial = evaluate_sweep(x, y, {"T": 0.5}, engine="numeric", jobs=1)
-    parallel = evaluate_sweep(x, y, {"T": 0.5}, engine="numeric", jobs=2)
-    assert np.array_equal(serial.values, parallel.values)
+def test_numeric_grid_does_not_depend_on_chunking():
+    # the numeric engine evaluates the grid as one stack of 4x4 matrices; a
+    # cell gets the same bits in the whole grid, in its row and alone
+    x = AxisSpec("T", 0.05, 2.0, 6)
+    y = AxisSpec("p", 0.0, 0.95, 5)
+    whole = evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.8}, engine="numeric")
+    rows = np.array([chi_numeric(1.3, 0.8, x.values(), 1.0 - p) for p in y.values()])
+    cells = np.array(
+        [[cell_capacity("numeric", 1.3, 0.8, t, p) for t in x.values().tolist()]
+         for p in y.values().tolist()]
+    )
+    assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
 
 
 def test_fixed_strength_changes_cells():
