@@ -3,25 +3,27 @@
 
 Each grid lands in --outdir as figure_<id>.csv with a figure_<id>.csv.json
 sidecar recording the exact configuration; feed the CSVs to any heatmap
-plotter.  Runs are deterministic, so re-running overwrites identical bytes.
+plotter.  Every file is written by the CLI's own ``figure`` command, so the
+bytes are the command's bytes.  Runs are deterministic, so re-running
+overwrites identical bytes.  Exits non-zero if any figure fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-from gravcat_coding import FIGURES, figure_config, figure_grid, render_csv
+from gravcat_coding import FIGURES, cli
+from gravcat_coding.sweep import ENGINES
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="figures", help="output directory (default: figures)")
     parser.add_argument(
-        "--engine", choices=("closed_form", "numeric"), default="closed_form",
+        "--engine", choices=ENGINES, default="closed_form",
         help="evaluation engine (default: closed_form; numeric is the matrix cross-check)",
     )
     parser.add_argument(
@@ -35,19 +37,15 @@ def main(argv: list[str] | None = None) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for fid in args.ids:
         started = time.perf_counter()
-        grid = figure_grid(fid, engine=args.engine)
         target = outdir / f"figure_{fid}.csv"
-        target.write_text(render_csv(grid), encoding="utf-8")
-        sidecar = target.with_suffix(target.suffix + ".json")
-        sidecar.write_text(json.dumps(figure_config(fid, grid), indent=2) + "\n", encoding="utf-8")
-        peak = float(grid.values.max())
-        print(
-            f"figure {fid}: {grid.values.shape[0]}x{grid.values.shape[1]} grid, "
-            f"max chi {peak:.4f}, {time.perf_counter() - started:.1f}s -> {target}"
-        )
-    return 0
+        code = cli.main(["figure", fid, "--engine", args.engine, "--output", str(target)])
+        failed += code != 0
+        status = f"-> {target}" if code == 0 else f"failed (exit {code})"
+        print(f"figure {fid}: {time.perf_counter() - started:.1f}s {status}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

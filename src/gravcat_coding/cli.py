@@ -11,12 +11,11 @@ object on stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .coding import capacity_closed_form, capacity_numeric
+from .coding import closed_form_report
 from .sweep import (
     ENGINES,
     AxisSpec,
@@ -27,13 +26,16 @@ from .sweep import (
     render_csv,
     render_json,
 )
-from .thermal import GravcatParams, InvalidParameterError, build_hamiltonian, gibbs_numeric
+from .thermal import GravcatParams, InvalidParameterError
 from .verify import verification_report
 from .version import __version__
-from .weak_measurement import apply_qwm, capacity_wm_closed_form, optimize_strength
+from .weak_measurement import numeric_report, optimize_strength
+
+# engine name -> report(params, strength or None)
+CAPACITY_REPORTS = {"closed_form": closed_form_report, "numeric": numeric_report}
 
 
-def _write_output(text: str, output: str | None) -> None:
+def _write_output(text: str, output: str | Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
@@ -58,23 +60,7 @@ def _params_from_args(args: argparse.Namespace) -> GravcatParams:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    if args.engine == "closed_form":
-        if args.p is None:
-            report = capacity_closed_form(params)
-        else:
-            report = capacity_wm_closed_form(params, args.p)
-    else:
-        rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-        if args.p is None:
-            report = capacity_numeric(rho)
-        else:
-            selected = apply_qwm(rho, args.p)
-            report = dataclasses.replace(
-                capacity_numeric(selected.state),
-                strength=args.p,
-                success_probability=selected.success_probability,
-            )
+    report = CAPACITY_REPORTS[args.engine](_params_from_args(args), args.p)
     payload = {"schema_version": 1, "engine": args.engine, **report.to_dict()}
     _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
@@ -106,16 +92,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.output is not None:
         # sidecar with the exact configuration; skipped for stdout runs
         sidecar = Path(args.output).with_suffix(Path(args.output).suffix + ".json")
-        sidecar.write_text(
-            json.dumps(figure_config(args.id, grid), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_output(json.dumps(figure_config(args.id, grid), indent=2) + "\n", sidecar)
     return 0
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     p_star, chi_star = optimize_strength(params)
-    chi_at_zero = capacity_wm_closed_form(params, 0.0).chi
+    chi_at_zero = closed_form_report(params, 0.0).chi
     payload = {
         "schema_version": 1,
         "p_star": p_star,
@@ -150,11 +134,15 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINES, default="closed_form",
         help="evaluation engine (default: closed_form)",
     )
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    _add_engine_flag(parser)
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format (default: csv)"
     )
@@ -170,10 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="capacity at one parameter point (JSON)")
     _add_point_flags(p_cap, with_p=True)
-    p_cap.add_argument(
-        "--engine", choices=ENGINES, default="closed_form",
-        help="evaluation engine (default: closed_form)",
-    )
+    _add_engine_flag(p_cap)
     _add_output_flag(p_cap)
     p_cap.set_defaults(handler=_cmd_capacity)
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import LocatedError, first_index
+from .linalg import LocatedError
 
 MIN_SUCCESS_PROBABILITY = 1e-300
 
@@ -28,20 +28,15 @@ class ZeroSuccessProbabilityError(LocatedError):
 def check_success(success) -> None:
     """Raise ``ZeroSuccessProbabilityError`` where the kept branch has vanishing probability."""
     success = np.asarray(success)
-    bad = success < MIN_SUCCESS_PROBABILITY
-    if bad.any():
-        index = first_index(bad)
-        raise ZeroSuccessProbabilityError(
-            f"post-selection success probability {float(success[index]):.3e} vanishes", index
-        )
+    message = "post-selection success probability {:.3e} vanishes"
+    ZeroSuccessProbabilityError.raise_first(success < MIN_SUCCESS_PROBABILITY, success, message)
 
 
 class ClosedFormTerms(NamedTuple):
     """Thermal entries, success probability, post-selected spectrum and averaged halves.
 
-    The thermal state is diag(alpha_minus, beta, beta, alpha_plus) with kappa
-    on the outer anti-diagonal and eta between the middle basis states; the
-    Pauli-averaged state is diag(nu, mu, nu, mu) / 2.
+    The entries are those of `x_state`; the Pauli-averaged state is
+    diag(nu, mu, nu, mu) / 2.
     """
 
     alpha_minus: np.ndarray
@@ -55,9 +50,31 @@ class ClosedFormTerms(NamedTuple):
     mu: np.ndarray
 
 
+def x_state(entries, q=1.0) -> np.ndarray:
+    """Stack of X-shaped states diag(alpha_minus, beta, beta, alpha_plus), with kappa
+    on the outer anti-diagonal and eta between the middle basis states, from the
+    entries of a ``ClosedFormTerms`` or a ``ThermalClosedForm``.  The weak
+    measurement that keeps amplitude q scales kappa, beta and eta by q and
+    alpha_plus by q^2; the result is not normalized."""
+    corner, middle, coherence = entries.kappa * q, entries.beta * q, entries.eta * q
+    m = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 3, 3] = entries.alpha_minus, entries.alpha_plus * q * q
+    m[..., 0, 3] = m[..., 3, 0] = corner
+    m[..., 1, 1] = m[..., 2, 2] = middle
+    m[..., 1, 2] = m[..., 2, 1] = coherence
+    return m
+
+
 def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
     """The one definition of the gravcat closed forms, over broadcast arrays."""
     theta = np.hypot(omega, gamma)
+    # from theta = 2^1021 on, theta + omega can overflow; chi depends only on
+    # energy ratios, so such points are scaled down by an exact 2^-4
+    huge = theta >= 2.0**1021
+    if huge.any() if huge.ndim else huge:  # .any() of a numpy scalar costs 2 us a call
+        scale = np.where(huge, 2.0**-4, 1.0)
+        omega, gamma, temperature = omega * scale, gamma * scale, temperature * scale
+        theta = np.hypot(omega, gamma)
     # omega = gamma = 0 is H = 0, whose state is exactly I/4: the stand-in
     # theta = 1 makes omega/theta = gamma/theta = 0 and the flag makes
     # 1 - omega/theta exactly 1 (it adds 0 wherever theta > 0)

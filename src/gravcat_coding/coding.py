@@ -19,19 +19,18 @@ import numpy as np
 from .closed_form import _closed_form_terms, closed_form_entropies
 from .linalg import (
     DensityMatrix,
-    InvalidStateError,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    as_density,
+    _partial_trace_first,
     dagger,
     eigh,
     entropy_bits,
-    partial_trace_first,
     tensor,
+    two_qubit_matrix,
 )
-from .thermal import GravcatParams
+from .thermal import GravcatParams, check_strength
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
 
@@ -84,14 +83,6 @@ class CapacityReport:
 _SIGNALS = tuple(tensor(sigma, PAULI_I) for sigma in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
 
 
-def two_qubit_matrix(rho) -> np.ndarray:
-    """The matrix of a two-qubit state, checked at the public boundary."""
-    dm = as_density(rho, check_psd=False)
-    if dm.dim != 4:
-        raise InvalidStateError(f"expected a 4x4 two-qubit state, got dim {dm.dim}")
-    return dm.matrix
-
-
 def _twirl(rho) -> np.ndarray:
     """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized."""
     avg = 0.25 * sum(u @ rho @ u for u in _SIGNALS)  # each Pauli factor is Hermitian
@@ -102,6 +93,19 @@ def _entropies(rho):
     """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states."""
     spectrum = eigh(rho).eigenvalues
     return spectrum, entropy_bits(spectrum), entropy_bits(eigh(_twirl(rho)).eigenvalues)
+
+
+def _chi(rho):
+    """chi = S(rho_bar) - S(rho) over a stack of two-qubit states."""
+    _, entropy_state, entropy_average = _entropies(rho)
+    return entropy_average - entropy_state
+
+
+def _marginal_replacement(rho) -> np.ndarray:
+    """(I/2) (x) tr_A(rho) over a stack of two-qubit states."""
+    out = np.zeros_like(rho)
+    out[..., :2, :2] = out[..., 2:, 2:] = 0.5 * _partial_trace_first(rho)
+    return out
 
 
 def ensemble_average(rho) -> DensityMatrix:
@@ -116,21 +120,28 @@ def ensemble_average(rho) -> DensityMatrix:
 
 def ensemble_average_via_marginal(rho) -> DensityMatrix:
     """Identity route: the twirl replaces the sender's qubit with I/2."""
-    marginal = partial_trace_first(rho)
-    return DensityMatrix(tensor(0.5 * PAULI_I, marginal.matrix), validated=True)
+    return DensityMatrix(_marginal_replacement(two_qubit_matrix(rho)), validated=True)
 
 
-def capacity_numeric(rho) -> CapacityReport:
-    """chi = S(ensemble_average(rho)) - S(rho) on an arbitrary two-qubit state."""
-    spectrum, entropy_state, entropy_average = _entropies(two_qubit_matrix(rho))
+def capacity_report(
+    spectrum, entropy_state, entropy_average, strength=None, success=None
+) -> CapacityReport:
+    """The ``CapacityReport`` of either engine; ``success`` is kept only with a ``strength``."""
     chi = float(entropy_average - entropy_state)
     return CapacityReport(
         chi=chi,
         entropy_state=float(entropy_state),
         entropy_average=float(entropy_average),
-        state_spectrum=tuple(float(v) for v in spectrum),
+        state_spectrum=tuple(sorted((float(v) for v in spectrum), reverse=True)),
         advantage=classify_advantage(chi),
+        strength=strength,
+        success_probability=None if strength is None else float(success),
     )
+
+
+def capacity_numeric(rho) -> CapacityReport:
+    """chi = S(ensemble_average(rho)) - S(rho) on an arbitrary two-qubit state."""
+    return capacity_report(*_entropies(two_qubit_matrix(rho)))
 
 
 def closed_form_report(params: GravcatParams, strength: float | None = None) -> CapacityReport:
@@ -139,19 +150,9 @@ def closed_form_report(params: GravcatParams, strength: float | None = None) -> 
     The state spectrum and the averaged halves come from ``closed_form``,
     where every eigenvalue is a product or sum of positive terms.
     """
-    q = 1.0 if strength is None else 1.0 - strength
+    q = 1.0 if strength is None else 1.0 - check_strength(strength)
     terms = _closed_form_terms(params.omega, params.gamma, params.temperature, q)
-    entropy_state, entropy_average = closed_form_entropies(terms)
-    chi = float(entropy_average - entropy_state)
-    return CapacityReport(
-        chi=chi,
-        entropy_state=float(entropy_state),
-        entropy_average=float(entropy_average),
-        state_spectrum=tuple(sorted((float(v) for v in terms.spectrum), reverse=True)),
-        advantage=classify_advantage(chi),
-        strength=strength,
-        success_probability=None if strength is None else float(terms.success),
-    )
+    return capacity_report(terms.spectrum, *closed_form_entropies(terms), strength, terms.success)
 
 
 def capacity_closed_form(params: GravcatParams) -> CapacityReport:

@@ -26,10 +26,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-class NotHermitianError(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
 class NonFiniteResultError(ArithmeticError):
     """A scalar function overflowed or produced a non-finite value on the spectrum."""
 
@@ -41,6 +37,17 @@ class LocatedError(ValueError):
         super().__init__(message)
         self.index = index
 
+    @classmethod
+    def raise_first(cls, bad: np.ndarray, values: np.ndarray, template: str) -> None:
+        """Raise at the first true element of ``bad``, if any, formatting its ``values`` entry."""
+        if bad.any():
+            index = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
+            raise cls(template.format(values[index]), index)
+
+
+class NotHermitianError(LocatedError):
+    """Input matrix is not Hermitian within tolerance; ``index`` names it in a stack."""
+
 
 class InvalidStateError(LocatedError):
     """Matrix violates the density-matrix contract (trace, positivity, or shape)."""
@@ -48,11 +55,6 @@ class InvalidStateError(LocatedError):
 
 class NumericalNoiseWarning(UserWarning):
     """An eigenvalue noticeably below zero was clamped; treat results with care."""
-
-
-def first_index(mask: np.ndarray) -> tuple[int, ...]:
-    """Index of the first true element of ``mask``, in row-major order."""
-    return tuple(int(i) for i in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -66,11 +68,9 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
-    dev = float(np.abs(a - dagger(a)).max()) if a.size else 0.0
-    if not dev <= tol:  # also catches NaN
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by {dev:.3e} (tolerance {tol:.0e})"
-        )
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    message = f"matrix deviates from Hermitian symmetry by {{:.3e}} (tolerance {tol:.0e})"
+    NotHermitianError.raise_first(~(dev <= tol), dev, message)  # also catches NaN
     return a
 
 
@@ -134,15 +134,24 @@ class DensityMatrix:
 
     @classmethod
     def from_array(cls, arr, *, check_psd: bool = True) -> "DensityMatrix":
-        a = require_hermitian(arr)
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace must be 1, got {tr:.12g}")
-        if check_psd:
-            low = float(eigh(a).eigenvalues[-1])
-            if low < EIG_CLAMP_FLOOR:
-                raise InvalidStateError(f"negative eigenvalue {low:.3e} violates positivity")
-        return cls(0.5 * (a + a.conj().T), validated=True)
+        return cls(check_density(arr, check_psd=check_psd), validated=True)
+
+
+def check_density(m, *, check_psd: bool = True) -> np.ndarray:
+    """Return the stack re-symmetrized once each matrix is Hermitian, has unit trace
+    and, with ``check_psd``, no eigenvalue below the clamp floor; otherwise
+    raise with the ``index`` of the first matrix that breaks the contract."""
+    a = require_hermitian(m)
+    trace = np.trace(a, axis1=-2, axis2=-1)
+    InvalidStateError.raise_first(
+        np.abs(trace - 1.0) > TRACE_TOL, trace, "trace must be 1, got {:.12g}"
+    )
+    if check_psd:
+        low = eigh(a).eigenvalues[..., -1]
+        InvalidStateError.raise_first(
+            low < EIG_CLAMP_FLOOR, low, "negative eigenvalue {:.3e} violates positivity"
+        )
+    return 0.5 * (a + dagger(a))
 
 
 def as_density(rho, *, check_psd: bool = True) -> DensityMatrix:
@@ -164,16 +173,13 @@ def entropy_bits(eigenvalues):
     stack of spectra gives an array over the leading axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    below = lam < EIG_ERROR_FLOOR
-    if below.any():
-        index = first_index(below)
-        raise InvalidStateError(
-            f"eigenvalue {lam[index]:.6e} is below the {EIG_ERROR_FLOOR:.0e} floor", index
-        )
+    InvalidStateError.raise_first(
+        lam < EIG_ERROR_FLOOR, lam, f"eigenvalue {{:.6e}} is below the {EIG_ERROR_FLOOR:.0e} floor"
+    )
     noisy = lam < EIG_CLAMP_FLOOR
     if noisy.any():
         warnings.warn(
-            f"clamping noisy eigenvalue {lam[first_index(noisy)]:.3e} to zero",
+            f"clamping noisy eigenvalue {lam[noisy][0]:.3e} to zero",
             NumericalNoiseWarning,
             stacklevel=2,
         )
@@ -192,10 +198,19 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace_first(rho) -> DensityMatrix:
-    """Trace out the first qubit of a two-qubit state."""
+def two_qubit_matrix(rho) -> np.ndarray:
+    """The matrix of a two-qubit state, checked at the public boundary."""
     dm = as_density(rho, check_psd=False)
     if dm.dim != 4:
         raise InvalidStateError(f"expected a 4x4 two-qubit state, got dim {dm.dim}")
-    r = dm.matrix.reshape(2, 2, 2, 2)
-    return DensityMatrix(np.einsum("abac->bc", r), validated=True)
+    return dm.matrix
+
+
+def _partial_trace_first(rho) -> np.ndarray:
+    """Trace out the first qubit over a stack of two-qubit states."""
+    return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+
+
+def partial_trace_first(rho) -> DensityMatrix:
+    """Trace out the first qubit of a two-qubit state."""
+    return DensityMatrix(_partial_trace_first(two_qubit_matrix(rho)), validated=True)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .closed_form import chi_closed_form
 from .linalg import InvalidStateError, LocatedError
-from .thermal import GravcatParams, InvalidParameterError
+from .thermal import GravcatParams, InvalidParameterError, check_strength
 from .version import TOOL_NAME, __version__
-from .weak_measurement import _check_strength, chi_numeric
+from .weak_measurement import chi_numeric
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
 ENGINE_FUNCTIONS = {"closed_form": chi_closed_form, "numeric": chi_numeric}
@@ -121,10 +121,7 @@ def cell_capacity(
     params = GravcatParams(
         omega=omega, gamma=gamma, temperature=temperature, allow_degenerate_omega=allow_zero_omega
     )
-    q = 1.0
-    if strength is not None:
-        _check_strength(strength)
-        q = 1.0 - strength
+    q = 1.0 if strength is None else 1.0 - check_strength(strength)
     return float(_engine_function(engine)(params.omega, params.gamma, params.temperature, q))
 
 

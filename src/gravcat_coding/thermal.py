@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _closed_form_terms
+from .closed_form import _closed_form_terms, x_state
 from .linalg import DensityMatrix, PAULI_I, PAULI_X, PAULI_Z, eigh, from_spectrum, tensor
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
@@ -27,6 +27,17 @@ class InvalidParameterError(ValueError):
 
 class DegenerateGeometryError(ValueError):
     """Well geometry with no real inter-axis distance (L >= d_prime)."""
+
+
+class OutOfRangeError(ValueError):
+    """Measurement strength outside [0, 1]."""
+
+
+def check_strength(strength: float) -> float:
+    """Return the measurement strength, raising ``OutOfRangeError`` outside [0, 1]."""
+    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
+        raise OutOfRangeError(f"measurement strength must lie in [0, 1], got {strength!r}")
+    return strength
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,8 @@ def build_hamiltonian(params: GravcatParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThermalClosedForm:
-    """Nonzero entries of the thermal state, plus its scales.
+    """Nonzero entries of the thermal state (see ``closed_form.x_state``), plus its scales.
 
-    The state is diag(alpha_minus, beta, beta, alpha_plus) with kappa on the
-    outer anti-diagonal corners and eta between the two middle basis states.
     ``partition_function`` is 2[cosh(theta/T) + cosh(gamma/T)]; it overflows
     to inf below T ~ theta/709, but the entries themselves are evaluated in
     shifted exponential form and stay finite for any valid temperature.
@@ -138,11 +147,7 @@ class ThermalClosedForm:
 
 
 def thermal_closed_form(params: GravcatParams) -> ThermalClosedForm:
-    """Closed-form thermal-state entries (see ``closed_form`` for the formulas).
-
-    The entries are evaluated with the dominant exponential exp(theta/T)
-    factored out, so they stay finite at any valid temperature.
-    """
+    """Closed-form thermal-state entries (see ``closed_form`` for the formulas)."""
     terms = _closed_form_terms(params.omega, params.gamma, params.temperature, 1.0)
     x = params.theta / params.temperature
     if x <= 700.0:
@@ -162,16 +167,7 @@ def thermal_closed_form(params: GravcatParams) -> ThermalClosedForm:
 
 def assemble_thermal_state(cf: ThermalClosedForm) -> DensityMatrix:
     """Build and validate the 4x4 thermal state from its closed-form entries."""
-    m = np.array(
-        [
-            [cf.alpha_minus, 0.0, 0.0, cf.kappa],
-            [0.0, cf.beta, cf.eta, 0.0],
-            [0.0, cf.eta, cf.beta, 0.0],
-            [cf.kappa, 0.0, 0.0, cf.alpha_plus],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix.from_array(m, check_psd=True)
+    return DensityMatrix.from_array(x_state(cf), check_psd=True)
 
 
 def _gibbs(hamiltonian, temperature) -> np.ndarray:

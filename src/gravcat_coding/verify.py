@@ -4,29 +4,23 @@ independent numeric route on seeded random parameter draws.
 The draw stream is the SplitMix64 contract from `rng`; per sample, four
 uniforms are consumed in a documented order so reports are reproducible
 bit-for-bit across runs (and across reimplementations that honor the same
-generator).
+generator).  Samples are drawn in chunks of ``CHUNK_SIZE``, and each chunk
+is evaluated once over stacks of 4x4 matrices by the kernels both engines
+run, so memory stays bounded for any sample count.  The report does not
+depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coding import (
-    capacity_closed_form,
-    capacity_numeric,
-    ensemble_average,
-    ensemble_average_via_marginal,
-)
+from .closed_form import _closed_form_terms, chi_closed_form, x_state
+from .coding import _chi, _marginal_replacement, _twirl
+from .linalg import LocatedError, check_density
 from .rng import SplitMix64
-from .thermal import (
-    GravcatParams,
-    assemble_thermal_state,
-    build_hamiltonian,
-    gibbs_numeric,
-    thermal_closed_form,
-)
+from .thermal import GravcatParams, _gibbs, _hamiltonian
 from .version import TOOL_NAME, __version__
-from .weak_measurement import apply_qwm, capacity_wm_closed_form, wm_state_closed_form
+from .weak_measurement import _post_select
 
 # check name -> deviation threshold; report order is fixed
 CHECKS: tuple[tuple[str, float], ...] = (
@@ -42,6 +36,7 @@ OMEGA_SPAN = 5.0       # omega = 5 (1 - u1), in (0, 5]
 GAMMA_SPAN = 5.0       # gamma = 5 u2, in [0, 5)
 T_LO, T_HI = 0.05, 10.0  # T = 0.05 + 9.95 u3
 P_HI = 0.99            # p = 0.99 u4
+WORST_SAMPLE_KEYS = ("index", "omega", "gamma", "temp", "p")
 
 
 def draw_sample(rng: SplitMix64) -> tuple[GravcatParams, float]:
@@ -53,63 +48,75 @@ def draw_sample(rng: SplitMix64) -> tuple[GravcatParams, float]:
     return GravcatParams(omega=omega, gamma=gamma, temperature=temperature), strength
 
 
-def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
+CHUNK_SIZE = 4096  # samples per stack; bounds the memory, never changes the report
+
+
+def _max_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entry deviation of each matrix pair of two stacks."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
+def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per check, the deviations of each sample, one array per compared quantity."""
+    q = 1.0 - strength
+    plain = _closed_form_terms(omega, gamma, temperature, 1.0)
+    measured = _closed_form_terms(omega, gamma, temperature, q)
+    rho_cf = check_density(x_state(plain))
+    rho_num = _gibbs(_hamiltonian(omega, gamma), temperature)
+    wm_cf = x_state(plain, q) / measured.success[:, np.newaxis, np.newaxis]
+    wm_kraus, kraus_success = _post_select(rho_cf, q)
+    wm_num, _ = _post_select(rho_num, q)
+    chi_plain = chi_closed_form(omega, gamma, temperature)
+    chi_measured = chi_closed_form(omega, gamma, temperature, q)
+    return {
+        "thermal_state_closed_vs_numeric": (_max_abs(rho_cf, rho_num),),
+        "capacity_closed_vs_numeric": (np.abs(chi_plain - _chi(rho_num)),),
+        "wm_state_closed_vs_kraus": (
+            _max_abs(wm_cf, wm_kraus), np.abs(measured.success - kraus_success)
+        ),
+        "wm_capacity_closed_vs_numeric": (np.abs(chi_measured - _chi(wm_num)),),
+        "twirl_vs_marginal_identity": tuple(
+            _max_abs(_twirl(rho), _marginal_replacement(rho)) for rho in (rho_num, wm_num)
+        ),
+    }
 
 
 def verification_report(samples: int, seed: int) -> dict:
-    """Max deviation per dual-route check over `samples` seeded draws."""
+    """Max deviation per dual-route check over `samples` seeded draws.
+
+    Each check also names its worst sample, the first draw (0-based) that
+    reaches the maximum.  A NaN deviation never wins, as in a running
+    maximum.  A kernel error names the sample it comes from.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = SplitMix64(seed)
-    worst = {name: 0.0 for name, _ in CHECKS}
-    for _ in range(samples):
-        params, strength = draw_sample(rng)
-        cf = thermal_closed_form(params)
-        rho_cf = assemble_thermal_state(cf)
-        rho_num = gibbs_numeric(build_hamiltonian(params), params.temperature)
-        worst["thermal_state_closed_vs_numeric"] = max(
-            worst["thermal_state_closed_vs_numeric"], _max_abs(rho_cf.matrix, rho_num.matrix)
-        )
+    worst = {name: (-np.inf, None) for name, _ in CHECKS}  # (deviation, worst_sample)
+    for start in range(0, samples, CHUNK_SIZE):
+        draws = [draw_sample(rng) for _ in range(min(CHUNK_SIZE, samples - start))]
+        columns = np.array([(d.omega, d.gamma, d.temperature, p) for d, p in draws]).T
+        try:
+            deviations = _deviations(*columns)
+        except LocatedError as exc:
+            sample = start + exc.index[0]
+            raise type(exc)(f"verify sample {sample}: {exc}", (sample,)) from exc
+        for name, quantities in deviations.items():
+            stacked = np.stack(quantities, axis=-1)
+            per_sample = np.where(np.isnan(stacked), -np.inf, stacked).max(axis=-1)
+            i = int(per_sample.argmax())
+            if per_sample[i] > worst[name][0]:  # ties keep the earlier sample
+                point = (start + i, *columns[:, i].tolist())
+                worst[name] = (float(per_sample[i]), dict(zip(WORST_SAMPLE_KEYS, point)))
 
-        worst["capacity_closed_vs_numeric"] = max(
-            worst["capacity_closed_vs_numeric"],
-            abs(capacity_closed_form(params).chi - capacity_numeric(rho_num).chi),
-        )
-
-        wm_cf = wm_state_closed_form(cf, strength)
-        wm_kraus = apply_qwm(rho_cf, strength)
-        worst["wm_state_closed_vs_kraus"] = max(
-            worst["wm_state_closed_vs_kraus"],
-            _max_abs(wm_cf.state.matrix, wm_kraus.state.matrix),
-            abs(wm_cf.success_probability - wm_kraus.success_probability),
-        )
-
-        wm_numeric_state = apply_qwm(rho_num, strength).state
-        worst["wm_capacity_closed_vs_numeric"] = max(
-            worst["wm_capacity_closed_vs_numeric"],
-            abs(
-                capacity_wm_closed_form(params, strength).chi
-                - capacity_numeric(wm_numeric_state).chi
-            ),
-        )
-
-        for rho in (rho_num, wm_numeric_state):
-            worst["twirl_vs_marginal_identity"] = max(
-                worst["twirl_vs_marginal_identity"],
-                _max_abs(
-                    ensemble_average(rho).matrix, ensemble_average_via_marginal(rho).matrix
-                ),
-            )
-
-    checks = {
-        name: {
-            "max_deviation": worst[name],
+    checks = {}
+    for name, threshold in CHECKS:
+        deviation = max(worst[name][0], 0.0)
+        checks[name] = {
+            "max_deviation": deviation,
             "threshold": threshold,
-            "passed": worst[name] < threshold,
+            "passed": deviation < threshold,
+            "worst_sample": worst[name][1],
         }
-        for name, threshold in CHECKS
-    }
     return {
         "schema_version": 1,
         "tool": TOOL_NAME,

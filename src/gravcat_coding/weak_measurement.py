@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import chi_closed_form, check_success
-from .coding import CapacityReport, _entropies, closed_form_report, two_qubit_matrix
-from .linalg import DensityMatrix
-from .thermal import GravcatParams, ThermalClosedForm, _gibbs, _hamiltonian
-
-
-class OutOfRangeError(ValueError):
-    """Measurement strength outside [0, 1]."""
+from .closed_form import chi_closed_form, check_success, x_state
+from .coding import CapacityReport, _chi, _entropies, capacity_report, closed_form_report
+from .linalg import DensityMatrix, two_qubit_matrix
+from .thermal import GravcatParams, ThermalClosedForm, _gibbs, _hamiltonian, check_strength
 
 
 @dataclass(frozen=True)
@@ -32,18 +28,13 @@ class PostSelectedState:
     success_probability: float
 
 
-def _check_strength(strength: float) -> None:
-    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
-        raise OutOfRangeError(f"measurement strength must lie in [0, 1], got {strength!r}")
-
-
 def qwm_operator(strength: float) -> np.ndarray:
     """Single-qubit measurement operator diag(1, sqrt(1 - p)).
 
     Leaves |0> untouched and damps |1>; p = 0 is the identity, p = 1 the
     projector onto |0>.
     """
-    _check_strength(strength)
+    check_strength(strength)
     return np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - strength)]], dtype=complex)
 
 
@@ -67,8 +58,7 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     P_s is the trace before renormalization.  p = 1 (full projection) is
     allowed as long as the surviving branch has nonzero probability.
     """
-    _check_strength(strength)
-    state, success = _post_select(two_qubit_matrix(rho), 1.0 - strength)
+    state, success = _post_select(two_qubit_matrix(rho), 1.0 - check_strength(strength))
     return PostSelectedState(
         state=DensityMatrix(state, validated=True), success_probability=float(success)
     )
@@ -82,35 +72,28 @@ def chi_numeric(omega, gamma, temperature, q=1.0):
     are not validated here (``GravcatParams`` holds the domain rules).
     """
     omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
-    state, _ = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
-    _, entropy_state, entropy_average = _entropies(state)
-    return entropy_average - entropy_state
+    return _chi(_post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)[0])
+
+
+def numeric_report(params: GravcatParams, strength: float | None = None) -> CapacityReport:
+    """Capacity report of the numeric engine; ``strength=None`` means no measurement."""
+    state = _gibbs(_hamiltonian(params.omega, params.gamma), params.temperature)
+    success = None
+    if strength is not None:
+        state, success = _post_select(state, 1.0 - check_strength(strength))
+    return capacity_report(*_entropies(state), strength, success)
 
 
 def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelectedState:
     """Closed-form post-selected thermal state (dual route to `apply_qwm`).
 
-    With q = 1 - p (sqrt((1-p)^2) simplifies to 1-p on p in [0, 1]) the
-    surviving state keeps the X pattern: corners alpha_minus and
-    alpha_plus q^2 with kappa q, middle block beta q with eta q, all over
-    P_s = alpha_minus + 2 beta q + alpha_plus q^2.
+    With q = 1 - p the surviving state keeps the X pattern (see `x_state`),
+    over P_s = alpha_minus + 2 beta q + alpha_plus q^2.
     """
-    _check_strength(strength)
-    q = 1.0 - strength
+    q = 1.0 - check_strength(strength)
     success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
     check_success(success)
-    m = (
-        np.array(
-            [
-                [cf.alpha_minus, 0.0, 0.0, cf.kappa * q],
-                [0.0, cf.beta * q, cf.eta * q, 0.0],
-                [0.0, cf.eta * q, cf.beta * q, 0.0],
-                [cf.kappa * q, 0.0, 0.0, cf.alpha_plus * q * q],
-            ],
-            dtype=complex,
-        )
-        / success
-    )
+    m = x_state(cf, q) / success
     return PostSelectedState(state=DensityMatrix(m, validated=True), success_probability=success)
 
 
@@ -122,7 +105,6 @@ def capacity_wm_closed_form(params: GravcatParams, strength: float) -> CapacityR
     the state is the |00> projector and chi is exactly 1, unless that
     branch has vanishing probability (``ZeroSuccessProbabilityError``).
     """
-    _check_strength(strength)
     return closed_form_report(params, strength)
 
 

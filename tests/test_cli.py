@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -292,3 +293,23 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reproduce_figures_writes_the_figure_commands_bytes(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--outdir", str(tmp_path / "script"), "--ids", "2a", "5b"]) == 0
+    written = sorted(p.name for p in (tmp_path / "script").iterdir())
+    assert written == ["figure_2a.csv", "figure_2a.csv.json", "figure_5b.csv", "figure_5b.csv.json"]
+    for fid in ("2a", "5b"):
+        target = tmp_path / f"cli_{fid}.csv"
+        assert run_cli(capsys, "figure", fid, "--output", str(target))[0] == 0
+        for suffix in ("", ".json"):
+            mine = (tmp_path / "script" / f"figure_{fid}.csv{suffix}").read_bytes()
+            assert mine == Path(f"{target}{suffix}").read_bytes()
+    with pytest.raises(SystemExit):
+        module.main(["--outdir", str(tmp_path / "script"), "--ids", "9z"])
+    monkeypatch.setattr(module.cli, "main", lambda argv: 2)
+    assert module.main(["--outdir", str(tmp_path / "script"), "--ids", "2a"]) == 1

@@ -113,16 +113,34 @@ def test_optimizer_agrees_with_numeric_route_at_a_cold_point():
 
 # ------------------------------------------- properties with no oracle
 
+# (omega, gamma, T, p) with theta = hypot(omega, gamma) at or above 2^1021, where
+# theta + omega overflowed until the closed form learned to rescale such points
+HUGE_POINTS = [
+    (1e308, 1e308, 1.0, 0.0),
+    (1e308, 1e307, 1e308, 0.0),
+    (1e308, 1e307, 1e308, 0.5),
+    (1.7976931348623157e308, 1.7976931348623157e308, 1e308, 0.3),
+    (8e307, 0.0, 1e307, 0.7),
+    (3e307, 3e307, 5e306, 0.9),
+    (2.3e307, 1.5e308, 1e300, 0.2),
+    (1e308, 1e308, 1e-6, 0.999),
+]
+
+
 def test_power_of_two_scaling_is_bit_exact(golden):
     # chi depends only on omega/T, gamma/T and p, and scaling all three
-    # energies by 2^k is exact in floating point
+    # energies by 2^k is exact in floating point; the huge points are
+    # scaled down, where nothing can overflow
     points, _ = golden
-    omega, gamma, temperature, strength = points.T
-    base = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
-    for k in range(-3, 6):
-        f = 2.0**k
-        scaled = chi_closed_form(omega * f, gamma * f, temperature * f, 1.0 - strength)
-        assert np.array_equal(scaled, base), k
+    for table, exponents in ((points, range(-3, 6)), (np.array(HUGE_POINTS), range(-64, 0))):
+        omega, gamma, temperature, strength = table.T
+        with np.errstate(over="ignore"):
+            base = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
+        for k in exponents:
+            f = 2.0**k
+            with np.errstate(over="ignore"):
+                scaled = chi_closed_form(omega * f, gamma * f, temperature * f, 1.0 - strength)
+            assert np.array_equal(scaled, base), k
 
 
 def test_sweep_cells_equal_scalar_reports_bit_for_bit():

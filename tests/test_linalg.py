@@ -22,6 +22,7 @@ from gravcat_coding import (
     tensor,
     von_neumann_entropy,
 )
+from gravcat_coding.linalg import check_density
 from conftest import (
     basis_projector,
     bell_state,
@@ -261,3 +262,20 @@ def test_density_from_array_rejects_bad_trace():
 def test_density_from_array_rejects_negative():
     with pytest.raises(InvalidStateError):
         DensityMatrix.from_array(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([0.4, 0.3, 0.2, 0.2]), "trace must be 1"),                # trace 1.1
+        (np.diag([0.5, 0.3, 0.2 + 1e-6, -1e-6]), "negative eigenvalue"),
+        (np.triu(np.full((4, 4), 0.25)), "Hermitian"),
+    ],
+)
+def test_stacked_state_check_names_the_bad_matrix(bad, message):
+    stack = np.broadcast_to(maximally_mixed(4), (3, 5, 4, 4)).copy()
+    stack[2, 1] = bad
+    with pytest.raises((InvalidStateError, NotHermitianError), match=message) as info:
+        check_density(stack)
+    assert info.value.index == (2, 1)
+    assert np.array_equal(check_density(stack[:2]), stack[:2])

@@ -1,0 +1,131 @@
+"""The batched verification report against the per-sample route it replaced."""
+
+import json
+
+import numpy as np
+import pytest
+
+import gravcat_coding.verify as verify_module
+from gravcat_coding import (
+    CHECKS,
+    InvalidStateError,
+    SplitMix64,
+    apply_qwm,
+    assemble_thermal_state,
+    build_hamiltonian,
+    capacity_closed_form,
+    capacity_numeric,
+    capacity_wm_closed_form,
+    draw_sample,
+    ensemble_average,
+    ensemble_average_via_marginal,
+    gibbs_numeric,
+    thermal_closed_form,
+    verification_report,
+    wm_state_closed_form,
+)
+from gravcat_coding.linalg import check_density
+
+
+def _max_abs(a, b) -> float:
+    return float(np.abs(a - b).max())
+
+
+def per_sample_route(samples: int, seed: int) -> dict:
+    """Every check replayed one draw at a time through the public wrappers.
+
+    Returns, per check, (max_deviation, worst_sample): the maximum starts at
+    0.0, and the worst sample is the first draw that reaches it.
+    """
+    rng = SplitMix64(seed)
+    deviations = {name: [] for name, _ in CHECKS}
+    points = []
+    for _ in range(samples):
+        params, strength = draw_sample(rng)
+        points.append((params.omega, params.gamma, params.temperature, strength))
+        cf = thermal_closed_form(params)
+        rho_cf = assemble_thermal_state(cf)
+        rho_num = gibbs_numeric(build_hamiltonian(params), params.temperature)
+        wm_cf = wm_state_closed_form(cf, strength)
+        wm_kraus = apply_qwm(rho_cf, strength)
+        wm_num = apply_qwm(rho_num, strength).state
+        found = {
+            "thermal_state_closed_vs_numeric": [_max_abs(rho_cf.matrix, rho_num.matrix)],
+            "capacity_closed_vs_numeric": [
+                abs(capacity_closed_form(params).chi - capacity_numeric(rho_num).chi)
+            ],
+            "wm_state_closed_vs_kraus": [
+                _max_abs(wm_cf.state.matrix, wm_kraus.state.matrix),
+                abs(wm_cf.success_probability - wm_kraus.success_probability),
+            ],
+            "wm_capacity_closed_vs_numeric": [
+                abs(capacity_wm_closed_form(params, strength).chi - capacity_numeric(wm_num).chi)
+            ],
+            "twirl_vs_marginal_identity": [
+                _max_abs(ensemble_average(rho).matrix, ensemble_average_via_marginal(rho).matrix)
+                for rho in (rho_num, wm_num)
+            ],
+        }
+        for name, values in found.items():
+            deviations[name].append(max(values))
+    out = {}
+    for name, values in deviations.items():
+        worst = max([0.0, *values])
+        index = values.index(worst) if worst in values else None
+        point = None
+        if index is not None:
+            point = {"index": index, **dict(zip(("omega", "gamma", "temp", "p"), points[index]))}
+        out[name] = (worst, point)
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 20240117])
+def test_verify_matches_per_sample_route(seed):
+    report = verification_report(300, seed)
+    reference = per_sample_route(300, seed)
+    for name, (worst, point) in reference.items():
+        entry = report["checks"][name]
+        assert entry["max_deviation"] == worst, name  # bit for bit
+        assert entry["worst_sample"] == point, name
+        assert entry["worst_sample"] is not None
+
+
+def test_report_bytes_do_not_depend_on_chunking(monkeypatch):
+    texts = []
+    for chunk in (1, 7, verify_module.CHUNK_SIZE):
+        monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
+        texts.append(json.dumps(verification_report(60, 13), indent=2))
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_worst_sample_reproduces_its_deviation():
+    report = verification_report(50, 8)
+    entry = report["checks"]["wm_capacity_closed_vs_numeric"]
+    sample = entry["worst_sample"]
+    rng = SplitMix64(8)
+    for _ in range(sample["index"] + 1):
+        params, strength = draw_sample(rng)
+    assert (params.omega, params.gamma, params.temperature, strength) == (
+        sample["omega"], sample["gamma"], sample["temp"], sample["p"]
+    )
+    rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
+    numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
+    assert abs(capacity_wm_closed_form(params, strength).chi - numeric) == entry["max_deviation"]
+
+
+def test_kernel_error_names_the_sample(monkeypatch):
+    chunks = []
+
+    def corrupt_first_state_of_second_chunk(stack, **kwargs):
+        chunks.append(len(stack))
+        if len(chunks) == 2:
+            stack = stack.copy()
+            stack[0, 0, 0] += 0.1  # trace 1.1
+        return check_density(stack, **kwargs)
+
+    monkeypatch.setattr(verify_module, "check_density", corrupt_first_state_of_second_chunk)
+    monkeypatch.setattr(verify_module, "CHUNK_SIZE", 2)
+    with pytest.raises(InvalidStateError, match="verify sample 2: trace must be 1") as info:
+        verification_report(3, 0)
+    assert info.value.index == (2,)
+    assert chunks == [2, 1]
