@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Compare the bytes the CLI produces from two source trees.
+
+    python3 scripts/diff_cli_bytes.py BASE_TREE HEAD_TREE
+
+Each command of ``COMMANDS`` runs once per tree in a fresh
+``python -m gravcat_coding`` process with ``PYTHONPATH=<tree>/src``, inside
+an empty working directory, so a relative ``--output`` lands there.  The
+exit code, the stdout bytes and every file the command writes are compared;
+stderr is not (it can carry paths).  The list covers every subcommand, both
+engines, CSV and JSON output, all ten figure presets and ``verify`` at its
+default 1000 samples and seed 42.  Each command that differs is printed with
+what differs; the exit code is 1 on any difference and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b")
+POINTS = (
+    ("1", "1", "1"),
+    ("0.8", "2.0", "0.4"),
+    ("1", "3", "0.01"),
+    ("2.9423374852881232", "9.993036120958809e-05", "0.011439857518148635"),
+    ("1e308", "1e307", "1e308"),
+)
+NUMERIC_5A = ("--engine", "numeric", "--x", "T:0.01:2:24", "--y", "p:0:0.99:24")
+
+COMMANDS: tuple[tuple[str, ...], ...] = (
+    ("--version",),
+    *(
+        ("capacity", "--omega", w, "--gamma", g, "--temp", t, *extra, "--engine", engine)
+        for w, g, t in POINTS
+        for extra in ((), ("--p", "0.35"))
+        for engine in ("closed_form", "numeric")
+    ),
+    ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"),
+    ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
+    ("capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "capacity.json"),
+    *(
+        ("sweep", "--x", "gamma:0:3:17", "--y", "omega:0.01:3:9", "--temp", "0.01", "--p", "0.7",
+         "--engine", engine, "--format", fmt)
+        for engine in ("closed_form", "numeric")
+        for fmt in ("csv", "json")
+    ),
+    ("sweep", "--x", "T:0.003:2:11", "--y", "p:0:1:6", "--omega", "1.3", "--gamma", "0.4",
+     "--output", "sweep.csv"),
+    *(
+        ("figure", fig, "--format", fmt, "--output", f"figure_{fig}.{fmt}")
+        for fig in FIGURE_IDS
+        for fmt in ("csv", "json")
+    ),
+    ("figure", "2a"),
+    ("figure", "5a", *NUMERIC_5A, "--output", "figure_5a_numeric.csv"),
+    ("figure", "5a", *NUMERIC_5A, "--format", "json"),
+    *(("optimize", "--omega", w, "--gamma", g, "--temp", t) for w, g, t in POINTS),
+    ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
+    ("verify", "--samples", "1000", "--seed", "42"),
+    ("verify", "--samples", "50", "--seed", "7", "--output", "verify.json"),
+)
+
+
+def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes]]:
+    """(exit code, stdout, written files by name) of one fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gravcat_coding", *argv],
+            cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(Path(workdir).iterdir())}
+    return proc.returncode, proc.stdout, files
+
+
+def differences(base, head) -> list[str]:
+    """What differs between two ``run`` results, empty when they match."""
+    (base_code, base_out, base_files), (head_code, head_out, head_files) = base, head
+    found = []
+    if base_code != head_code:
+        found.append(f"exit {base_code} != {head_code}")
+    if base_out != head_out:
+        found.append("stdout")
+    for name in sorted(base_files.keys() | head_files.keys()):
+        if base_files.get(name) != head_files.get(name):
+            found.append(name)
+    return found
+
+
+def main(argv: list[str] | None = None, commands=COMMANDS) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="tree holding src/gravcat_coding")
+    parser.add_argument("head", type=Path, help="tree holding src/gravcat_coding")
+    args = parser.parse_args(argv)
+    differing = 0
+    for command in commands:
+        found = differences(run(args.base, command), run(args.head, command))
+        if found:
+            differing += 1
+            print(f"DIFFERS ({', '.join(found)}): {' '.join(command)}")
+    print(f"{differing} of {len(commands)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -65,8 +65,27 @@ def x_state(entries, q=1.0) -> np.ndarray:
     return m
 
 
-def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
-    """The one definition of the gravcat closed forms, over broadcast arrays."""
+class ThermalTerms(NamedTuple):
+    """Entries of the thermal state (see `x_state`) and the shifted Boltzmann factors.
+
+    ``ex2``, ``exy`` and ``ey2`` are exp(-2 theta/T), exp(-(theta - gamma)/T)
+    and exp(-2 gamma/T); ``z`` is Z exp(-theta/T).  None depends on the
+    measurement, so one evaluation serves every strength.
+    """
+
+    alpha_minus: np.ndarray
+    alpha_plus: np.ndarray
+    beta: np.ndarray
+    kappa: np.ndarray
+    eta: np.ndarray
+    ex2: np.ndarray
+    exy: np.ndarray
+    ey2: np.ndarray
+    z: np.ndarray
+
+
+def _thermal_terms(omega, gamma, temperature) -> ThermalTerms:
+    """The thermal half of the closed forms, over broadcast arrays."""
     theta = np.hypot(omega, gamma)
     # from theta = 2^1021 on, theta + omega can overflow; chi depends only on
     # energy ratios, so such points are scaled down by an exact 2^-4
@@ -93,7 +112,12 @@ def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
     kappa = rg * -np.expm1(-2.0 * x) / (2.0 * z)
     beta = exy * (1.0 + ey2) / (2.0 * z)
     eta = exy * -np.expm1(-2.0 * gamma / temperature) / (2.0 * z)
+    return ThermalTerms(alpha_minus, alpha_plus, beta, kappa, eta, ex2, exy, ey2, z)
 
+
+def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
+    """The measurement half of the closed forms: thermal terms and q broadcast together."""
+    alpha_minus, alpha_plus, beta, kappa, eta, ex2, exy, ey2, z = thermal
     # the measurement keeps alpha_minus and scales kappa, beta, eta by q and
     # alpha_plus by q^2; the corner block is [[a, c], [c, b]]
     a, b, c = alpha_minus, alpha_plus * q * q, kappa * q
@@ -109,6 +133,11 @@ def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
     return ClosedFormTerms(alpha_minus, alpha_plus, beta, kappa, eta, success, spectrum, nu, mu)
 
 
+def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
+    """The one definition of the gravcat closed forms, over broadcast arrays."""
+    return _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
+
+
 def _entropy_bits(*values):
     """Sum of -v log2 v; an exact 0 contributes 0 and a NaN propagates."""
     return sum(-v * np.log2(v + (v == 0.0)) for v in values)
@@ -119,12 +148,15 @@ def closed_form_entropies(terms: ClosedFormTerms):
     return _entropy_bits(*terms.spectrum), 1.0 + _entropy_bits(terms.nu, terms.mu)
 
 
+def _chi_from_terms(terms: ClosedFormTerms):
+    """chi = S(rho_bar) - S(rho) of evaluated closed-form terms."""
+    entropy_state, entropy_average = closed_form_entropies(terms)
+    return entropy_average - entropy_state
+
+
 def chi_closed_form(omega, gamma, temperature, q=1.0):
     """Dense-coding capacity over broadcast arrays, with q = 1 - p.
 
     Inputs are not validated here (``GravcatParams`` holds the domain rules).
     """
-    entropy_state, entropy_average = closed_form_entropies(
-        _closed_form_terms(omega, gamma, temperature, q)
-    )
-    return entropy_average - entropy_state
+    return _chi_from_terms(_closed_form_terms(omega, gamma, temperature, q))

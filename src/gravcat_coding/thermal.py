@@ -174,11 +174,22 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
     """Stack of thermal states exp(-H/T)/Z from one eigendecomposition per matrix.
 
     The Boltzmann weights are taken relative to the ground energy, so they
-    lie in (0, 1] and nothing overflows at any valid temperature.
+    lie in [0, 1] and nothing overflows at any valid temperature.  Energy
+    gaps reach 2 sqrt(2) times the largest entry of H, so a matrix whose
+    largest entry reaches 2^1021 is scaled down with its temperature by an
+    exact 2^-4 (the state depends only on H/T).
     """
+    temperature = np.asarray(temperature)
+    huge = np.abs(hamiltonian).max(axis=(-2, -1)) >= 2.0**1021
+    if huge.any():
+        scale = np.where(huge, 2.0**-4, 1.0)
+        hamiltonian = hamiltonian * scale[..., np.newaxis, np.newaxis]
+        temperature = temperature * scale
     spec = eigh(hamiltonian)
     ground = spec.eigenvalues[..., -1:]  # eigenvalues are descending
-    weights = np.exp((ground - spec.eigenvalues) / np.asarray(temperature)[..., np.newaxis])
+    with np.errstate(over="ignore"):  # a gap/T past the double range is a weight of exactly 0
+        exponents = (ground - spec.eigenvalues) / temperature[..., np.newaxis]
+    weights = np.exp(exponents)
     return from_spectrum(spec.eigenvectors, weights / weights.sum(axis=-1, keepdims=True))
 
 

@@ -12,6 +12,8 @@ depend on the chunk size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .closed_form import _closed_form_terms, chi_closed_form, x_state
@@ -85,8 +87,9 @@ def verification_report(samples: int, seed: int) -> dict:
     """Max deviation per dual-route check over `samples` seeded draws.
 
     Each check also names its worst sample, the first draw (0-based) that
-    reaches the maximum.  A NaN deviation never wins, as in a running
-    maximum.  A kernel error names the sample it comes from.
+    reaches the maximum.  A NaN deviation ranks above every number: its
+    check fails, reports ``max_deviation`` None (JSON has no NaN) and names
+    the first NaN draw.  A kernel error names the sample it comes from.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -101,20 +104,20 @@ def verification_report(samples: int, seed: int) -> dict:
             sample = start + exc.index[0]
             raise type(exc)(f"verify sample {sample}: {exc}", (sample,)) from exc
         for name, quantities in deviations.items():
-            stacked = np.stack(quantities, axis=-1)
-            per_sample = np.where(np.isnan(stacked), -np.inf, stacked).max(axis=-1)
-            i = int(per_sample.argmax())
-            if per_sample[i] > worst[name][0]:  # ties keep the earlier sample
-                point = (start + i, *columns[:, i].tolist())
-                worst[name] = (float(per_sample[i]), dict(zip(WORST_SAMPLE_KEYS, point)))
+            per_sample = np.stack(quantities, axis=-1).max(axis=-1)  # NaN if any is NaN
+            i = int(per_sample.argmax())  # the first NaN, else the first maximum
+            deviation, held = float(per_sample[i]), worst[name][0]
+            if deviation > held or (math.isnan(deviation) and not math.isnan(held)):
+                point = (start + i, *columns[:, i].tolist())  # ties keep the earlier sample
+                worst[name] = (deviation, dict(zip(WORST_SAMPLE_KEYS, point)))
 
     checks = {}
     for name, threshold in CHECKS:
-        deviation = max(worst[name][0], 0.0)
+        deviation = max(worst[name][0], 0.0)  # NaN stays NaN
         checks[name] = {
-            "max_deviation": deviation,
+            "max_deviation": None if math.isnan(deviation) else deviation,
             "threshold": threshold,
-            "passed": deviation < threshold,
+            "passed": deviation < threshold,  # False for NaN
             "worst_sample": worst[name][1],
         }
     return {

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -313,3 +314,24 @@ def test_reproduce_figures_writes_the_figure_commands_bytes(tmp_path, capsys, mo
         module.main(["--outdir", str(tmp_path / "script"), "--ids", "9z"])
     monkeypatch.setattr(module.cli, "main", lambda argv: 2)
     assert module.main(["--outdir", str(tmp_path / "script"), "--ids", "2a"]) == 1
+
+
+def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "diff_cli_bytes.py"
+    spec = importlib.util.spec_from_file_location("diff_cli_bytes", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    commands = (
+        ("--version",),
+        ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
+        ("figure", "2a", "--x", "gamma:0:3:5", "--y", "omega:0.01:3:4", "--output", "f.csv"),
+    )
+    assert module.main([str(root), str(root)], commands=commands) == 0
+    assert capsys.readouterr().out == "0 of 3 commands differ\n"
+    # a tree whose version string differs changes --version's stdout only
+    shutil.copytree(root / "src", tmp_path / "src")
+    version = tmp_path / "src" / "gravcat_coding" / "version.py"
+    version.write_text(version.read_text(encoding="utf-8") + '__version__ = "0.0.0"\n')
+    assert module.main([str(root), str(tmp_path)], commands=commands[:2]) == 1
+    assert capsys.readouterr().out == "DIFFERS (stdout): --version\n1 of 2 commands differ\n"

@@ -7,6 +7,7 @@ properties that need no oracle.
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_power_of_two_scaling_is_bit_exact(golden):
             with np.errstate(over="ignore"):
                 scaled = chi_closed_form(omega * f, gamma * f, temperature * f, 1.0 - strength)
             assert np.array_equal(scaled, base), k
+
+
+def test_numeric_engine_at_huge_points_matches_the_scaled_points():
+    # from an entry of H at 2^1021 on the energy gaps can overflow, so the
+    # matrix route rescales H and T together; chi depends only on H/T
+    omega, gamma, temperature, strength = np.array(HUGE_POINTS).T
+    f = 2.0**-60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = chi_numeric(omega, gamma, temperature, 1.0 - strength)
+        scaled = chi_numeric(omega * f, gamma * f, temperature * f, 1.0 - strength)
+        rho = gibbs_numeric(build_hamiltonian(GravcatParams(1e308, 1e307, 1e308)), 1e308)
+        single = capacity_numeric(rho).chi
+    assert np.abs(huge - scaled).max() <= 1e-12
+    assert abs(single - 0.16530151997838383) <= 1e-12
 
 
 def test_sweep_cells_equal_scalar_reports_bit_for_bit():

@@ -129,3 +129,51 @@ def test_kernel_error_names_the_sample(monkeypatch):
         verification_report(3, 0)
     assert info.value.index == (2,)
     assert chunks == [2, 1]
+
+
+def _inject_nan(monkeypatch, target: int, check: str) -> None:
+    """Make the deviation of draw ``target`` NaN in the first quantity of ``check``."""
+    original = verify_module._deviations
+    seen = [0]
+
+    def deviations(omega, *rest):
+        found = original(omega, *rest)
+        start, seen[0] = seen[0], seen[0] + len(omega)
+        if start <= target < seen[0]:
+            first = found[check][0].copy()
+            first[target - start] = np.nan
+            found[check] = (first, *found[check][1:])
+        return found
+
+    monkeypatch.setattr(verify_module, "_deviations", deviations)
+
+
+def test_nan_deviation_fails_its_check_and_names_its_sample(monkeypatch):
+    texts = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
+        _inject_nan(monkeypatch, 11, "wm_state_closed_vs_kraus")
+        report = verification_report(30, 5)
+        monkeypatch.undo()
+        entry = report["checks"]["wm_state_closed_vs_kraus"]
+        assert entry["passed"] is False and entry["max_deviation"] is None
+        assert entry["worst_sample"]["index"] == 11
+        assert report["all_passed"] is False
+        others = [v for k, v in report["checks"].items() if k != "wm_state_closed_vs_kraus"]
+        assert all(v["passed"] and v["max_deviation"] is not None for v in others)
+        texts.append(json.dumps(report, indent=2, allow_nan=False))
+    assert texts[0] == texts[1] == texts[2]
+    clean = verification_report(30, 5)["checks"]["wm_state_closed_vs_kraus"]
+    assert clean["passed"] and clean["worst_sample"]["index"] != 11
+
+
+def test_all_nan_deviations_name_the_first_draw(monkeypatch):
+    monkeypatch.setattr(
+        verify_module,
+        "_deviations",
+        lambda omega, *rest: {name: (np.full(len(omega), np.nan),) for name, _ in CHECKS},
+    )
+    report = verification_report(9, 1)
+    for entry in report["checks"].values():
+        assert entry["passed"] is False and entry["max_deviation"] is None
+        assert entry["worst_sample"]["index"] == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+import gravcat_coding.weak_measurement as wm_module
 from gravcat_coding import (
     GravcatParams,
     OutOfRangeError,
@@ -14,9 +15,11 @@ from gravcat_coding import (
     capacity_closed_form,
     capacity_numeric,
     capacity_wm_closed_form,
+    chi_closed_form,
     gibbs_numeric,
     golden_section_maximize,
     optimize_strength,
+    optimize_strength_many,
     qwm_operator,
     thermal_closed_form,
     wm_state_closed_form,
@@ -202,6 +205,88 @@ def test_golden_section_finds_parabola_peak():
     assert abs(x - 0.37) < 5e-9
     assert abs(fx) < 1e-16
     assert golden_section_maximize(peak, 0.0, 1.0, tol=1e-9) == (x, fx)
+
+
+def seeded_points(shape, seed, cold=0):
+    """omega, gamma in (0, 3], T log-uniform on [0.01, 10]; the first ``cold`` have T = 0.01."""
+    rng = np.random.default_rng(seed)
+    omega = 3.0 * (1.0 - rng.random(shape))
+    gamma = 3.0 * rng.random(shape)
+    temperature = 10.0 ** (-2.0 + 3.0 * rng.random(shape))
+    temperature.reshape(-1)[:cold] = 0.01
+    return omega, gamma, temperature
+
+
+def test_batched_optimizer_equals_per_point_bit_for_bit():
+    omega, gamma, temperature = seeded_points((8, 8), 2012, cold=8)
+    p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
+    assert p_star.shape == chi_star.shape == (8, 8)
+    for index in np.ndindex(8, 8):
+        params = GravcatParams(omega[index], gamma[index], temperature[index])
+        assert optimize_strength(params) == (p_star[index], chi_star[index]), index
+    order = np.random.default_rng(3).permutation(64)
+    for args, want in (
+        ((omega.ravel()[order], gamma.ravel()[order], temperature.ravel()[order]),
+         (p_star.ravel()[order], chi_star.ravel()[order])),
+        ((omega.reshape(2, 32), gamma.reshape(2, 32), temperature.reshape(2, 32)),
+         (p_star.reshape(2, 32), chi_star.reshape(2, 32))),
+        ((omega.T, gamma.T, temperature.T), (p_star.T, chi_star.T)),
+    ):
+        got = optimize_strength_many(*args)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def synthetic_profile(monkeypatch, chi_of_q):
+    """Make the optimizer score chi_of_q(q) in place of the closed form."""
+    monkeypatch.setattr(wm_module, "_post_selected_terms", lambda thermal, q: thermal.z * 0 + q)
+    monkeypatch.setattr(wm_module, "_chi_from_terms", chi_of_q)
+
+
+def test_refinement_narrows_to_a_bracket_under_1e9(monkeypatch):
+    # a kink at p = 0.37 off the scan grid: the scan brackets it within two
+    # steps and four 101-point levels narrow that to 3.2e-10
+    synthetic_profile(monkeypatch, lambda q: -np.abs(0.63 - q))
+    p_star, chi_star = optimize_strength_many(1.0, 1.0, 1.0)
+    assert abs(p_star - 0.37) <= 0.5e-9
+    assert -0.5e-9 <= chi_star <= 0.0
+
+
+def test_batched_optimizer_bounds():
+    omega, gamma, temperature = seeded_points(200, 11, cold=40)
+    p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
+    assert np.all((0.0 <= p_star) & (p_star < 1.0))
+    assert np.all(chi_star >= chi_closed_form(omega, gamma, temperature))
+
+
+def test_optimizer_reaches_the_dense_grid_maximum():
+    # T = 0.01 puts the optimum on narrow plateaus; the 1001-point scan and
+    # its refinement must find what a 100-fold denser grid finds
+    omega, gamma, temperature = seeded_points(24, 5, cold=12)
+    _, chi_star = optimize_strength_many(omega, gamma, temperature)
+    dense = np.linspace(0.0, 1.0 - 1e-9, 100_001)
+    for i in range(24):
+        best = chi_closed_form(omega[i], gamma[i], temperature[i], 1.0 - dense).max()
+        assert chi_star[i] >= best - 1e-15, i
+
+
+def test_optimizer_breaks_ties_towards_the_smaller_strength():
+    # gamma = 0 at omega/T = 1000 leaves the product ground state |11> to
+    # double precision: every strength keeps it, so chi is exactly 1 throughout
+    params = GravcatParams(omega=1.0, gamma=0.0, temperature=1e-3)
+    profile = chi_closed_form(1.0, 0.0, 1e-3, 1.0 - np.linspace(0.0, 1.0 - 1e-9, 1001))
+    assert np.all(profile == 1.0)
+    assert optimize_strength(params) == (0.0, 1.0)
+
+
+def test_refined_tie_beats_the_scan_point_at_larger_strength(monkeypatch):
+    # a profile min(p, 0.3) peaks on a plateau; the scan's first maximum is
+    # the grid point past 0.3, and the refinement reaches the same value at
+    # a strength within its final bracket of 0.3, which wins the tie
+    synthetic_profile(monkeypatch, lambda q: np.minimum(1.0 - q, 0.3))
+    p_star, chi_star = optimize_strength_many(1.0, 1.0, 1.0)
+    scan_point = 301 * wm_module.STRENGTH_MAX / (wm_module.STRENGTH_GRID_POINTS - 1)
+    assert chi_star == 0.3
+    assert 0.3 - 1e-15 <= p_star <= 0.3 + 1e-9 < scan_point
 
 
 def test_optimizer_keeps_zero_when_measurement_cannot_help():
