@@ -10,13 +10,16 @@ exit code, the stdout bytes and every file the command writes are compared;
 stderr is not (it can carry paths).  The list covers every subcommand, both
 engines, CSV and JSON output, all ten figure presets and ``verify`` at its
 default 1000 samples and seed 42.  Each command that differs is printed with
-what differs; the exit code is 1 on any difference and 0 otherwise.
+what differs; where a differing output holds as many numbers in both trees,
+the largest absolute difference between corresponding numbers is printed
+with it.  The exit code is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -66,6 +69,24 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
 )
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def max_number_difference(base: bytes, head: bytes) -> float | None:
+    """Largest |x - y| over corresponding numbers of two outputs, or None unless
+    both hold the same, nonzero count of numbers."""
+    xs, ys = NUMBER.findall(base), NUMBER.findall(head)
+    if not xs or len(xs) != len(ys):
+        return None
+    return max(abs(float(x) - float(y)) for x, y in zip(xs, ys))
+
+
+def _described(name: str, base: bytes | None, head: bytes | None) -> str:
+    """``name``, with the largest number difference when the outputs pair up."""
+    diff = None if base is None or head is None else max_number_difference(base, head)
+    return name if diff is None else f"{name} max |number difference| {diff:.3g}"
+
+
 def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes]]:
     """(exit code, stdout, written files by name) of one fresh CLI process."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -85,10 +106,11 @@ def differences(base, head) -> list[str]:
     if base_code != head_code:
         found.append(f"exit {base_code} != {head_code}")
     if base_out != head_out:
-        found.append("stdout")
+        found.append(_described("stdout", base_out, head_out))
     for name in sorted(base_files.keys() | head_files.keys()):
-        if base_files.get(name) != head_files.get(name):
-            found.append(name)
+        base_bytes, head_bytes = base_files.get(name), head_files.get(name)
+        if base_bytes != head_bytes:
+            found.append(_described(name, base_bytes, head_bytes))
     return found
 
 

@@ -57,7 +57,7 @@ def x_state(entries, q=1.0) -> np.ndarray:
     measurement that keeps amplitude q scales kappa, beta and eta by q and
     alpha_plus by q^2; the result is not normalized."""
     corner, middle, coherence = entries.kappa * q, entries.beta * q, entries.eta * q
-    m = np.zeros(np.shape(corner) + (4, 4), dtype=complex)
+    m = np.zeros(np.shape(corner) + (4, 4))
     m[..., 0, 0], m[..., 3, 3] = entries.alpha_minus, entries.alpha_plus * q * q
     m[..., 0, 3] = m[..., 3, 0] = corner
     m[..., 1, 1] = m[..., 2, 2] = middle
@@ -84,6 +84,9 @@ class ThermalTerms(NamedTuple):
     z: np.ndarray
 
 
+# an exponent such as -2 theta/T can pass the double range; it becomes -inf,
+# whose exp is exactly 0, so the values stay right and the warning is noise
+@np.errstate(over="ignore")
 def _thermal_terms(omega, gamma, temperature) -> ThermalTerms:
     """The thermal half of the closed forms, over broadcast arrays."""
     theta = np.hypot(omega, gamma)

@@ -21,7 +21,6 @@ from .linalg import (
     DensityMatrix,
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     _partial_trace_first,
     dagger,
@@ -80,12 +79,21 @@ class CapacityReport:
         return out
 
 
-_SIGNALS = tuple(tensor(sigma, PAULI_I) for sigma in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z))
+# real signal factors; sigma_x sigma_z stands in for sigma_y (see `_twirl`)
+_SIGNALS = tuple(
+    tensor(sigma.real, PAULI_I.real) for sigma in (PAULI_I, PAULI_X, PAULI_X @ PAULI_Z, PAULI_Z)
+)
 
 
 def _twirl(rho) -> np.ndarray:
-    """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized."""
-    avg = 0.25 * sum(u @ rho @ u for u in _SIGNALS)  # each Pauli factor is Hermitian
+    """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized.
+
+    The four terms are u rho u^dagger for u = s (x) I with s = I, X, Y, Z, in
+    that order.  Since sigma_y = i sigma_x sigma_z, the Y term equals
+    (sigma_x sigma_z) rho (sigma_x sigma_z)^T, so every u is real and
+    u^dagger = u^T: a real stack stays real and a complex one gets the same sum.
+    """
+    avg = 0.25 * sum(u @ rho @ u.T for u in _SIGNALS)
     return 0.5 * (avg + dagger(avg))
 
 

@@ -1,11 +1,13 @@
-"""Dense complex Hermitian kernel for the 2x2 / 4x4 problems in this package.
+"""Dense Hermitian kernel for the 2x2 / 4x4 problems in this package.
 
-Hermitian matrices are plain complex numpy arrays, and every kernel here
-works on stacks: the matrices are the last two axes, anything before them
-indexes the stack.  The eigensolver is LAPACK's ``zheevd`` through
-``np.linalg.eigh``, which treats each matrix of a stack on its own, so a
-matrix gets the same bits alone or inside any stack.  Everything downstream
-(entropies, Gibbs operators, state oracles) is built on `eigh`.
+Hermitian matrices are plain numpy arrays whose dtype follows the input:
+real symmetric matrices stay float64 and complex ones are complex128.  Every
+kernel here works on stacks: the matrices are the last two axes, anything
+before them indexes the stack.  The eigensolver is ``np.linalg.eigh``, which
+runs LAPACK's ``dsyevd`` on real stacks and ``zheevd`` on complex ones and
+treats each matrix of a stack on its own, so a matrix gets the same bits
+alone or inside any stack.  Everything downstream (entropies, Gibbs
+operators, state oracles) is built on `eigh`.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising ``NotHermitianError`` unless its
-    last two axes are square and Hermitian within ``tol`` (absolute, element-wise)."""
-    a = np.asarray(m, dtype=complex)
+    """Return ``m`` as a float64 array, or as complex128 if it is complex, raising
+    ``NotHermitianError`` unless its last two axes are square and Hermitian
+    within ``tol`` (absolute, element-wise)."""
+    a = np.asarray(m)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
     dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
@@ -85,8 +89,9 @@ class Spectrum:
 def eigh(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    LAPACK's ``zheevd`` (through ``np.linalg.eigh``) works on each matrix of
-    the last two axes separately; the order is reversed to descending.
+    ``np.linalg.eigh`` works on each matrix of the last two axes separately,
+    with LAPACK's ``dsyevd`` on real input and ``zheevd`` on complex input;
+    the order is reversed to descending.
     """
     values, vectors = np.linalg.eigh(require_hermitian(m))
     return Spectrum(values[..., ::-1], vectors[..., ::-1])
@@ -194,8 +199,10 @@ def von_neumann_entropy(rho) -> float:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor is the slow (left) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product; the first factor is the slow (left) index.
+
+    The dtype follows the factors, so real factors give a real product."""
+    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def two_qubit_matrix(rho) -> np.ndarray:

@@ -112,8 +112,9 @@ def coupling_from_geometry(geom: GravcatGeometry) -> float:
     return 0.5 * geom.G * geom.mass**2 * (1.0 / d - 1.0 / geom.d_prime)
 
 
-_SPLITTING = tensor(PAULI_I, PAULI_Z) + tensor(PAULI_Z, PAULI_I)
-_EXCHANGE = tensor(PAULI_X, PAULI_X)
+# real factors keep the Hamiltonian, and every matrix built from it, in float64
+_SPLITTING = tensor(PAULI_I.real, PAULI_Z.real) + tensor(PAULI_Z.real, PAULI_I.real)
+_EXCHANGE = tensor(PAULI_X.real, PAULI_X.real)
 
 
 def _hamiltonian(omega, gamma) -> np.ndarray:

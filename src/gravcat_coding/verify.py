@@ -4,10 +4,11 @@ independent numeric route on seeded random parameter draws.
 The draw stream is the SplitMix64 contract from `rng`; per sample, four
 uniforms are consumed in a documented order so reports are reproducible
 bit-for-bit across runs (and across reimplementations that honor the same
-generator).  Samples are drawn in chunks of ``CHUNK_SIZE``, and each chunk
-is evaluated once over stacks of 4x4 matrices by the kernels both engines
-run, so memory stays bounded for any sample count.  The report does not
-depend on the chunk size.
+generator).  Samples are drawn in chunks of ``CHUNK_SIZE``, each chunk with
+one counter-based array draw that consumes the stream in that same order,
+and each chunk is evaluated once over stacks of 4x4 matrices by the kernels
+both engines run, so memory stays bounded for any sample count.  The report
+does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .closed_form import _closed_form_terms, chi_closed_form, x_state
 from .coding import _chi, _marginal_replacement, _twirl
 from .linalg import LocatedError, check_density
 from .rng import SplitMix64
-from .thermal import GravcatParams, _gibbs, _hamiltonian
+from .thermal import GravcatParams, _gibbs, _hamiltonian, check_strength
 from .version import TOOL_NAME, __version__
 from .weak_measurement import _post_select
 
@@ -41,12 +42,23 @@ P_HI = 0.99            # p = 0.99 u4
 WORST_SAMPLE_KEYS = ("index", "omega", "gamma", "temp", "p")
 
 
+def draw_samples(rng: SplitMix64, n: int) -> np.ndarray:
+    """``n`` samples from the contractual draw order, one row (omega, gamma, T, p) each.
+
+    The 4n uniforms come from one array draw; row i maps u1..u4 of sample i.
+    The rows are not validated here.
+    """
+    u1, u2, u3, u4 = rng.next_floats(4 * n).reshape(n, 4).T
+    omega = OMEGA_SPAN * (1.0 - u1)
+    gamma = GAMMA_SPAN * u2
+    temperature = T_LO + (T_HI - T_LO) * u3
+    strength = P_HI * u4
+    return np.stack((omega, gamma, temperature, strength)).T  # contiguous columns
+
+
 def draw_sample(rng: SplitMix64) -> tuple[GravcatParams, float]:
     """One parameter tuple from the contractual draw order."""
-    omega = OMEGA_SPAN * (1.0 - rng.next_float())
-    gamma = GAMMA_SPAN * rng.next_float()
-    temperature = rng.uniform(T_LO, T_HI)
-    strength = P_HI * rng.next_float()
+    omega, gamma, temperature, strength = draw_samples(rng, 1)[0].tolist()
     return GravcatParams(omega=omega, gamma=gamma, temperature=temperature), strength
 
 
@@ -96,8 +108,12 @@ def verification_report(samples: int, seed: int) -> dict:
     rng = SplitMix64(seed)
     worst = {name: (-np.inf, None) for name, _ in CHECKS}  # (deviation, worst_sample)
     for start in range(0, samples, CHUNK_SIZE):
-        draws = [draw_sample(rng) for _ in range(min(CHUNK_SIZE, samples - start))]
-        columns = np.array([(d.omega, d.gamma, d.temperature, p) for d, p in draws]).T
+        draws = draw_samples(rng, min(CHUNK_SIZE, samples - start))
+        # every domain rule is a bound, so the componentwise corners check all draws
+        for omega, gamma, temperature, strength in (draws.min(axis=0), draws.max(axis=0)):
+            GravcatParams(omega=float(omega), gamma=float(gamma), temperature=float(temperature))
+            check_strength(float(strength))
+        columns = draws.T
         try:
             deviations = _deviations(*columns)
         except LocatedError as exc:

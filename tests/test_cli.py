@@ -13,6 +13,15 @@ from gravcat_coding import GravcatParams, capacity_closed_form
 from gravcat_coding.cli import main
 
 
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -296,11 +305,23 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["capacity", "optimize"])
+def test_huge_inputs_leave_stderr_empty(command):
+    # exponents past the double range are exact zero weights, not warnings
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gravcat_coding", command,
+         "--omega", "1e308", "--gamma", "1e308", "--temp", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["schema_version"] == 1
+
+
 def test_reproduce_figures_writes_the_figure_commands_bytes(tmp_path, capsys, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
-    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("reproduce_figures")
     assert module.main(["--outdir", str(tmp_path / "script"), "--ids", "2a", "5b"]) == 0
     written = sorted(p.name for p in (tmp_path / "script").iterdir())
     assert written == ["figure_2a.csv", "figure_2a.csv.json", "figure_5b.csv", "figure_5b.csv.json"]
@@ -318,10 +339,7 @@ def test_reproduce_figures_writes_the_figure_commands_bytes(tmp_path, capsys, mo
 
 def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
     root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "diff_cli_bytes.py"
-    spec = importlib.util.spec_from_file_location("diff_cli_bytes", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("diff_cli_bytes")
     commands = (
         ("--version",),
         ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
@@ -334,4 +352,17 @@ def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
     version = tmp_path / "src" / "gravcat_coding" / "version.py"
     version.write_text(version.read_text(encoding="utf-8") + '__version__ = "0.0.0"\n')
     assert module.main([str(root), str(tmp_path)], commands=commands[:2]) == 1
-    assert capsys.readouterr().out == "DIFFERS (stdout): --version\n1 of 2 commands differ\n"
+    # 0.1.0 against 0.0.0 pairs up as the numbers (0.1, .0) and (0.0, .0)
+    assert capsys.readouterr().out == (
+        "DIFFERS (stdout max |number difference| 0.1): --version\n1 of 2 commands differ\n"
+    )
+
+
+def test_diff_cli_bytes_measures_number_differences():
+    module = load_script("diff_cli_bytes")
+    base = b'{"chi": 1.25, "spectrum": [0.5, -2e-3, 7]}\n'
+    head = b'{"chi": 1.2500000000000002, "spectrum": [0.5, -1e-3, 7]}\n'
+    assert module.max_number_difference(base, head) == 1e-3
+    assert module.max_number_difference(base, base) == 0.0
+    assert module.max_number_difference(base, b'{"chi": 1.25}') is None  # counts differ
+    assert module.max_number_difference(b"no numbers", b"none here") is None

@@ -1,9 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from gravcat_coding import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     Advantage,
     GravcatParams,
     assemble_thermal_state,
@@ -15,9 +20,14 @@ from gravcat_coding import (
     ensemble_average_via_marginal,
     gibbs_numeric,
     partial_trace_first,
+    tensor,
     thermal_closed_form,
     von_neumann_entropy,
 )
+from gravcat_coding.closed_form import _closed_form_terms, x_state
+from gravcat_coding.coding import _twirl
+from gravcat_coding.thermal import _gibbs, _hamiltonian
+from gravcat_coding.weak_measurement import _post_select
 from conftest import (
     basis_projector,
     bell_state,
@@ -47,6 +57,32 @@ def test_twirl_of_thermal_state_is_diagonal_halves():
     lo = 0.5 * (cf.alpha_minus + cf.beta)
     hi = 0.5 * (cf.alpha_plus + cf.beta)
     assert np.abs(out.matrix - np.diag([lo, hi, lo, hi])).max() < 1e-14
+
+
+def test_twirl_matches_the_complex_pauli_sum():
+    # the real factor sigma_x sigma_z stands in for sigma_y; a complex stack
+    # must get the textbook sum (1/4) sum_s (s (x) I) rho (s (x) I)^dagger
+    rng = np.random.default_rng(20240117)
+    g = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+    signals = [tensor(s, PAULI_I) for s in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
+    textbook = 0.25 * sum(u @ rho @ u.conj().T for u in signals)
+    twirled = _twirl(rho)
+    assert twirled.dtype == np.complex128
+    assert np.abs(twirled - textbook).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_numeric_route_runs_in_real_arithmetic(shape):
+    # every matrix on the route is real symmetric, so eigh runs dsyevd on it
+    omega, gamma, temperature, q = (np.full(shape, v) for v in (0.7, 1.3, 0.4, 0.6))
+    hamiltonian = _hamiltonian(omega, gamma)
+    rho = _gibbs(hamiltonian, temperature)
+    measured = _post_select(rho, q)[0]
+    terms = _closed_form_terms(omega, gamma, temperature, 1.0)
+    for m in (hamiltonian, rho, measured, x_state(terms, q), _twirl(measured)):
+        assert m.dtype == np.float64 and m.shape == shape + (4, 4)
 
 
 @given(density_matrices(dim=4))

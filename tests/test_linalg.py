@@ -90,6 +90,18 @@ def test_eigh_complex_entries():
     assert np.allclose(spec.eigenvalues, [expected, -expected], atol=1e-12)
 
 
+def test_eigh_dtype_follows_the_input():
+    # real symmetric input runs in real arithmetic; complex Hermitian input stays complex
+    real = np.array([[2.0, 1.0], [1.0, 2.0]])
+    cases = ((real, np.float64), (real.astype(np.int64), np.float64),
+             (real.astype(complex), np.complex128), (PAULI_Y, np.complex128))
+    for m, dtype in cases:
+        spec = eigh(m)
+        assert spec.eigenvectors.dtype == dtype and spec.eigenvalues.dtype == np.float64
+        rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        assert np.abs(rebuilt - m).max() < 1e-15
+
+
 # ---------------------------------------------------- matrix_function
 
 def _taylor_expm(m: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -213,6 +225,12 @@ def test_tensor_basis_ordering():
 
 def test_tensor_coupling_layout():
     assert np.array_equal(tensor(PAULI_X, PAULI_X), np.fliplr(np.eye(4)).astype(complex))
+
+
+def test_tensor_of_real_factors_stays_real():
+    product = tensor(PAULI_X.real, PAULI_Z.real)
+    assert product.dtype == np.float64
+    assert np.array_equal(product, tensor(PAULI_X, PAULI_Z))
 
 
 def test_tensor_associative_exactly():

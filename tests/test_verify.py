@@ -8,7 +8,9 @@ import pytest
 import gravcat_coding.verify as verify_module
 from gravcat_coding import (
     CHECKS,
+    InvalidParameterError,
     InvalidStateError,
+    OutOfRangeError,
     SplitMix64,
     apply_qwm,
     assemble_thermal_state,
@@ -17,6 +19,7 @@ from gravcat_coding import (
     capacity_numeric,
     capacity_wm_closed_form,
     draw_sample,
+    draw_samples,
     ensemble_average,
     ensemble_average_via_marginal,
     gibbs_numeric,
@@ -96,6 +99,33 @@ def test_report_bytes_do_not_depend_on_chunking(monkeypatch):
         monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
         texts.append(json.dumps(verification_report(60, 13), indent=2))
     assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 123456789])
+def test_array_draw_rows_equal_single_draws(seed):
+    batched, single, uniforms = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+    for row in draw_samples(batched, 9).tolist():
+        params, strength = draw_sample(single)
+        assert row == [params.omega, params.gamma, params.temperature, strength]
+        u1, u2, u3, u4 = (uniforms.next_float() for _ in range(4))  # the documented order
+        assert row == [5.0 * (1.0 - u1), 5.0 * u2, 0.05 + (10.0 - 0.05) * u3, 0.99 * u4]
+    assert batched.state == single.state == uniforms.state
+
+
+@pytest.mark.parametrize(
+    "column, value, error",
+    [(0, 0.0, InvalidParameterError), (2, 1e-7, InvalidParameterError),
+     (1, np.nan, InvalidParameterError), (3, 1.5, OutOfRangeError)],
+)
+def test_every_draw_of_a_chunk_is_domain_checked(monkeypatch, column, value, error):
+    def draw_with_a_bad_row(rng, n):
+        rows = draw_samples(rng, n)
+        rows[n // 2, column] = value
+        return rows
+
+    monkeypatch.setattr(verify_module, "draw_samples", draw_with_a_bad_row)
+    with pytest.raises(error):
+        verification_report(5, 3)
 
 
 def test_worst_sample_reproduces_its_deviation():
