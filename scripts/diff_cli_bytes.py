@@ -8,11 +8,12 @@ Each command of ``COMMANDS`` runs once per tree in a fresh
 an empty working directory, so a relative ``--output`` lands there.  The
 exit code, the stdout bytes and every file the command writes are compared;
 stderr is not (it can carry paths).  The list covers every subcommand, both
-engines, CSV and JSON output, all ten figure presets and ``verify`` at its
-default 1000 samples and seed 42.  Each command that differs is printed with
-what differs; where a differing output holds as many numbers in both trees,
-the largest absolute difference between corresponding numbers is printed
-with it.  The exit code is 1 on any difference and 0 otherwise.
+engines, CSV and JSON output, all ten figure presets, grids whose cells
+print in scientific notation or as exact values such as 1.0, and ``verify``
+at its default 1000 samples and seed 42.  Each command that differs is
+printed with what differs; where a differing output holds as many numbers in
+both trees, the largest absolute difference between corresponding numbers
+is printed with it.  The exit code is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("sweep", "--x", "T:0.003:2:11", "--y", "p:0:1:6", "--omega", "1.3", "--gamma", "0.4",
      "--output", "sweep.csv"),
+    # cells in scientific notation and exact values such as 1.0, which the
+    # CSV kernel hands to repr
+    *(
+        ("sweep", "--x", "omega:0.001:0.01:3", "--y", "T:1:2:2", "--gamma", "0", "--format", fmt)
+        for fmt in ("csv", "json")
+    ),
+    ("figure", "5a", "--x", "T:1e-6:1e-5:3", "--y", "p:0:1:3"),
     *(
         ("figure", fig, "--format", fmt, "--output", f"figure_{fig}.{fmt}")
         for fig in FIGURE_IDS

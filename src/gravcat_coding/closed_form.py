@@ -2,10 +2,11 @@
 
 Inputs broadcast as numpy arrays (or floats); ``q = 1 - p`` is the amplitude
 kept by the weak measurement, so ``q = 1`` is the unmeasured state and
-``q = 0`` the projective endpoint, where chi is exactly 1.  No small quantity
-is formed as a difference: the exponent (theta - gamma)/T is taken as
-omega^2 / ((theta + gamma) T), 1 - omega/theta as gamma^2 / (theta (theta +
-omega)), and the small corner eigenvalue from the block determinant (Vieta).
+``q = 0`` the projective endpoint, where chi is exactly 1, also where the
+kept weight underflows to 0.  No small quantity is formed as a difference:
+the exponent (theta - gamma)/T is taken as omega^2 / ((theta + gamma) T),
+1 - omega/theta as gamma^2 / (theta (theta + omega)), and the small corner
+eigenvalue from the block determinant (Vieta).
 Every eigenvalue is a product or sum of positive terms, so each keeps full
 relative precision even after division by a tiny success probability.
 """
@@ -124,15 +125,23 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     # the measurement keeps alpha_minus and scales kappa, beta, eta by q and
     # alpha_plus by q^2; the corner block is [[a, c], [c, b]]
     a, b, c = alpha_minus, alpha_plus * q * q, kappa * q
-    success = a + 2.0 * beta * q + b
-    check_success(success)
+    success = kept = a + 2.0 * beta * q + b  # kept divides the spectrum
+    vanishing = np.asarray(success < MIN_SUCCESS_PROBABILITY)
+    if vanishing.any():
+        # at q = 0 the kept state is |00><00| at every finite T, however small
+        # its weight alpha_minus: weight 1 stands in for it there, and any
+        # other vanishing weight still raises
+        projective = vanishing & (np.asarray(q) == 0.0)
+        check_success(np.where(projective, 1.0, success))
+        a = np.where(projective, 1.0, a)
+        kept = np.where(projective, 1.0, success)
     corner_hi = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
     # Vieta: the block determinant q^2 (alpha_minus alpha_plus - kappa^2) is q^2 ex2 / z^2
     corner_lo = (q * q * ex2 / (z * z)) / corner_hi
     middle = (exy * q / z, exy * ey2 * q / z)  # (beta + eta) q and (beta - eta) q
-    spectrum = tuple(v / success for v in (corner_hi, corner_lo, *middle))
-    nu = (a + beta * q) / success
-    mu = (b + beta * q) / success
+    spectrum = tuple(v / kept for v in (corner_hi, corner_lo, *middle))
+    nu = (a + beta * q) / kept
+    mu = (b + beta * q) / kept
     return ClosedFormTerms(alpha_minus, alpha_plus, beta, kappa, eta, success, spectrum, nu, mu)
 
 

@@ -203,16 +203,25 @@ def render_csv(grid: SweepGrid) -> str:
     Line 1 is ``# <tool> v<version> engine=<e> fixed=<k=v,...>``, line 2 the
     header ``y\\x,<x values>``, then one row per y value.
     """
+    # the cell kernel is imported on first render: a process that runs without
+    # a bytecode cache compiles each module it imports, and most commands
+    # render no grid
+    from .float_text import text_rows
+
     values = _checked_values(grid)
     fixed_part = ",".join(f"{k}={format_float(v)}" for k, v in _ordered_fixed(grid.fixed))
-    lines = [f"# {TOOL_NAME} v{grid.version} engine={grid.engine} fixed={fixed_part}"]
-    lines.append("y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())))
-    for y_value, row in zip(grid.y_axis.values().tolist(), values.tolist()):
-        lines.append(repr(y_value) + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    header = (
+        f"# {TOOL_NAME} v{grid.version} engine={grid.engine} fixed={fixed_part}\n"
+        "y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())) + "\n"
+    )
+    heads = list(map(repr, grid.y_axis.values().tolist()))
+    return "".join([header, *text_rows(values, heads)])
 
 
 def render_json(grid: SweepGrid) -> str:
+    """Serialize a grid as JSON (``indent=2``); ``values`` holds the rows of cells."""
+    from .float_text import text_rows  # on first render, as in `render_csv`
+
     values = _checked_values(grid)
     payload = {
         "schema_version": 1,
@@ -224,9 +233,16 @@ def render_json(grid: SweepGrid) -> str:
         "fixed": dict(_ordered_fixed(grid.fixed)),
         "x_values": grid.x_axis.values().tolist(),
         "y_values": grid.y_axis.values().tolist(),
-        "values": values.tolist(),
+        "values": [],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2)  # ends with '"values": []\n}'
+    # each text row is ",v,v,...": one value per line, indented as json.dumps does
+    rows = [
+        "    [\n      " + row[1:].replace(",", ",\n      ") + "\n    ]"
+        for block in text_rows(values, [""] * len(values))
+        for row in block.splitlines()
+    ]
+    return text[: -len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,14 @@ def test_capacity_at_projective_endpoint(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["chi"] == 1.0 and payload["strength"] == 1.0
-    code, _, err = run_cli(
-        capsys, "capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"
-    )
+    # the kept |00> weight underflows to 0 here: the closed form still reports
+    # one bit, and the numeric engine, which divides by it, refuses
+    vanishing = ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1")
+    code, out, _ = run_cli(capsys, *vanishing)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["chi"] == 1.0 and payload["success_probability"] == 0.0
+    code, _, err = run_cli(capsys, *vanishing, "--engine", "numeric")
     assert code == 2
     assert json.loads(err)["error"] == "ZeroSuccessProbabilityError"
 

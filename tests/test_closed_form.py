@@ -30,6 +30,7 @@ from gravcat_coding import (
     optimize_strength,
     render_csv,
 )
+from gravcat_coding.closed_form import _closed_form_terms
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
 GOLDEN_TOL = 1e-12
@@ -229,7 +230,22 @@ def test_nan_input_propagates():
 
 
 def test_vanishing_success_names_the_first_element():
+    # at q = 1e-200 every kept weight underflows where omega/T = 1000
     temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
     with pytest.raises(ZeroSuccessProbabilityError) as info:
-        chi_closed_form(1.0, 0.0, temperature, 0.0)
+        chi_closed_form(1.0, 0.0, temperature, 1e-200)
     assert info.value.index == (0, 1)
+
+
+def test_projective_endpoint_with_underflowed_weight_is_one_bit():
+    # at q = 0 the kept state is |00><00| however small its weight; a grid
+    # mixing underflowed and ordinary weights still raises where q > 0
+    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
+    assert np.array_equal(chi_closed_form(1.0, 0.0, temperature, 0.0), np.ones((2, 2)))
+    terms = _closed_form_terms(1.0, 0.0, temperature, 0.0)
+    assert terms.success[0, 1] == 0.0 and terms.success[0, 0] > 0.0
+    assert [float(v[0, 1]) for v in terms.spectrum] == [1.0, 0.0, 0.0, 0.0]
+    q = np.array([[0.0], [1e-200]])
+    with pytest.raises(ZeroSuccessProbabilityError) as info:
+        chi_closed_form(1.0, 0.0, temperature, q)
+    assert info.value.index == (1, 0)

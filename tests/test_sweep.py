@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gravcat_coding.float_text as float_text
 from gravcat_coding import (
     AxisSpec,
     DEFAULT_AXES,
@@ -150,19 +155,25 @@ def test_fixed_strength_changes_cells():
     assert not np.allclose(plain.values, measured.values)
 
 
+VANISHING_AT_P1 = (
+    AxisSpec("p", 0.0, 1.0, 3), AxisSpec("T", 1e-3, 2e-3, 2), {"omega": 1.0, "gamma": 0.0}
+)
+
+
 def test_cell_failures_abort_with_context():
     # at gamma = 0 and omega/T = 1000 the |00> branch kept at p = 1 has
-    # vanishing probability; the sweep aborts naming the first such cell
-    # (row-major) instead of emitting rows, on either engine
+    # vanishing probability; the numeric engine divides by it, so its sweep
+    # aborts naming the first such cell (row-major) instead of emitting rows
     first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
-    for engine in ("closed_form", "numeric"):
-        with pytest.raises(RuntimeError, match=first_bad):
-            evaluate_sweep(
-                AxisSpec("p", 0.0, 1.0, 3),
-                AxisSpec("T", 1e-3, 2e-3, 2),
-                {"omega": 1.0, "gamma": 0.0},
-                engine=engine,
-            )
+    with pytest.raises(RuntimeError, match=first_bad):
+        evaluate_sweep(*VANISHING_AT_P1, engine="numeric")
+
+
+def test_projective_cells_with_vanishing_weight_are_one_bit():
+    # the closed form reports the kept |00><00| state there: exactly one bit
+    grid = evaluate_sweep(*VANISHING_AT_P1)
+    assert np.array_equal(grid.values[:, 2], [1.0, 1.0])
+    assert render_csv(grid).endswith(",1.0\n")
 
 
 def test_unknown_engine_rejected():
@@ -270,6 +281,99 @@ def test_json_payload_schema():
     assert payload["x_axis"] == {"name": "gamma", "start": 0.0, "stop": 1.0, "count": 3}
     assert payload["fixed"] == {"T": 0.7}
     assert np.allclose(payload["values"], grid.values)
+
+
+# ------------------------------------------------- shortest-digit kernel
+
+def kernel_cells(values) -> list[str]:
+    """The text the CSV kernel writes for each value, without its separator."""
+    slots = float_text.repr_slots(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode()[1:] for row in slots]
+
+
+def reference_csv(grid) -> str:
+    """The CSV writer as one `repr` call per cell: the oracle for the kernel."""
+    names = [name for name in ("omega", "gamma", "T", "p") if name in grid.fixed]
+    fixed = ",".join(f"{name}={grid.fixed[name]!r}" for name in names)
+    lines = [f"# gravcat-coding v{grid.version} engine={grid.engine} fixed={fixed}"]
+    lines.append("y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())))
+    for y_value, row in zip(grid.y_axis.values().tolist(), grid.values.tolist()):
+        lines.append(repr(y_value) + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(grid) -> str:
+    """`render_json` as one `json.dumps` of the whole payload."""
+    payload = json.loads(render_json(grid))
+    payload["values"] = grid.values.tolist()
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-4, 10.0,
+    *(y for k in range(-1074, 1024, 7) for y in _neighbours(2.0**k)),
+    *(y for k in range(-323, 309) for y in _neighbours(10.0**k)),
+]
+
+
+def rounding_ties(rng, count: int) -> np.ndarray:
+    """Values in [1e-4, 10) whose k-digit scaling, k = 15, 16 or 17, ends in exactly .5."""
+    ties = []
+    for e in range(-4, 1):
+        for k in (15, 16, 17):
+            # v = u 2^(e - k) with u odd: v 10^(k - 1 - e) = u 5^(k - 1 - e) / 2
+            lo, hi = int(10.0**e * 2.0 ** (k - e)), int(10.0 ** (e + 1) * 2.0 ** (k - e))
+            ties.append((rng.integers(lo // 2, hi // 2, count) * 2 + 1) * 2.0 ** (e - k))
+    return np.concatenate(ties)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_VALUES),
+        min_size=1,
+        max_size=64,
+    ).map(lambda values: values + [-v for v in values])
+)
+def test_kernel_cells_equal_repr(values):
+    assert kernel_cells(values) == [repr(v) for v in np.array(values).tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_on_special_values_and_rounding_ties():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([SPECIAL_VALUES, rounding_ties(rng, 200)])
+    values = np.concatenate([values, -values])
+    assert kernel_cells(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_on_seeded_capacity_range():
+    values = np.random.default_rng(11).uniform(1e-4, 2.0, 200_000)
+    assert kernel_cells(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_default_figures_render_as_the_repr_writer():
+    for figure_id in FIGURES:
+        grid = figure_grid(figure_id)
+        assert render_csv(grid) == reference_csv(grid), figure_id
+        assert render_json(grid) == reference_json(grid), figure_id
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_render_does_not_depend_on_chunk_size(monkeypatch):
+    x_axis, y_axis = AxisSpec("T", 1e-4, 2.0, 37), AxisSpec("p", 0.0, 1.0, 23)
+    grid = figure_grid("5a", x_axis=x_axis, y_axis=y_axis)
+    expected = reference_csv(grid), reference_json(grid)
+    for rows in (1, 7, 8192):
+        monkeypatch.setattr(float_text, "CHUNK_CELLS", rows * 37)
+        assert (render_csv(grid), render_json(grid)) == expected, rows
 
 
 # ------------------------------------------------------------- figures

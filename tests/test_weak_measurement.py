@@ -130,10 +130,17 @@ def test_capacity_at_projective_endpoint_is_exactly_one_bit():
         capacity_wm_closed_form(GravcatParams(1, 1, 1), 1.0 + 1e-12)
 
 
-def test_projective_endpoint_with_vanishing_branch_raises():
-    # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0
+def test_projective_endpoint_with_vanishing_branch_is_one_bit():
+    # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0;
+    # the kept state is still |00><00|, so the closed form reports one bit
+    # with the float success probability, while the numeric engine, which
+    # divides by that probability, still refuses
+    params = GravcatParams(1.0, 0.0, 1e-3)
+    report = capacity_wm_closed_form(params, 1.0)
+    assert report.chi == 1.0 and report.success_probability == 0.0
+    assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ZeroSuccessProbabilityError):
-        capacity_wm_closed_form(GravcatParams(1.0, 0.0, 1e-3), 1.0)
+        wm_module.numeric_report(params, 1.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
