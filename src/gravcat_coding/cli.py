@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coding import closed_form_report
+from .coding import engine_report
 from .sweep import (
     ENGINES,
     AxisSpec,
@@ -29,10 +29,7 @@ from .sweep import (
 from .thermal import GravcatParams, InvalidParameterError
 from .verify import verification_report
 from .version import __version__
-from .weak_measurement import numeric_report, optimize_strength
-
-# engine name -> report(params, strength or None)
-CAPACITY_REPORTS = {"closed_form": closed_form_report, "numeric": numeric_report}
+from .weak_measurement import optimize_strength
 
 
 def _write_output(text: str, output: str | Path | None) -> None:
@@ -60,7 +57,7 @@ def _params_from_args(args: argparse.Namespace) -> GravcatParams:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    report = CAPACITY_REPORTS[args.engine](_params_from_args(args), args.p)
+    report = engine_report(ENGINES[args.engine], _params_from_args(args), args.p)
     payload = {"schema_version": 1, "engine": args.engine, **report.to_dict()}
     _write_output(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
@@ -99,7 +96,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     p_star, chi_star = optimize_strength(params)
-    chi_at_zero = closed_form_report(params, 0.0).chi
+    chi_at_zero = engine_report(ENGINES["closed_form"], params, 0.0).chi
     payload = {
         "schema_version": 1,
         "p_star": p_star,
@@ -136,7 +133,7 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=ENGINES, default="closed_form",
+        "--engine", choices=tuple(ENGINES), default="closed_form",
         help="evaluation engine (default: closed_form)",
     )
 

@@ -54,7 +54,7 @@ class ClosedFormTerms(NamedTuple):
 def x_state(entries, q=1.0) -> np.ndarray:
     """Stack of X-shaped states diag(alpha_minus, beta, beta, alpha_plus), with kappa
     on the outer anti-diagonal and eta between the middle basis states, from the
-    entries of a ``ClosedFormTerms`` or a ``ThermalClosedForm``.  The weak
+    entries of a ``ClosedFormTerms`` or a ``ThermalTerms``.  The weak
     measurement that keeps amplitude q scales kappa, beta and eta by q and
     alpha_plus by q^2; the result is not normalized."""
     corner, middle, coherence = entries.kappa * q, entries.beta * q, entries.eta * q
@@ -166,9 +166,18 @@ def _chi_from_terms(terms: ClosedFormTerms):
     return entropy_average - entropy_state
 
 
-def chi_closed_form(omega, gamma, temperature, q=1.0):
-    """Dense-coding capacity over broadcast arrays, with q = 1 - p.
+def closed_form_engine(omega, gamma, temperature, q):
+    """(spectrum, S(rho), S(rho_bar), success) over broadcast arrays, with q = 1 - p.
 
-    Inputs are not validated here (``GravcatParams`` holds the domain rules).
+    ``spectrum`` holds the four eigenvalues of the state, one array each, in
+    no fixed order.  Inputs are not validated here (``GravcatParams`` holds
+    the domain rules).
     """
-    return _chi_from_terms(_closed_form_terms(omega, gamma, temperature, q))
+    terms = _closed_form_terms(omega, gamma, temperature, q)
+    return (terms.spectrum, *closed_form_entropies(terms), terms.success)
+
+
+def chi_closed_form(omega, gamma, temperature, q=1.0):
+    """Dense-coding capacity of `closed_form_engine`: chi = S(rho_bar) - S(rho)."""
+    _, entropy_state, entropy_average, _ = closed_form_engine(omega, gamma, temperature, q)
+    return entropy_average - entropy_state

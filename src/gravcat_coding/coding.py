@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .closed_form import _closed_form_terms, closed_form_entropies
+from .closed_form import closed_form_engine
 from .linalg import (
-    DensityMatrix,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
@@ -98,9 +97,11 @@ def _twirl(rho) -> np.ndarray:
 
 
 def _entropies(rho):
-    """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states."""
+    """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states, where
+    ``spectrum[i]`` is the i-th largest eigenvalue over the stack."""
     spectrum = eigh(rho).eigenvalues
-    return spectrum, entropy_bits(spectrum), entropy_bits(eigh(_twirl(rho)).eigenvalues)
+    entropy_state = entropy_bits(spectrum)
+    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(eigh(_twirl(rho)).eigenvalues)
 
 
 def _chi(rho):
@@ -116,19 +117,19 @@ def _marginal_replacement(rho) -> np.ndarray:
     return out
 
 
-def ensemble_average(rho) -> DensityMatrix:
+def ensemble_average(rho) -> np.ndarray:
     """Average of the four signal encodings: (1/4) sum_i (s_i (x) I) rho (s_i (x) I).
 
     This Pauli twirl of the sender's qubit is the definitional route; it
     equals (I/2) (x) tr_A(rho), which `ensemble_average_via_marginal`
     computes directly.
     """
-    return DensityMatrix(_twirl(two_qubit_matrix(rho)), validated=True)
+    return _twirl(two_qubit_matrix(rho))
 
 
-def ensemble_average_via_marginal(rho) -> DensityMatrix:
+def ensemble_average_via_marginal(rho) -> np.ndarray:
     """Identity route: the twirl replaces the sender's qubit with I/2."""
-    return DensityMatrix(_marginal_replacement(two_qubit_matrix(rho)), validated=True)
+    return _marginal_replacement(two_qubit_matrix(rho))
 
 
 def capacity_report(
@@ -152,17 +153,21 @@ def capacity_numeric(rho) -> CapacityReport:
     return capacity_report(*_entropies(two_qubit_matrix(rho)))
 
 
-def closed_form_report(params: GravcatParams, strength: float | None = None) -> CapacityReport:
-    """Capacity report of the closed-form engine; ``strength=None`` means no measurement.
+def engine_report(engine, params: GravcatParams, strength: float | None = None) -> CapacityReport:
+    """The ``CapacityReport`` of an engine function at one point.
 
-    The state spectrum and the averaged halves come from ``closed_form``,
-    where every eigenvalue is a product or sum of positive terms.
+    ``engine`` maps (omega, gamma, T, q) to (spectrum, S(rho), S(rho_bar),
+    success), as `closed_form_engine` does.  ``strength=None`` evaluates at
+    q = 1, as a sweep cell without p does, and leaves the strength and the
+    success probability out of the report.
     """
     q = 1.0 if strength is None else 1.0 - check_strength(strength)
-    terms = _closed_form_terms(params.omega, params.gamma, params.temperature, q)
-    return capacity_report(terms.spectrum, *closed_form_entropies(terms), strength, terms.success)
+    spectrum, entropy_state, entropy_average, success = engine(
+        params.omega, params.gamma, params.temperature, q
+    )
+    return capacity_report(spectrum, entropy_state, entropy_average, strength, success)
 
 
 def capacity_closed_form(params: GravcatParams) -> CapacityReport:
     """Analytic capacity of the gravcat thermal state (no measurement, q = 1)."""
-    return closed_form_report(params)
+    return engine_report(closed_form_engine, params)

@@ -122,26 +122,6 @@ def matrix_function(m, f) -> np.ndarray:
     return from_spectrum(spec.eigenvectors, fvals)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A quantum state: Hermitian, unit trace, positive semidefinite up to noise.
-
-    ``validated`` records whether the invariants were actually checked;
-    internal constructions that guarantee them mathematically set it directly.
-    """
-
-    matrix: np.ndarray
-    validated: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_array(cls, arr, *, check_psd: bool = True) -> "DensityMatrix":
-        return cls(check_density(arr, check_psd=check_psd), validated=True)
-
-
 def check_density(m, *, check_psd: bool = True) -> np.ndarray:
     """Return the stack re-symmetrized once each matrix is Hermitian, has unit trace
     and, with ``check_psd``, no eigenvalue below the clamp floor; otherwise
@@ -157,15 +137,6 @@ def check_density(m, *, check_psd: bool = True) -> np.ndarray:
             low < EIG_CLAMP_FLOOR, low, "negative eigenvalue {:.3e} violates positivity"
         )
     return 0.5 * (a + dagger(a))
-
-
-def as_density(rho, *, check_psd: bool = True) -> DensityMatrix:
-    """Coerce an array or DensityMatrix to a validated DensityMatrix."""
-    if isinstance(rho, DensityMatrix):
-        if rho.validated:
-            return rho
-        return DensityMatrix.from_array(rho.matrix, check_psd=check_psd)
-    return DensityMatrix.from_array(rho, check_psd=check_psd)
 
 
 def entropy_bits(eigenvalues):
@@ -192,12 +163,6 @@ def entropy_bits(eigenvalues):
     return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho log2 rho), in bits."""
-    dm = as_density(rho, check_psd=False)  # positivity is policed by entropy_bits
-    return float(entropy_bits(eigh(dm.matrix).eigenvalues))
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; the first factor is the slow (left) index.
 
@@ -207,17 +172,12 @@ def tensor(a, b) -> np.ndarray:
 
 def two_qubit_matrix(rho) -> np.ndarray:
     """The matrix of a two-qubit state, checked at the public boundary."""
-    dm = as_density(rho, check_psd=False)
-    if dm.dim != 4:
-        raise InvalidStateError(f"expected a 4x4 two-qubit state, got dim {dm.dim}")
-    return dm.matrix
+    a = check_density(rho, check_psd=False)  # positivity is policed by entropy_bits
+    if a.shape != (4, 4):
+        raise InvalidStateError(f"expected a 4x4 two-qubit state, got shape {a.shape}")
+    return a
 
 
 def _partial_trace_first(rho) -> np.ndarray:
     """Trace out the first qubit over a stack of two-qubit states."""
     return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
-
-
-def partial_trace_first(rho) -> DensityMatrix:
-    """Trace out the first qubit of a two-qubit state."""
-    return DensityMatrix(_partial_trace_first(two_qubit_matrix(rho)), validated=True)

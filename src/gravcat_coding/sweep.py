@@ -2,11 +2,12 @@
 
 A sweep evaluates chi on a uniform inclusive 2-D grid; any two of
 {omega, gamma, T, p} form the axes and the rest are fixed.  Each engine is
-one array function chi(omega, gamma, T, q) with q = 1 - p, and a grid on
-either engine is one call to it, so a cell has the same bits in a grid, a
-row or alone.  Output is deterministic byte-for-byte for identical
-invocations: formatting is ordered, floats are rendered as shortest
-round-trip decimals, and no timestamps are serialized.
+one array function of (omega, gamma, T, q) with q = 1 - p, listed in
+``ENGINES``; a grid on either engine is one call to it, so a cell has the
+same bits in a grid, a row, alone, or in the ``capacity`` command.  Output
+is deterministic byte-for-byte for identical invocations: formatting is
+ordered, floats are rendered as shortest round-trip decimals, and no
+timestamps are serialized.
 """
 
 from __future__ import annotations
@@ -17,15 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import chi_closed_form
+from .closed_form import closed_form_engine
+from .coding import engine_report
 from .linalg import InvalidStateError, LocatedError
 from .thermal import GravcatParams, InvalidParameterError, check_strength
 from .version import TOOL_NAME, __version__
-from .weak_measurement import chi_numeric
+from .weak_measurement import numeric_engine
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
-ENGINE_FUNCTIONS = {"closed_form": chi_closed_form, "numeric": chi_numeric}
-ENGINES = tuple(ENGINE_FUNCTIONS)
+
+
+class _EngineTable(dict):
+    """Engine name -> array function (omega, gamma, T, q) -> (spectrum, S(rho), S(rho_bar),
+    success); an unknown name raises ``InvalidParameterError``."""
+
+    def __missing__(self, engine: str):
+        raise InvalidParameterError(
+            f"unknown engine {engine!r}; expected one of {', '.join(self)}"
+        )
+
+
+ENGINES = _EngineTable(closed_form=closed_form_engine, numeric=numeric_engine)
 
 DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
     "omega": (0.01, 3.0, 200),
@@ -99,15 +112,6 @@ class SweepGrid:
     version: str = __version__
 
 
-def _engine_function(engine: str):
-    try:
-        return ENGINE_FUNCTIONS[engine]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        ) from None
-
-
 def cell_capacity(
     engine: str,
     omega: float,
@@ -121,8 +125,7 @@ def cell_capacity(
     params = GravcatParams(
         omega=omega, gamma=gamma, temperature=temperature, allow_degenerate_omega=allow_zero_omega
     )
-    q = 1.0 if strength is None else 1.0 - check_strength(strength)
-    return float(_engine_function(engine)(params.omega, params.gamma, params.temperature, q))
+    return engine_report(ENGINES[engine], params, strength).chi
 
 
 def evaluate_sweep(
@@ -139,7 +142,7 @@ def evaluate_sweep(
     optional: leaving it out means no weak measurement).  A failure at a
     cell aborts the sweep with the coordinates of the first failing cell.
     """
-    chi = _engine_function(engine)
+    engine_function = ENGINES[engine]
     if x_axis.name == y_axis.name:
         raise InvalidParameterError(f"axes must name distinct parameters, both are {x_axis.name!r}")
     axis_names = {x_axis.name, y_axis.name}
@@ -154,25 +157,28 @@ def evaluate_sweep(
             f"fixed value(s) conflict with the axes or are unknown: {', '.join(sorted(extra))}"
         )
     # every cell must be a valid parameter point; no axis value lies below its
-    # start, so the corner at both starts checks the whole grid
+    # start, so the corner at both starts checks the whole grid, with the
+    # stop of a p axis for the upper bound of p
     corner = {x_axis.name: x_axis.start, y_axis.name: y_axis.start, **fixed}
     GravcatParams(
         corner["omega"], corner["gamma"], corner["T"], allow_degenerate_omega=allow_zero_omega
     )
-    axis_p = [bound for a in (x_axis, y_axis) if a.name == "p" for bound in (a.start, a.stop)]
-    if not all(0.0 <= p <= 1.0 for p in axis_p + [fixed.get("p", 0.0)]):
-        raise InvalidParameterError("p: measurement strength must lie in [0, 1]")
+    for strength in [corner.get("p", 0.0)] + [a.stop for a in (x_axis, y_axis) if a.name == "p"]:
+        check_strength(strength)
 
     x_values, y_values = x_axis.values(), y_axis.values()
     point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
     q = 1.0 - point["p"] if "p" in point else 1.0
     try:
-        values = chi(point["omega"], point["gamma"], point["T"], q)
+        _, entropy_state, entropy_average, _ = engine_function(
+            point["omega"], point["gamma"], point["T"], q
+        )
     except LocatedError as exc:
         iy, ix = exc.index[:2]
         cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
         coords = ", ".join(f"{k}={v:g}" for k, v in sorted(cell.items()))
         raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
+    values = entropy_average - entropy_state
     return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=values, engine=engine)
 
 

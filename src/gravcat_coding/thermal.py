@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _closed_form_terms, x_state
-from .linalg import DensityMatrix, PAULI_I, PAULI_X, PAULI_Z, eigh, from_spectrum, tensor
+from .closed_form import ThermalTerms, _thermal_terms, x_state
+from .linalg import PAULI_I, PAULI_X, PAULI_Z, check_density, eigh, from_spectrum, tensor
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
@@ -29,7 +29,7 @@ class DegenerateGeometryError(ValueError):
     """Well geometry with no real inter-axis distance (L >= d_prime)."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(InvalidParameterError):
     """Measurement strength outside [0, 1]."""
 
 
@@ -38,6 +38,15 @@ def check_strength(strength: float) -> float:
     if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
         raise OutOfRangeError(f"measurement strength must lie in [0, 1], got {strength!r}")
     return strength
+
+
+def check_temperature(temperature: float) -> float:
+    """Return the temperature, raising ``InvalidParameterError`` below ``MIN_TEMPERATURE``."""
+    if not (math.isfinite(temperature) and temperature >= MIN_TEMPERATURE):
+        raise InvalidParameterError(
+            f"temperature must be positive (minimum {MIN_TEMPERATURE:g} in natural units)"
+        )
+    return temperature
 
 
 @dataclass(frozen=True)
@@ -65,10 +74,7 @@ class GravcatParams:
             )
         if self.gamma < 0.0:
             raise InvalidParameterError("gamma must be nonnegative")
-        if self.temperature < MIN_TEMPERATURE:
-            raise InvalidParameterError(
-                f"temperature must be positive (minimum {MIN_TEMPERATURE:g} in natural units)"
-            )
+        check_temperature(self.temperature)
 
     @property
     def theta(self) -> float:
@@ -129,46 +135,14 @@ def build_hamiltonian(params: GravcatParams) -> np.ndarray:
     return _hamiltonian(params.omega, params.gamma)
 
 
-@dataclass(frozen=True)
-class ThermalClosedForm:
-    """Nonzero entries of the thermal state (see ``closed_form.x_state``), plus its scales.
-
-    ``partition_function`` is 2[cosh(theta/T) + cosh(gamma/T)]; it overflows
-    to inf below T ~ theta/709, but the entries themselves are evaluated in
-    shifted exponential form and stay finite for any valid temperature.
-    """
-
-    alpha_minus: float
-    alpha_plus: float
-    beta: float
-    kappa: float
-    eta: float
-    partition_function: float
-    theta: float
-
-
-def thermal_closed_form(params: GravcatParams) -> ThermalClosedForm:
+def thermal_closed_form(params: GravcatParams) -> ThermalTerms:
     """Closed-form thermal-state entries (see ``closed_form`` for the formulas)."""
-    terms = _closed_form_terms(params.omega, params.gamma, params.temperature, 1.0)
-    x = params.theta / params.temperature
-    if x <= 700.0:
-        partition = 2.0 * (math.cosh(x) + math.cosh(params.gamma / params.temperature))
-    else:
-        partition = math.inf
-    return ThermalClosedForm(
-        alpha_minus=float(terms.alpha_minus),
-        alpha_plus=float(terms.alpha_plus),
-        beta=float(terms.beta),
-        kappa=float(terms.kappa),
-        eta=float(terms.eta),
-        partition_function=partition,
-        theta=params.theta,
-    )
+    return _thermal_terms(params.omega, params.gamma, params.temperature)
 
 
-def assemble_thermal_state(cf: ThermalClosedForm) -> DensityMatrix:
+def assemble_thermal_state(cf: ThermalTerms) -> np.ndarray:
     """Build and validate the 4x4 thermal state from its closed-form entries."""
-    return DensityMatrix.from_array(x_state(cf), check_psd=True)
+    return check_density(x_state(cf), check_psd=True)
 
 
 def _gibbs(hamiltonian, temperature) -> np.ndarray:
@@ -194,10 +168,6 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
     return from_spectrum(spec.eigenvectors, weights / weights.sum(axis=-1, keepdims=True))
 
 
-def gibbs_numeric(hamiltonian, temperature: float) -> DensityMatrix:
+def gibbs_numeric(hamiltonian, temperature: float) -> np.ndarray:
     """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`)."""
-    if not (math.isfinite(temperature) and temperature >= MIN_TEMPERATURE):
-        raise InvalidParameterError(
-            f"temperature must be positive (minimum {MIN_TEMPERATURE:g} in natural units)"
-        )
-    return DensityMatrix(_gibbs(hamiltonian, temperature), validated=True)
+    return _gibbs(hamiltonian, check_temperature(temperature))

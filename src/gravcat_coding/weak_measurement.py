@@ -20,36 +20,29 @@ from .closed_form import (
     _post_selected_terms,
     _thermal_terms,
     check_success,
+    closed_form_engine,
     x_state,
 )
-from .coding import CapacityReport, _chi, _entropies, capacity_report, closed_form_report
-from .linalg import DensityMatrix, two_qubit_matrix
-from .thermal import GravcatParams, ThermalClosedForm, _gibbs, _hamiltonian, check_strength
+from .coding import CapacityReport, _entropies, engine_report
+from .linalg import two_qubit_matrix
+from .thermal import GravcatParams, _gibbs, _hamiltonian, check_strength
 
 
 @dataclass(frozen=True)
 class PostSelectedState:
     """Normalized surviving state plus the probability of the kept branch."""
 
-    state: DensityMatrix
+    state: np.ndarray
     success_probability: float
-
-
-def qwm_operator(strength: float) -> np.ndarray:
-    """Single-qubit measurement operator diag(1, sqrt(1 - p)).
-
-    Leaves |0> untouched and damps |1>; p = 0 is the identity, p = 1 the
-    projector onto |0>.
-    """
-    check_strength(strength)
-    return np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - strength)]], dtype=complex)
 
 
 def _post_select(rho, q):
     """(Q(x)Q) rho (Q(x)Q)^dagger / P_s and P_s over a stack, with Q = diag(1, sqrt(q)).
 
-    Q(x)Q is diagonal with k = (1, s, s, s^2), s = sqrt(q), so the
-    conjugation scales entry (i, j) by k_i k_j.
+    Q leaves |0> untouched and damps |1>: q = 1 (p = 0) is the identity and
+    q = 0 (p = 1) the projector onto |0>.  Q(x)Q is diagonal with
+    k = (1, s, s, s^2), s = sqrt(q), so the conjugation scales entry (i, j)
+    by k_i k_j.
     """
     s = np.sqrt(np.asarray(q, dtype=float))
     k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)
@@ -66,32 +59,29 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     allowed as long as the surviving branch has nonzero probability.
     """
     state, success = _post_select(two_qubit_matrix(rho), 1.0 - check_strength(strength))
-    return PostSelectedState(
-        state=DensityMatrix(state, validated=True), success_probability=float(success)
-    )
+    return PostSelectedState(state=state, success_probability=float(success))
+
+
+def numeric_engine(omega, gamma, temperature, q):
+    """(spectrum, S(rho), S(rho_bar), success) through the matrix route, with q = 1 - p.
+
+    Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
+    each on the whole stack of 4x4 matrices over the broadcast inputs; no
+    closed form enters.  Inputs are not validated here (``GravcatParams``
+    holds the domain rules).
+    """
+    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
+    state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
+    return (*_entropies(state), success)
 
 
 def chi_numeric(omega, gamma, temperature, q=1.0):
-    """Dense-coding capacity through the matrix route, over broadcast arrays, with q = 1 - p.
-
-    Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
-    each on the whole stack of 4x4 matrices; no closed form enters.  Inputs
-    are not validated here (``GravcatParams`` holds the domain rules).
-    """
-    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
-    return _chi(_post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)[0])
+    """Dense-coding capacity of `numeric_engine`: chi = S(rho_bar) - S(rho)."""
+    _, entropy_state, entropy_average, _ = numeric_engine(omega, gamma, temperature, q)
+    return entropy_average - entropy_state
 
 
-def numeric_report(params: GravcatParams, strength: float | None = None) -> CapacityReport:
-    """Capacity report of the numeric engine; ``strength=None`` means no measurement."""
-    state = _gibbs(_hamiltonian(params.omega, params.gamma), params.temperature)
-    success = None
-    if strength is not None:
-        state, success = _post_select(state, 1.0 - check_strength(strength))
-    return capacity_report(*_entropies(state), strength, success)
-
-
-def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelectedState:
+def wm_state_closed_form(cf: ThermalTerms, strength: float) -> PostSelectedState:
     """Closed-form post-selected thermal state (dual route to `apply_qwm`).
 
     With q = 1 - p the surviving state keeps the X pattern (see `x_state`),
@@ -100,8 +90,7 @@ def wm_state_closed_form(cf: ThermalClosedForm, strength: float) -> PostSelected
     q = 1.0 - check_strength(strength)
     success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
     check_success(success)
-    m = x_state(cf, q) / success
-    return PostSelectedState(state=DensityMatrix(m, validated=True), success_probability=success)
+    return PostSelectedState(state=x_state(cf, q) / success, success_probability=float(success))
 
 
 def capacity_wm_closed_form(params: GravcatParams, strength: float) -> CapacityReport:
@@ -112,7 +101,7 @@ def capacity_wm_closed_form(params: GravcatParams, strength: float) -> CapacityR
     the state is the |00> projector and chi is exactly 1, unless that
     branch has vanishing probability (``ZeroSuccessProbabilityError``).
     """
-    return closed_form_report(params, strength)
+    return engine_report(closed_form_engine, params, strength)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import gravcat_coding.verify as verify_module
-from gravcat_coding import GravcatParams, capacity_closed_form
-from gravcat_coding.cli import main
+from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, capacity_closed_form
+from gravcat_coding import cell_capacity, evaluate_sweep
+from gravcat_coding.cli import build_parser, main
 
 
 def load_script(name: str):
@@ -65,6 +66,26 @@ def test_capacity_engines_agree(capsys):
     closed, numeric = json.loads(closed), json.loads(numeric)
     assert abs(closed["chi"] - numeric["chi"]) < 1e-9
     assert abs(closed["success_probability"] - numeric["success_probability"]) < 1e-12
+
+
+def test_capacity_numeric_bits_equal_sweep_cells(capsys):
+    # the command, cell_capacity and a sweep cell read one engine table, so a
+    # point gets the same bits from each, with or without --p; the parser is
+    # built once, as building it costs more than the point
+    parser = build_parser()
+    for u1, u2, u3, u4 in SplitMix64(2026).next_floats(4 * 500).reshape(500, 4).tolist():
+        w, g, t, p = 3.0 * (1.0 - u1), 3.0 * u2, 0.01 + 1.99 * u3, 0.99 * u4
+        for extra, fixed in (((), {"T": t}), (("--p", repr(p)), {"T": t, "p": p})):
+            argv = ["--omega", repr(w), "--gamma", repr(g), "--temp", repr(t), *extra]
+            args = parser.parse_args(["capacity", "--engine", "numeric", *argv])
+            assert args.handler(args) == 0
+            chi = json.loads(capsys.readouterr().out)["chi"]
+            grid = evaluate_sweep(
+                AxisSpec("omega", w, w + 1.0, 2), AxisSpec("gamma", g, g + 1.0, 2), fixed,
+                engine="numeric",
+            )
+            cell = cell_capacity("numeric", w, g, t, fixed.get("p"))
+            assert chi == cell == grid.values[0, 0], (w, g, t, extra)
 
 
 def test_capacity_invalid_temperature(capsys):

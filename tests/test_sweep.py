@@ -12,6 +12,7 @@ from gravcat_coding import (
     FIGURES,
     InvalidParameterError,
     InvalidStateError,
+    OutOfRangeError,
     SweepGrid,
     cell_capacity,
     chi_numeric,
@@ -62,6 +63,13 @@ def test_axis_domain_validation():
         evaluate_sweep(
             AxisSpec("p", 0.0, 1.2, 3), AxisSpec("T", 0.1, 1.0, 3), {"omega": 1.0, "gamma": 1.0}
         )
+    # the strength rule of the scalar reports, for an axis or a fixed p
+    for x_axis, fixed in (
+        (AxisSpec("p", -0.5, 0.5, 3), {"omega": 1.0, "gamma": 1.0}),
+        (AxisSpec("omega", 0.5, 1.0, 3), {"gamma": 1.0, "p": float("nan")}),
+    ):
+        with pytest.raises(OutOfRangeError, match=r"must lie in \[0, 1\], got"):
+            evaluate_sweep(x_axis, AxisSpec("T", 0.1, 1.0, 3), fixed)
     # omega = 0 allowed with the explicit override
     grid = evaluate_sweep(
         AxisSpec("omega", 0.0, 1.0, 2),

@@ -14,10 +14,11 @@ from gravcat_coding import (
     build_hamiltonian,
     coupling_from_geometry,
     eigh,
+    entropy_bits,
     gibbs_numeric,
-    partial_trace_first,
     thermal_closed_form,
 )
+from gravcat_coding.linalg import _partial_trace_first
 from conftest import boltzmann_weights, gravcat_params
 
 
@@ -120,7 +121,7 @@ def test_closed_form_matches_unshifted_formulas():
     assert math.isclose(cf.beta, math.cosh(0.7 / 0.9) / z, rel_tol=1e-13)
     assert math.isclose(cf.kappa, 0.7 * math.sinh(theta / 0.9) / (z * theta), rel_tol=1e-13)
     assert math.isclose(cf.eta, math.sinh(0.7 / 0.9) / z, rel_tol=1e-13)
-    assert math.isclose(cf.partition_function, z, rel_tol=1e-13)
+    assert math.isclose(cf.z, z * math.exp(-theta / 0.9), rel_tol=1e-13)  # Z exp(-theta/T)
 
 
 def test_closed_form_infinite_temperature_limit():
@@ -140,11 +141,10 @@ def test_closed_form_zero_coupling_kills_offdiagonals():
 @settings(max_examples=80)
 def test_closed_form_invariants(params):
     cf = thermal_closed_form(params)
-    assert math.isclose(cf.theta**2, params.omega**2 + params.gamma**2, rel_tol=1e-12)
+    assert math.isclose(params.theta**2, params.omega**2 + params.gamma**2, rel_tol=1e-12)
     assert abs(cf.alpha_minus + cf.alpha_plus + 2.0 * cf.beta - 1.0) < 1e-12
     assert cf.alpha_minus > 0.0 and cf.alpha_plus > 0.0 and cf.beta > 0.0
     assert cf.kappa >= 0.0 and cf.eta >= 0.0
-    assert cf.partition_function > 0.0
 
 
 @given(gravcat_params())
@@ -152,14 +152,15 @@ def test_closed_form_invariants(params):
 def test_closed_form_state_matches_gibbs_oracle(params):
     rho_cf = assemble_thermal_state(thermal_closed_form(params))
     rho_num = gibbs_numeric(build_hamiltonian(params), params.temperature)
-    assert np.abs(rho_cf.matrix - rho_num.matrix).max() < 1e-10
+    assert np.abs(rho_cf - rho_num).max() < 1e-10
 
 
 # --------------------------------------------------- assembled state
 
 def test_assembled_hot_state_is_maximally_mixed():
     rho = assemble_thermal_state(thermal_closed_form(GravcatParams(1.0, 0.0, 1e9)))
-    assert np.abs(rho.matrix - np.eye(4) / 4.0).max() < 1e-8
+    assert np.abs(rho - np.eye(4) / 4.0).max() < 1e-8
+    assert rho.shape == (4, 4) and rho.dtype == np.float64
 
 
 def test_assembled_cold_state_is_ground_projector():
@@ -167,21 +168,13 @@ def test_assembled_cold_state_is_ground_projector():
     rho = assemble_thermal_state(thermal_closed_form(params))
     spec = eigh(build_hamiltonian(params))
     ground = spec.eigenvectors[:, -1]  # eigenvalues sorted descending
-    fidelity = float((ground.conj() @ rho.matrix @ ground).real)
+    fidelity = float((ground.conj() @ rho @ ground).real)
     assert fidelity > 1.0 - 1e-6
 
 
 def test_assemble_rejects_non_positive_entries():
     cf = thermal_closed_form(GravcatParams(1.0, 1.0, 1.0))
-    broken = type(cf)(
-        alpha_minus=-0.2,
-        alpha_plus=cf.alpha_plus + cf.alpha_minus + 0.2,
-        beta=cf.beta,
-        kappa=cf.kappa,
-        eta=cf.eta,
-        partition_function=cf.partition_function,
-        theta=cf.theta,
-    )
+    broken = cf._replace(alpha_minus=-0.2, alpha_plus=cf.alpha_plus + cf.alpha_minus + 0.2)
     with pytest.raises(InvalidStateError):
         assemble_thermal_state(broken)
 
@@ -191,26 +184,38 @@ def test_assemble_rejects_non_positive_entries():
 def test_gibbs_infinite_temperature():
     h = build_hamiltonian(GravcatParams(3.0, 2.0, 1.0))
     rho = gibbs_numeric(h, 1e12)
-    assert np.abs(rho.matrix - np.eye(4) / 4.0).max() < 1e-9
+    assert np.abs(rho - np.eye(4) / 4.0).max() < 1e-9
 
 
 def test_gibbs_diagonal_hamiltonian():
     rho = gibbs_numeric(np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex), 1.0)
     weights = np.array([math.exp(-1.0), 1.0, 1.0, math.exp(1.0)])
-    assert np.allclose(rho.matrix, np.diag(weights / weights.sum()), atol=1e-14)
+    assert np.allclose(rho, np.diag(weights / weights.sum()), atol=1e-14)
+    assert rho.dtype == np.complex128  # complex input stays complex
 
 
 def test_gibbs_spectrum_is_boltzmann():
     params = GravcatParams(1.0, 1.0, 1.0)
     rho = gibbs_numeric(build_hamiltonian(params), 1.0)
     expected = boltzmann_weights(1.0, 1.0, 1.0)
-    assert np.allclose(eigh(rho.matrix).eigenvalues, expected, atol=1e-12)
+    assert np.allclose(eigh(rho).eigenvalues, expected, atol=1e-12)
+    assert isinstance(rho, np.ndarray) and rho.dtype == np.float64
 
 
 def test_gibbs_rejects_bad_temperature():
     h = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(InvalidParameterError, match="temperature must be positive"):
         gibbs_numeric(h, 0.0)
+    # one rule for both: the same message at the same bound
+    for temperature in (0.0, 0.5e-6, math.inf):
+        with pytest.raises(InvalidParameterError, match="minimum 1e-06") as from_gibbs:
+            gibbs_numeric(h, temperature)
+        if math.isfinite(temperature):
+            with pytest.raises(InvalidParameterError) as from_params:
+                GravcatParams(1.0, 1.0, temperature)
+            assert str(from_params.value) == str(from_gibbs.value)
+    assert gibbs_numeric(h, 1e-6).shape == (2, 2)
+    assert GravcatParams(1.0, 1.0, 1e-6).temperature == 1e-6
 
 
 @given(gravcat_params())
@@ -218,25 +223,23 @@ def test_gibbs_rejects_bad_temperature():
 def test_thermal_spectrum_law(params):
     rho = assemble_thermal_state(thermal_closed_form(params))
     expected = boltzmann_weights(params.omega, params.gamma, params.temperature)
-    assert np.abs(eigh(rho.matrix).eigenvalues - expected).max() < 1e-10
+    assert np.abs(eigh(rho).eigenvalues - expected).max() < 1e-10
 
 
 def test_thermal_entropy_matches_boltzmann_oracle():
-    from gravcat_coding import von_neumann_entropy
-
     params = GravcatParams(1.0, 1.0, 1.0)
     rho = assemble_thermal_state(thermal_closed_form(params))
     weights = boltzmann_weights(1.0, 1.0, 1.0)
     expected = float(-(weights * np.log2(weights)).sum())
-    assert abs(von_neumann_entropy(rho) - expected) < 1e-12
+    assert abs(float(entropy_bits(eigh(rho).eigenvalues)) - expected) < 1e-12
 
 
 def test_partial_trace_of_thermal_state():
     params = GravcatParams(1.0, 1.0, 1.0)
     cf = thermal_closed_form(params)
-    reduced = partial_trace_first(assemble_thermal_state(cf))
+    reduced = _partial_trace_first(assemble_thermal_state(cf))
     expected = np.diag([cf.alpha_minus + cf.beta, cf.alpha_plus + cf.beta])
-    assert np.abs(reduced.matrix - expected).max() < 1e-14
+    assert np.abs(reduced - expected).max() < 1e-14
 
 
 # ------------------------------------------------------ deep cold
@@ -250,10 +253,10 @@ def test_deep_cold_entries_stay_finite():
         assert all(math.isfinite(v) for v in entries)
         assert abs(cf.alpha_minus + cf.alpha_plus + 2.0 * cf.beta - 1.0) < 1e-10
         rho = assemble_thermal_state(cf)
-        assert abs(float(np.trace(rho.matrix).real) - 1.0) < 1e-10
+        assert abs(float(np.trace(rho).real) - 1.0) < 1e-10
 
 
 def test_minimum_temperature_still_finite():
     cf = thermal_closed_form(GravcatParams(5.0, 5.0, 1e-6))
     assert math.isfinite(cf.alpha_minus) and math.isfinite(cf.kappa)
-    assert cf.partition_function == math.inf  # raw cosh overflows; entries do not
+    assert math.isfinite(cf.z)  # Z exp(-theta/T): the raw Z = 2 cosh(...) would overflow

@@ -53,19 +53,19 @@ def per_sample_route(samples: int, seed: int) -> dict:
         wm_kraus = apply_qwm(rho_cf, strength)
         wm_num = apply_qwm(rho_num, strength).state
         found = {
-            "thermal_state_closed_vs_numeric": [_max_abs(rho_cf.matrix, rho_num.matrix)],
+            "thermal_state_closed_vs_numeric": [_max_abs(rho_cf, rho_num)],
             "capacity_closed_vs_numeric": [
                 abs(capacity_closed_form(params).chi - capacity_numeric(rho_num).chi)
             ],
             "wm_state_closed_vs_kraus": [
-                _max_abs(wm_cf.state.matrix, wm_kraus.state.matrix),
+                _max_abs(wm_cf.state, wm_kraus.state),
                 abs(wm_cf.success_probability - wm_kraus.success_probability),
             ],
             "wm_capacity_closed_vs_numeric": [
                 abs(capacity_wm_closed_form(params, strength).chi - capacity_numeric(wm_num).chi)
             ],
             "twirl_vs_marginal_identity": [
-                _max_abs(ensemble_average(rho).matrix, ensemble_average_via_marginal(rho).matrix)
+                _max_abs(ensemble_average(rho), ensemble_average_via_marginal(rho))
                 for rho in (rho_num, wm_num)
             ],
         }

@@ -20,10 +20,10 @@ from gravcat_coding import (
     golden_section_maximize,
     optimize_strength,
     optimize_strength_many,
-    qwm_operator,
     thermal_closed_form,
     wm_state_closed_form,
 )
+from gravcat_coding.weak_measurement import _post_select
 from conftest import basis_projector, finite_floats, gravcat_params
 
 
@@ -33,22 +33,33 @@ def thermal_state(omega, gamma, temperature):
 
 # ------------------------------------------------------- the operator
 
+def kraus_conjugation(q):
+    """(Q(x)Q) J (Q(x)Q)^dagger for the all-ones J, with Q = diag(1, sqrt(q)): the
+    factor `_post_select` applies to each entry before it renormalizes."""
+    state, success = _post_select(np.ones((4, 4)) / 4.0, q)
+    return 4.0 * success * state
+
+
 def test_operator_endpoints():
-    assert np.array_equal(qwm_operator(0.0), np.eye(2, dtype=complex))
-    assert np.array_equal(qwm_operator(1.0), np.diag([1.0, 0.0]).astype(complex))
+    # p = 0 (q = 1) is the identity, p = 1 (q = 0) the projector onto |0>(x)|0>
+    assert np.array_equal(kraus_conjugation(1.0), np.ones((4, 4)))
+    assert np.array_equal(kraus_conjugation(0.0), basis_projector(0).real)
 
 
 def test_operator_intermediate_strength():
-    assert np.allclose(qwm_operator(0.75), np.diag([1.0, 0.5]), atol=1e-15)
+    # p = 0.75 gives Q = diag(1, 0.5), so Q(x)Q = diag(1, 0.5, 0.5, 0.25)
+    k = np.array([1.0, 0.5, 0.5, 0.25])
+    assert np.allclose(kraus_conjugation(0.25), np.outer(k, k), atol=1e-15)
 
 
 def test_operator_rejects_out_of_range():
+    rho = np.eye(4) / 4.0
     with pytest.raises(OutOfRangeError):
-        qwm_operator(-0.1)
+        apply_qwm(rho, -0.1)
     with pytest.raises(OutOfRangeError):
-        qwm_operator(1.1)
+        apply_qwm(rho, 1.1)
     with pytest.raises(OutOfRangeError):
-        qwm_operator(math.nan)
+        apply_qwm(rho, math.nan)
 
 
 # --------------------------------------------------- state conjugation
@@ -56,14 +67,14 @@ def test_operator_rejects_out_of_range():
 def test_zero_strength_is_identity():
     rho = thermal_state(1.0, 1.0, 1.0)
     out = apply_qwm(rho, 0.0)
-    assert np.abs(out.state.matrix - rho.matrix).max() < 1e-14
+    assert np.abs(out.state - rho).max() < 1e-14 and out.state.dtype == np.float64
     assert abs(out.success_probability - 1.0) < 1e-12
 
 
 def test_full_strength_projects_onto_ground_corner():
     cf = thermal_closed_form(GravcatParams(1.0, 1.0, 1.0))
     out = apply_qwm(assemble_thermal_state(cf), 1.0)
-    assert np.abs(out.state.matrix - basis_projector(0)).max() < 1e-12
+    assert np.abs(out.state - basis_projector(0)).max() < 1e-12
     assert abs(out.success_probability - cf.alpha_minus) < 1e-14
 
 
@@ -87,7 +98,7 @@ def test_half_strength_entry_pattern():
             [0.5 * cf.kappa, 0.0, 0.0, 0.25 * cf.alpha_plus],
         ]
     ) / expected_ps
-    assert np.abs(out.state.matrix - expected).max() < 1e-12
+    assert np.abs(out.state - expected).max() < 1e-12
     assert abs(out.success_probability - expected_ps) < 1e-12
 
 
@@ -97,7 +108,7 @@ def test_closed_form_state_matches_kraus_route(params, strength):
     cf = thermal_closed_form(params)
     closed = wm_state_closed_form(cf, strength)
     kraus = apply_qwm(assemble_thermal_state(cf), strength)
-    assert np.abs(closed.state.matrix - kraus.state.matrix).max() < 1e-12
+    assert np.abs(closed.state - kraus.state).max() < 1e-12
     assert abs(closed.success_probability - kraus.success_probability) < 1e-12
 
 
@@ -140,7 +151,7 @@ def test_projective_endpoint_with_vanishing_branch_is_one_bit():
     assert report.chi == 1.0 and report.success_probability == 0.0
     assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ZeroSuccessProbabilityError):
-        wm_module.numeric_report(params, 1.0)
+        wm_module.numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
