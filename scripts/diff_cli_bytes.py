@@ -6,19 +6,22 @@
 Each command of ``COMMANDS`` runs once per tree in a fresh
 ``python -m gravcat_coding`` process with ``PYTHONPATH=<tree>/src``, inside
 an empty working directory, so a relative ``--output`` lands there.  The
-exit code, the stdout bytes and every file the command writes are compared;
-stderr is not (it can carry paths).  The list covers every subcommand, both
-engines, CSV and JSON output, all ten figure presets, grids whose cells
-print in scientific notation or as exact values such as 1.0, and ``verify``
-at its default 1000 samples and seed 42.  Each command that differs is
-printed with what differs; where a differing output holds as many numbers in
-both trees, the largest absolute difference between corresponding numbers
-is printed with it.  The exit code is 1 on any difference and 0 otherwise.
+exit code, the stdout bytes and every file the command writes are compared.
+Of stderr only the ``error`` class of the JSON error object is compared, on
+a command that exits 2; the rest of stderr can carry paths.  The list covers
+every subcommand, both engines, CSV and JSON output, all ten figure presets,
+grids whose cells print in scientific notation or as exact values such as
+1.0, domain errors, and ``verify`` at its default 1000 samples and seed 42.
+Each command that differs is printed with what differs; where a differing
+output holds as many numbers in both trees, the largest absolute difference
+between corresponding numbers is printed with it.  The exit code is 1 on
+any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -46,6 +49,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
+    ("sweep", "--x", "T:0.1:2:3", "--y", "p:0:1.5:4", "--omega", "1", "--gamma", "1"),
+    ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
+    ("figure", "5a", "--x", "T:1e-7:1:3"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "capacity.json"),
     *(
         ("sweep", "--x", "gamma:0:3:17", "--y", "omega:0.01:3:9", "--temp", "0.01", "--p", "0.7",
@@ -95,24 +101,37 @@ def _described(name: str, base: bytes | None, head: bytes | None) -> str:
     return name if diff is None else f"{name} max |number difference| {diff:.3g}"
 
 
-def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes]]:
-    """(exit code, stdout, written files by name) of one fresh CLI process."""
+def error_class(stderr: bytes) -> str | None:
+    """The ``error`` field of the JSON error object on the last stderr line, or None."""
+    try:
+        return json.loads(stderr.splitlines()[-1])["error"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None  # no JSON error object, such as an argparse usage error
+
+
+def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes], str | None]:
+    """(exit code, stdout, written files by name, error class on exit 2) of one
+    fresh CLI process."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     with tempfile.TemporaryDirectory() as workdir:
         proc = subprocess.run(
             [sys.executable, "-m", "gravcat_coding", *argv],
-            cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False,
+            cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
         )
         files = {p.name: p.read_bytes() for p in sorted(Path(workdir).iterdir())}
-    return proc.returncode, proc.stdout, files
+    error = error_class(proc.stderr) if proc.returncode == 2 else None
+    return proc.returncode, proc.stdout, files, error
 
 
 def differences(base, head) -> list[str]:
     """What differs between two ``run`` results, empty when they match."""
-    (base_code, base_out, base_files), (head_code, head_out, head_files) = base, head
+    base_code, base_out, base_files, base_error = base
+    head_code, head_out, head_files, head_error = head
     found = []
     if base_code != head_code:
         found.append(f"exit {base_code} != {head_code}")
+    if base_error != head_error:
+        found.append(f"error {base_error} != {head_error}")
     if base_out != head_out:
         found.append(_described("stdout", base_out, head_out))
     for name in sorted(base_files.keys() | head_files.keys()):

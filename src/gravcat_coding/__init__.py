@@ -12,16 +12,10 @@ from .linalg import (
     NonFiniteResultError,
     NotHermitianError,
     NumericalNoiseWarning,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Spectrum,
     eigh,
     entropy_bits,
     matrix_function,
     require_hermitian,
-    tensor,
 )
 from .thermal import (
     DegenerateGeometryError,
@@ -92,12 +86,7 @@ __all__ = [
     "NotHermitianError",
     "NumericalNoiseWarning",
     "OutOfRangeError",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "PostSelectedState",
-    "Spectrum",
     "SplitMix64",
     "SweepGrid",
     "TOOL_NAME",
@@ -131,7 +120,6 @@ __all__ = [
     "render_csv",
     "render_json",
     "require_hermitian",
-    "tensor",
     "thermal_closed_form",
     "verification_report",
     "wm_state_closed_form",

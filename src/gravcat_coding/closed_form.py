@@ -33,39 +33,6 @@ def check_success(success) -> None:
     ZeroSuccessProbabilityError.raise_first(success < MIN_SUCCESS_PROBABILITY, success, message)
 
 
-class ClosedFormTerms(NamedTuple):
-    """Thermal entries, success probability, post-selected spectrum and averaged halves.
-
-    The entries are those of `x_state`; the Pauli-averaged state is
-    diag(nu, mu, nu, mu) / 2.
-    """
-
-    alpha_minus: np.ndarray
-    alpha_plus: np.ndarray
-    beta: np.ndarray
-    kappa: np.ndarray
-    eta: np.ndarray
-    success: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    nu: np.ndarray
-    mu: np.ndarray
-
-
-def x_state(entries, q=1.0) -> np.ndarray:
-    """Stack of X-shaped states diag(alpha_minus, beta, beta, alpha_plus), with kappa
-    on the outer anti-diagonal and eta between the middle basis states, from the
-    entries of a ``ClosedFormTerms`` or a ``ThermalTerms``.  The weak
-    measurement that keeps amplitude q scales kappa, beta and eta by q and
-    alpha_plus by q^2; the result is not normalized."""
-    corner, middle, coherence = entries.kappa * q, entries.beta * q, entries.eta * q
-    m = np.zeros(np.shape(corner) + (4, 4))
-    m[..., 0, 0], m[..., 3, 3] = entries.alpha_minus, entries.alpha_plus * q * q
-    m[..., 0, 3] = m[..., 3, 0] = corner
-    m[..., 1, 1] = m[..., 2, 2] = middle
-    m[..., 1, 2] = m[..., 2, 1] = coherence
-    return m
-
-
 class ThermalTerms(NamedTuple):
     """Entries of the thermal state (see `x_state`) and the shifted Boltzmann factors.
 
@@ -83,6 +50,32 @@ class ThermalTerms(NamedTuple):
     exy: np.ndarray
     ey2: np.ndarray
     z: np.ndarray
+
+
+class ClosedFormTerms(NamedTuple):
+    """Success probability, post-selected spectrum and averaged halves.
+
+    The Pauli-averaged state is diag(nu, mu, nu, mu) / 2.
+    """
+
+    success: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    nu: np.ndarray
+    mu: np.ndarray
+
+
+def x_state(thermal: ThermalTerms, q=1.0) -> np.ndarray:
+    """Stack of X-shaped states diag(alpha_minus, beta, beta, alpha_plus), with kappa
+    on the outer anti-diagonal and eta between the middle basis states.  The
+    weak measurement that keeps amplitude q scales kappa, beta and eta by q
+    and alpha_plus by q^2; the result is not normalized."""
+    corner, middle, coherence = thermal.kappa * q, thermal.beta * q, thermal.eta * q
+    m = np.zeros(np.shape(corner) + (4, 4))
+    m[..., 0, 0], m[..., 3, 3] = thermal.alpha_minus, thermal.alpha_plus * q * q
+    m[..., 0, 3] = m[..., 3, 0] = corner
+    m[..., 1, 1] = m[..., 2, 2] = middle
+    m[..., 1, 2] = m[..., 2, 1] = coherence
+    return m
 
 
 # an exponent such as -2 theta/T can pass the double range; it becomes -inf,
@@ -142,7 +135,7 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     spectrum = tuple(v / kept for v in (corner_hi, corner_lo, *middle))
     nu = (a + beta * q) / kept
     mu = (b + beta * q) / kept
-    return ClosedFormTerms(alpha_minus, alpha_plus, beta, kappa, eta, success, spectrum, nu, mu)
+    return ClosedFormTerms(success, spectrum, nu, mu)
 
 
 def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:

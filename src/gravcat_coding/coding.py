@@ -5,8 +5,8 @@ information one transmitted qubit of the shared pair can carry; rho_bar is
 the average over the four Pauli signal encodings applied to the sender's
 qubit (the first tensor factor).  chi > 1 beats the classical single-qubit
 limit and chi = 2 is the optimum.  Two routes are implemented: the general
-numeric pipeline on any state, and the closed form for gravcat thermal
-states, each serving as the other's oracle.
+numeric pipeline on any real two-qubit state, and the closed form for
+gravcat thermal states, each serving as the other's oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import numpy as np
 
 from .closed_form import closed_form_engine
 from .linalg import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
+    _PAULI_I,
+    _PAULI_X,
+    _PAULI_Z,
     _partial_trace_first,
-    dagger,
+    _symmetrized,
     eigh,
     entropy_bits,
-    tensor,
     two_qubit_matrix,
 )
 from .thermal import GravcatParams, check_strength
@@ -78,9 +77,9 @@ class CapacityReport:
         return out
 
 
-# real signal factors; sigma_x sigma_z stands in for sigma_y (see `_twirl`)
+# sigma_x sigma_z stands in for sigma_y (see `_twirl`)
 _SIGNALS = tuple(
-    tensor(sigma.real, PAULI_I.real) for sigma in (PAULI_I, PAULI_X, PAULI_X @ PAULI_Z, PAULI_Z)
+    np.kron(sigma, _PAULI_I) for sigma in (_PAULI_I, _PAULI_X, _PAULI_X @ _PAULI_Z, _PAULI_Z)
 )
 
 
@@ -90,18 +89,17 @@ def _twirl(rho) -> np.ndarray:
     The four terms are u rho u^dagger for u = s (x) I with s = I, X, Y, Z, in
     that order.  Since sigma_y = i sigma_x sigma_z, the Y term equals
     (sigma_x sigma_z) rho (sigma_x sigma_z)^T, so every u is real and
-    u^dagger = u^T: a real stack stays real and a complex one gets the same sum.
+    u^dagger = u^T.
     """
-    avg = 0.25 * sum(u @ rho @ u.T for u in _SIGNALS)
-    return 0.5 * (avg + dagger(avg))
+    return _symmetrized(0.25 * sum(u @ rho @ u.T for u in _SIGNALS))
 
 
 def _entropies(rho):
     """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states, where
     ``spectrum[i]`` is the i-th largest eigenvalue over the stack."""
-    spectrum = eigh(rho).eigenvalues
+    spectrum = eigh(rho)[0]
     entropy_state = entropy_bits(spectrum)
-    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(eigh(_twirl(rho)).eigenvalues)
+    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(eigh(_twirl(rho))[0])
 
 
 def _chi(rho):
@@ -149,7 +147,7 @@ def capacity_report(
 
 
 def capacity_numeric(rho) -> CapacityReport:
-    """chi = S(ensemble_average(rho)) - S(rho) on an arbitrary two-qubit state."""
+    """chi = S(ensemble_average(rho)) - S(rho) on any real two-qubit state."""
     return capacity_report(*_entropies(two_qubit_matrix(rho)))
 
 

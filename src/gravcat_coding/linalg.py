@@ -1,19 +1,17 @@
-"""Dense Hermitian kernel for the 2x2 / 4x4 problems in this package.
+"""Dense real-symmetric kernel for the 2x2 / 4x4 problems in this package.
 
-Hermitian matrices are plain numpy arrays whose dtype follows the input:
-real symmetric matrices stay float64 and complex ones are complex128.  Every
-kernel here works on stacks: the matrices are the last two axes, anything
-before them indexes the stack.  The eigensolver is ``np.linalg.eigh``, which
-runs LAPACK's ``dsyevd`` on real stacks and ``zheevd`` on complex ones and
-treats each matrix of a stack on its own, so a matrix gets the same bits
-alone or inside any stack.  Everything downstream (entropies, Gibbs
-operators, state oracles) is built on `eigh`.
+Every matrix of the model is real symmetric, so the kernels run in float64.
+Every kernel here works on stacks: the matrices are the last two axes,
+anything before them indexes the stack.  The eigensolver is
+``np.linalg.eigh``, which runs LAPACK's ``dsyevd`` and treats each matrix of
+a stack on its own, so a matrix gets the same bits alone or inside any
+stack.  Everything downstream (entropies, Gibbs operators, state oracles) is
+built on `eigh`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +20,11 @@ TRACE_TOL = 1e-10
 EIG_CLAMP_FLOOR = -1e-10    # eigenvalues in [floor, 0) are silent rounding noise
 EIG_ERROR_FLOOR = -1e-8     # below this the state is genuinely invalid
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# real 2x2 factors of the model's operators; in ``np.kron(a, b)`` the first
+# factor acts on the first qubit, the slow (left) index
+_PAULI_I = np.eye(2)
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class NonFiniteResultError(ArithmeticError):
@@ -59,71 +58,65 @@ class NumericalNoiseWarning(UserWarning):
     """An eigenvalue noticeably below zero was clamped; treat results with care."""
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes."""
-    return a.conj().swapaxes(-1, -2)
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 over the last two axes."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return ``m`` as a float64 array, or as complex128 if it is complex, raising
-    ``NotHermitianError`` unless its last two axes are square and Hermitian
-    within ``tol`` (absolute, element-wise)."""
+def require_hermitian(m) -> np.ndarray:
+    """Return ``m`` as a float64 array, raising ``NotHermitianError`` unless its last
+    two axes are square and symmetric within ``HERMITIAN_TOL`` (absolute,
+    element-wise), and ``TypeError`` on input that is not real."""
     a = np.asarray(m)
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    if np.iscomplexobj(a):
+        raise TypeError(f"expected real matrices, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitianError(f"expected square matrices, got shape {a.shape}")
-    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
-    message = f"matrix deviates from Hermitian symmetry by {{:.3e}} (tolerance {tol:.0e})"
-    NotHermitianError.raise_first(~(dev <= tol), dev, message)  # also catches NaN
+    dev = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    message = f"matrix deviates from Hermitian symmetry by {{:.3e}} (tolerance {HERMITIAN_TOL:.0e})"
+    NotHermitianError.raise_first(~(dev <= HERMITIAN_TOL), dev, message)  # also catches NaN
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in descending order, eigenvectors as matching orthonormal columns."""
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a real symmetric matrix, or of a stack of them.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
-
-    ``np.linalg.eigh`` works on each matrix of the last two axes separately,
-    with LAPACK's ``dsyevd`` on real input and ``zheevd`` on complex input;
-    the order is reversed to descending.
+    The eigenvalues are in descending order and the eigenvectors are the
+    matching orthonormal columns.  ``np.linalg.eigh`` works on each matrix
+    of the last two axes separately, with LAPACK's ``dsyevd``; the order is
+    reversed to descending.
     """
     values, vectors = np.linalg.eigh(require_hermitian(m))
-    return Spectrum(values[..., ::-1], vectors[..., ::-1])
+    return values[..., ::-1], vectors[..., ::-1]
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V^dagger over stacks, re-symmetrized."""
-    out = (vectors * values[..., np.newaxis, :]) @ dagger(vectors)
-    return 0.5 * (out + dagger(out))
+    """V diag(values) V^T over stacks, re-symmetrized."""
+    return _symmetrized((vectors * values[..., np.newaxis, :]) @ vectors.swapaxes(-1, -2))
 
 
 def matrix_function(m, f) -> np.ndarray:
-    """Apply the scalar function ``f`` to a Hermitian matrix through its spectrum.
+    """Apply the scalar function ``f`` to a symmetric matrix through its spectrum.
 
-    Returns V diag(f(lambda)) V^dagger, re-symmetrized.  Raises
+    Returns V diag(f(lambda)) V^T, re-symmetrized.  Raises
     ``NonFiniteResultError`` if ``f`` overflows or yields a non-finite value
     on any eigenvalue.
     """
-    spec = eigh(m)
-    fvals = np.empty_like(spec.eigenvalues)
-    for i, lam in enumerate(spec.eigenvalues):
+    values, vectors = eigh(m)
+    fvals = np.empty_like(values)
+    for i, lam in enumerate(values):
         try:
             fvals[i] = f(float(lam))
         except (OverflowError, ValueError) as exc:
             raise NonFiniteResultError(f"f({lam!r}) did not evaluate to a finite value") from exc
     if not np.isfinite(fvals).all():
         raise NonFiniteResultError("scalar function produced overflow or NaN on the spectrum")
-    return from_spectrum(spec.eigenvectors, fvals)
+    return from_spectrum(vectors, fvals)
 
 
 def check_density(m, *, check_psd: bool = True) -> np.ndarray:
-    """Return the stack re-symmetrized once each matrix is Hermitian, has unit trace
+    """Return the stack re-symmetrized once each matrix is symmetric, has unit trace
     and, with ``check_psd``, no eigenvalue below the clamp floor; otherwise
     raise with the ``index`` of the first matrix that breaks the contract."""
     a = require_hermitian(m)
@@ -132,11 +125,11 @@ def check_density(m, *, check_psd: bool = True) -> np.ndarray:
         np.abs(trace - 1.0) > TRACE_TOL, trace, "trace must be 1, got {:.12g}"
     )
     if check_psd:
-        low = eigh(a).eigenvalues[..., -1]
+        low = eigh(a)[0][..., -1]
         InvalidStateError.raise_first(
             low < EIG_CLAMP_FLOOR, low, "negative eigenvalue {:.3e} violates positivity"
         )
-    return 0.5 * (a + dagger(a))
+    return _symmetrized(a)
 
 
 def entropy_bits(eigenvalues):
@@ -161,13 +154,6 @@ def entropy_bits(eigenvalues):
         )
     kept = np.where(lam <= 0.0, 1.0, lam)  # a clamped value adds 1 log 1 = 0; NaN stays
     return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor is the slow (left) index.
-
-    The dtype follows the factors, so real factors give a real product."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def two_qubit_matrix(rho) -> np.ndarray:

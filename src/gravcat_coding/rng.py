@@ -9,7 +9,6 @@ Output mixing:  z ^= z >> 30;  z *= 0xBF58476D1CE4E5B9;
                 z ^= z >> 27;  z *= 0x94D049BB133111EB;
                 z ^= z >> 31        (all mod 2^64)
 Floats:         (z >> 11) * 2^-53, uniform on [0, 1)
-uniform(lo,hi): lo + u * (hi - lo)
 
 Reference vector: seed 0 produces 0xE220A8397B1DCDAF first.
 
@@ -59,7 +58,3 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits."""
         return float(self.next_floats(1)[0])
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi) (hi excluded up to rounding)."""
-        return lo + (hi - lo) * self.next_float()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ThermalTerms, _thermal_terms, x_state
-from .linalg import PAULI_I, PAULI_X, PAULI_Z, check_density, eigh, from_spectrum, tensor
+from .linalg import _PAULI_I, _PAULI_X, _PAULI_Z, check_density, eigh, from_spectrum
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
@@ -118,9 +118,8 @@ def coupling_from_geometry(geom: GravcatGeometry) -> float:
     return 0.5 * geom.G * geom.mass**2 * (1.0 / d - 1.0 / geom.d_prime)
 
 
-# real factors keep the Hamiltonian, and every matrix built from it, in float64
-_SPLITTING = tensor(PAULI_I.real, PAULI_Z.real) + tensor(PAULI_Z.real, PAULI_I.real)
-_EXCHANGE = tensor(PAULI_X.real, PAULI_X.real)
+_SPLITTING = np.kron(_PAULI_I, _PAULI_Z) + np.kron(_PAULI_Z, _PAULI_I)
+_EXCHANGE = np.kron(_PAULI_X, _PAULI_X)
 
 
 def _hamiltonian(omega, gamma) -> np.ndarray:
@@ -160,12 +159,12 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
         scale = np.where(huge, 2.0**-4, 1.0)
         hamiltonian = hamiltonian * scale[..., np.newaxis, np.newaxis]
         temperature = temperature * scale
-    spec = eigh(hamiltonian)
-    ground = spec.eigenvalues[..., -1:]  # eigenvalues are descending
+    energies, vectors = eigh(hamiltonian)
+    ground = energies[..., -1:]  # eigenvalues are descending
     with np.errstate(over="ignore"):  # a gap/T past the double range is a weight of exactly 0
-        exponents = (ground - spec.eigenvalues) / temperature[..., np.newaxis]
+        exponents = (ground - energies) / temperature[..., np.newaxis]
     weights = np.exp(exponents)
-    return from_spectrum(spec.eigenvectors, weights / weights.sum(axis=-1, keepdims=True))
+    return from_spectrum(vectors, weights / weights.sum(axis=-1, keepdims=True))
 
 
 def gibbs_numeric(hamiltonian, temperature: float) -> np.ndarray:

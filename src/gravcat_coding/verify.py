@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .closed_form import _closed_form_terms, chi_closed_form, x_state
+from .closed_form import _chi_from_terms, _post_selected_terms, _thermal_terms, x_state
 from .coding import _chi, _marginal_replacement, _twirl
 from .linalg import LocatedError, check_density
 from .rng import SplitMix64
@@ -73,15 +73,14 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarray, ...]]:
     """Per check, the deviations of each sample, one array per compared quantity."""
     q = 1.0 - strength
-    plain = _closed_form_terms(omega, gamma, temperature, 1.0)
-    measured = _closed_form_terms(omega, gamma, temperature, q)
-    rho_cf = check_density(x_state(plain))
+    thermal = _thermal_terms(omega, gamma, temperature)
+    plain, measured = _post_selected_terms(thermal, 1.0), _post_selected_terms(thermal, q)
+    rho_cf = check_density(x_state(thermal))
     rho_num = _gibbs(_hamiltonian(omega, gamma), temperature)
-    wm_cf = x_state(plain, q) / measured.success[:, np.newaxis, np.newaxis]
+    wm_cf = x_state(thermal, q) / measured.success[:, np.newaxis, np.newaxis]
     wm_kraus, kraus_success = _post_select(rho_cf, q)
     wm_num, _ = _post_select(rho_num, q)
-    chi_plain = chi_closed_form(omega, gamma, temperature)
-    chi_measured = chi_closed_form(omega, gamma, temperature, q)
+    chi_plain, chi_measured = _chi_from_terms(plain), _chi_from_terms(measured)
     return {
         "thermal_state_closed_vs_numeric": (_max_abs(rho_cf, rho_num),),
         "capacity_closed_vs_numeric": (np.abs(chi_plain - _chi(rho_num)),),

@@ -47,7 +47,7 @@ def _post_select(rho, q):
     s = np.sqrt(np.asarray(q, dtype=float))
     k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)
     kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])
-    success = kept.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    success = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
     check_success(success)
     return kept / success[..., np.newaxis, np.newaxis], success
 
@@ -85,12 +85,15 @@ def wm_state_closed_form(cf: ThermalTerms, strength: float) -> PostSelectedState
     """Closed-form post-selected thermal state (dual route to `apply_qwm`).
 
     With q = 1 - p the surviving state keeps the X pattern (see `x_state`),
-    over P_s = alpha_minus + 2 beta q + alpha_plus q^2.
+    over the success probability of `_post_selected_terms`.  At p = 1 it is
+    |00><00|, also where the weight of that branch underflows to 0, as in
+    `capacity_wm_closed_form`; any other vanishing branch raises
+    ``ZeroSuccessProbabilityError``.
     """
     q = 1.0 - check_strength(strength)
-    success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
-    check_success(success)
-    return PostSelectedState(state=x_state(cf, q) / success, success_probability=float(success))
+    success = _post_selected_terms(cf, q).success
+    state = np.diag([1.0, 0.0, 0.0, 0.0]) if q == 0.0 else x_state(cf, q) / success
+    return PostSelectedState(state=state, success_probability=float(success))
 
 
 def capacity_wm_closed_form(params: GravcatParams, strength: float) -> CapacityReport:

@@ -24,35 +24,29 @@ def finite_floats(lo: float, hi: float):
 
 @st.composite
 def hermitian_matrices(draw, dim: int = 4, scale: float = 1.0):
-    """Hermitian matrices with entries drawn in [-1, 1] and symmetrized."""
+    """Real symmetric matrices with entries drawn in [-1, 1] and symmetrized."""
     n = dim * dim
-    re = draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))
-    im = draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))
-    m = (np.array(re) + 1j * np.array(im)).reshape(dim, dim)
-    return scale * 0.5 * (m + m.conj().T)
+    m = np.array(draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))).reshape(dim, dim)
+    return scale * 0.5 * (m + m.T)
 
 
 @st.composite
 def density_matrices(draw, dim: int = 4):
-    """Full-rank random density matrices (Ginibre plus a small ridge)."""
+    """Full-rank random real density matrices (real Ginibre plus a small ridge)."""
     n = dim * dim
-    re = draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))
-    im = draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))
-    g = (np.array(re) + 1j * np.array(im)).reshape(dim, dim)
-    gram = g @ g.conj().T + 1e-3 * np.eye(dim)
-    return gram / np.trace(gram).real
+    g = np.array(draw(st.lists(finite_floats(-1, 1), min_size=n, max_size=n))).reshape(dim, dim)
+    gram = g @ g.T + 1e-3 * np.eye(dim)
+    return gram / np.trace(gram)
 
 
 @st.composite
 def pure_states(draw, dim: int = 4):
-    """Random pure-state projectors."""
-    re = draw(st.lists(finite_floats(-1, 1), min_size=dim, max_size=dim))
-    im = draw(st.lists(finite_floats(-1, 1), min_size=dim, max_size=dim))
-    vec = np.array(re) + 1j * np.array(im)
+    """Random real pure-state projectors."""
+    vec = np.array(draw(st.lists(finite_floats(-1, 1), min_size=dim, max_size=dim)))
     norm = float(np.linalg.norm(vec))
     assume(norm > 1e-3)
     vec = vec / norm
-    return np.outer(vec, vec.conj())
+    return np.outer(vec, vec)
 
 
 @st.composite
@@ -66,19 +60,19 @@ def gravcat_params(draw, omega_lo: float = 0.05, t_lo: float = 0.05, t_hi: float
 
 def bell_state() -> np.ndarray:
     """(|00> + |11>)/sqrt(2) as a projector."""
-    vec = np.zeros(4, dtype=complex)
+    vec = np.zeros(4)
     vec[0] = vec[3] = 1.0 / math.sqrt(2.0)
-    return np.outer(vec, vec.conj())
+    return np.outer(vec, vec)
 
 
 def basis_projector(index: int, dim: int = 4) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     m[index, index] = 1.0
     return m
 
 
 def maximally_mixed(dim: int = 4) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
+    return np.eye(dim) / dim
 
 
 def boltzmann_weights(omega: float, gamma: float, temperature: float) -> np.ndarray:

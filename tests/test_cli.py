@@ -382,6 +382,25 @@ def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "DIFFERS (stdout max |number difference| 0.1): --version\n1 of 2 commands differ\n"
     )
+    # of stderr only the error class of an exit-2 command counts: a changed
+    # message is no difference, a changed class is one
+    thermal = tmp_path / "src" / "gravcat_coding" / "thermal.py"
+    source = thermal.read_text(encoding="utf-8")
+    reworded = source.replace('f"temperature must be positive', 'f"T must be positive')
+    reclassed = source.replace(
+        'raise InvalidParameterError(\n            f"temperature',
+        'raise OutOfRangeError(\n            f"temperature',
+    )
+    assert source != reworded and source != reclassed
+    thermal.write_text(reworded, encoding="utf-8")
+    assert module.main([str(root), str(tmp_path)], commands=commands[1:2]) == 0
+    assert capsys.readouterr().out == "0 of 1 commands differ\n"
+    thermal.write_text(reclassed, encoding="utf-8")
+    assert module.main([str(root), str(tmp_path)], commands=commands[1:2]) == 1
+    assert capsys.readouterr().out == (
+        "DIFFERS (error InvalidParameterError != OutOfRangeError): "
+        "capacity --omega 1 --gamma 1 --temp 0\n1 of 1 commands differ\n"
+    )
 
 
 def test_diff_cli_bytes_measures_number_differences():

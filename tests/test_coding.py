@@ -5,10 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from gravcat_coding import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     Advantage,
     GravcatParams,
     assemble_thermal_state,
@@ -21,10 +17,9 @@ from gravcat_coding import (
     eigh,
     entropy_bits,
     gibbs_numeric,
-    tensor,
     thermal_closed_form,
 )
-from gravcat_coding.closed_form import _closed_form_terms, x_state
+from gravcat_coding.closed_form import _thermal_terms, x_state
 from gravcat_coding.coding import _twirl
 from gravcat_coding.linalg import _partial_trace_first
 from gravcat_coding.thermal import _gibbs, _hamiltonian
@@ -62,16 +57,23 @@ def test_twirl_of_thermal_state_is_diagonal_halves():
 
 
 def test_twirl_matches_the_complex_pauli_sum():
-    # the real factor sigma_x sigma_z stands in for sigma_y; a complex stack
-    # must get the textbook sum (1/4) sum_s (s (x) I) rho (s (x) I)^dagger
+    # the real factor sigma_x sigma_z stands in for sigma_y; a real stack must
+    # get the textbook sum (1/4) sum_s (s (x) I) rho (s (x) I)^dagger over the
+    # complex Pauli matrices
     rng = np.random.default_rng(20240117)
-    g = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
-    rho = g @ g.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-    signals = [tensor(s, PAULI_I) for s in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]
+    g = rng.standard_normal((64, 4, 4))
+    rho = g @ g.swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+    paulis = (
+        np.eye(2),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, -1.0]]),
+    )
+    signals = [np.kron(s, np.eye(2)) for s in paulis]
     textbook = 0.25 * sum(u @ rho @ u.conj().T for u in signals)
     twirled = _twirl(rho)
-    assert twirled.dtype == np.complex128
+    assert twirled.dtype == np.float64
     assert np.abs(twirled - textbook).max() <= 1e-15
 
 
@@ -82,8 +84,8 @@ def test_numeric_route_runs_in_real_arithmetic(shape):
     hamiltonian = _hamiltonian(omega, gamma)
     rho = _gibbs(hamiltonian, temperature)
     measured = _post_select(rho, q)[0]
-    terms = _closed_form_terms(omega, gamma, temperature, 1.0)
-    for m in (hamiltonian, rho, measured, x_state(terms, q), _twirl(measured)):
+    thermal = _thermal_terms(omega, gamma, temperature)
+    for m in (hamiltonian, rho, measured, x_state(thermal, q), _twirl(measured)):
         assert m.dtype == np.float64 and m.shape == shape + (4, 4)
 
 
@@ -171,7 +173,7 @@ def test_bright_region_reaches_strong_advantage():
 @settings(max_examples=60)
 def test_pure_state_capacity_is_one_plus_entanglement(rho):
     report = capacity_numeric(rho)
-    entanglement = entropy_bits(eigh(_partial_trace_first(rho)).eigenvalues)
+    entanglement = entropy_bits(eigh(_partial_trace_first(rho))[0])
     assert abs(report.chi - (1.0 + entanglement)) < 1e-10
 
 

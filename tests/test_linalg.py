@@ -10,16 +10,23 @@ from gravcat_coding import (
     NonFiniteResultError,
     NotHermitianError,
     NumericalNoiseWarning,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    apply_qwm,
+    capacity_numeric,
     eigh,
     entropy_bits,
+    gibbs_numeric,
     matrix_function,
-    tensor,
 )
-from gravcat_coding.linalg import _partial_trace_first, check_density, two_qubit_matrix
+from gravcat_coding.coding import _SIGNALS
+from gravcat_coding.linalg import (
+    _PAULI_I,
+    _PAULI_X,
+    _PAULI_Z,
+    _partial_trace_first,
+    check_density,
+    two_qubit_matrix,
+)
+from gravcat_coding.thermal import _EXCHANGE, _SPLITTING
 from conftest import (
     basis_projector,
     bell_state,
@@ -29,26 +36,27 @@ from conftest import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# the model's Hamiltonian at omega = 1, gamma = 1
+COUPLED = 0.5 * _SPLITTING - _EXCHANGE
 
 
 # ---------------------------------------------------------------- eigh
 
 def test_eigh_identity():
-    spec = eigh(np.eye(4))
-    assert np.allclose(spec.eigenvalues, np.ones(4), atol=0)
+    values, _ = eigh(np.eye(4))
+    assert np.allclose(values, np.ones(4), atol=0)
 
 
 def test_eigh_diagonal_input_sorted_descending():
-    spec = eigh(np.diag([-3.0, 1.0, 3.0, -1.0]))
-    assert np.allclose(spec.eigenvalues, [3.0, 1.0, -1.0, -3.0], atol=1e-14)
+    values, _ = eigh(np.diag([-3.0, 1.0, 3.0, -1.0]))
+    assert np.allclose(values, [3.0, 1.0, -1.0, -3.0], atol=1e-14)
 
 
 def test_eigh_coupled_two_block_matrix():
     # block {|00>,|11>} is [[1,-1],[-1,-1]] -> +-sqrt(2); block {|01>,|10>}
     # is [[0,-1],[-1,0]] -> +-1, so the full spectrum is known by hand
-    h = 0.5 * (tensor(PAULI_I, PAULI_Z) + tensor(PAULI_Z, PAULI_I)) - tensor(PAULI_X, PAULI_X)
-    spec = eigh(h)
-    assert np.allclose(spec.eigenvalues, [SQRT2, 1.0, -1.0, -SQRT2], atol=1e-12)
+    values, _ = eigh(COUPLED)
+    assert np.allclose(values, [SQRT2, 1.0, -1.0, -SQRT2], atol=1e-12)
 
 
 def test_eigh_rejects_non_hermitian():
@@ -62,41 +70,48 @@ def test_eigh_rejects_non_hermitian():
 
 @given(hermitian_matrices(dim=4))
 def test_eigh_reconstructs_and_is_orthonormal(m):
-    spec = eigh(m)
-    v = spec.eigenvectors
-    rebuilt = (v * spec.eigenvalues) @ v.conj().T
+    values, v = eigh(m)
+    rebuilt = (v * values) @ v.T
     assert np.abs(rebuilt - m).max() < 1e-10
-    gram = v.conj().T @ v
+    gram = v.T @ v
     assert np.abs(gram - np.eye(4)).max() < 1e-10
-    assert (np.diff(spec.eigenvalues) <= 1e-15).all()
+    assert (np.diff(values) <= 1e-15).all()
 
 
 @given(hermitian_matrices(dim=4))
 def test_eigh_deterministic_for_identical_bits(m):
     first = eigh(m.copy())
     second = eigh(m.copy())
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
-def test_eigh_complex_entries():
-    m = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -1.0]])
-    spec = eigh(m)
-    # 2x2 Hermitian [[a, b],[b*, -a]] has eigenvalues +-sqrt(a^2 + |b|^2)
-    expected = math.sqrt(1.0 + 5.0)
-    assert np.allclose(spec.eigenvalues, [expected, -expected], atol=1e-12)
+@pytest.mark.parametrize(
+    "route",
+    [
+        eigh,
+        check_density,
+        capacity_numeric,
+        lambda m: gibbs_numeric(m, 1.0),
+        lambda m: apply_qwm(m, 0.5),
+    ],
+    ids=["eigh", "check_density", "capacity_numeric", "gibbs_numeric", "apply_qwm"],
+)
+def test_complex_input_is_refused(route):
+    # a valid Hermitian state; dropping its imaginary part would change it silently
+    rho = maximally_mixed(4).astype(complex)
+    rho[1, 2], rho[2, 1] = 0.1j, -0.1j
+    with pytest.raises(TypeError, match="dtype complex128"):
+        route(rho)
 
 
-def test_eigh_dtype_follows_the_input():
-    # real symmetric input runs in real arithmetic; complex Hermitian input stays complex
+def test_eigh_runs_in_float64():
+    # every real input dtype runs in float64 arithmetic (LAPACK's dsyevd)
     real = np.array([[2.0, 1.0], [1.0, 2.0]])
-    cases = ((real, np.float64), (real.astype(np.int64), np.float64),
-             (real.astype(complex), np.complex128), (PAULI_Y, np.complex128))
-    for m, dtype in cases:
-        spec = eigh(m)
-        assert spec.eigenvectors.dtype == dtype and spec.eigenvalues.dtype == np.float64
-        rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-15
+    for m in (real, real.astype(np.int64), real.astype(np.float32), real.tolist()):
+        values, vectors = eigh(m)
+        assert vectors.dtype == values.dtype == np.float64
+        assert np.abs((vectors * values) @ vectors.T - real).max() < 1e-15
 
 
 # ---------------------------------------------------- matrix_function
@@ -104,12 +119,12 @@ def test_eigh_dtype_follows_the_input():
 def _taylor_expm(m: np.ndarray, terms: int = 40) -> np.ndarray:
     """Independent oracle: scaled-and-squared Taylor series for exp(m)."""
     halvings = 0
-    scaled = np.asarray(m, dtype=complex)
+    scaled = np.asarray(m, dtype=float)
     while np.linalg.norm(scaled) > 0.9:  # Frobenius bounds the spectral radius
         scaled = scaled / 2.0
         halvings += 1
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
+    out = np.eye(m.shape[0])
+    term = np.eye(m.shape[0])
     for k in range(1, terms + 1):
         term = term @ scaled / k
         out = out + term
@@ -129,10 +144,9 @@ def test_matrix_function_acts_on_diagonal():
 
 
 def test_matrix_function_exp_trace_matches_partition_sum():
-    h = 0.5 * (tensor(PAULI_I, PAULI_Z) + tensor(PAULI_Z, PAULI_I)) - tensor(PAULI_X, PAULI_X)
-    out = matrix_function(-h, math.exp)
+    out = matrix_function(-COUPLED, math.exp)
     expected = 2.0 * (math.cosh(SQRT2) + math.cosh(1.0))
-    assert math.isclose(float(np.trace(out).real), expected, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(float(np.trace(out)), expected, rel_tol=0, abs_tol=1e-12)
 
 
 @given(hermitian_matrices(dim=4, scale=2.5))  # Frobenius, hence spectral radius, <= 5
@@ -155,7 +169,7 @@ def test_matrix_function_nan_raises():
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho log2 rho) in bits, from the spectrum of ``eigh``."""
-    return float(entropy_bits(eigh(rho).eigenvalues))
+    return float(entropy_bits(eigh(rho)[0]))
 
 
 def test_entropy_maximally_mixed():
@@ -168,25 +182,25 @@ def test_entropy_pure_states_vanish():
 
 
 def test_entropy_known_diagonal():
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
     assert math.isclose(von_neumann_entropy(rho), 1.0, abs_tol=1e-12)
 
 
 def test_entropy_clamps_rounding_noise_silently():
-    rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
+    rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert von_neumann_entropy(rho) < 1e-8
 
 
 def test_entropy_warns_in_the_noisy_band():
-    rho = np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0]).astype(complex)
+    rho = np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0])
     with pytest.warns(NumericalNoiseWarning):
         von_neumann_entropy(rho)
 
 
 def test_entropy_rejects_genuinely_negative_eigenvalues():
-    rho = np.diag([1.0 + 5e-8, -5e-8, 0.0, 0.0]).astype(complex)
+    rho = np.diag([1.0 + 5e-8, -5e-8, 0.0, 0.0])
     with pytest.raises(InvalidStateError):
         von_neumann_entropy(rho)
 
@@ -207,39 +221,38 @@ def test_entropy_policy_over_a_stack_of_spectra():
 @given(density_matrices(dim=4))
 @settings(max_examples=60)
 def test_entropy_invariant_under_pauli_conjugation(rho):
+    # sigma_x sigma_z = -i sigma_y is the real stand-in for sigma_y
     base = von_neumann_entropy(rho)
-    for left, right in ((PAULI_X, PAULI_Y), (PAULI_Z, PAULI_I), (PAULI_Y, PAULI_Y)):
-        u = tensor(left, right)
-        rotated = u @ rho @ u.conj().T
+    xz = _PAULI_X @ _PAULI_Z
+    for left, right in ((_PAULI_X, xz), (_PAULI_Z, _PAULI_I), (xz, xz)):
+        u = np.kron(left, right)
+        rotated = u @ rho @ u.T
         assert abs(von_neumann_entropy(rotated) - base) < 1e-10
 
 
-# ------------------------------------------------------------- tensor
+# ------------------------------ tensor layout of the model's operators
 
 def test_tensor_of_identities():
-    assert np.array_equal(tensor(PAULI_I, PAULI_I), np.eye(4, dtype=complex))
+    # the identity signal leaves the state alone
+    assert np.array_equal(_SIGNALS[0], np.eye(4))
 
 
 def test_tensor_basis_ordering():
-    # first factor is the slow index: |00>,|01>,|10>,|11>
-    assert np.array_equal(tensor(PAULI_Z, PAULI_I), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
+    # the sender's qubit is the first factor, the slow index: |00>,|01>,|10>,|11>
+    assert np.array_equal(_SIGNALS[3], np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(_SPLITTING, np.diag([2.0, 0.0, 0.0, -2.0]))
 
 
 def test_tensor_coupling_layout():
-    assert np.array_equal(tensor(PAULI_X, PAULI_X), np.fliplr(np.eye(4)).astype(complex))
+    assert np.array_equal(_EXCHANGE, np.fliplr(np.eye(4)))
 
 
 def test_tensor_of_real_factors_stays_real():
-    product = tensor(PAULI_X.real, PAULI_Z.real)
-    assert product.dtype == np.float64
-    assert np.array_equal(product, tensor(PAULI_X, PAULI_Z))
-
-
-def test_tensor_associative_exactly():
-    a = np.array([[1, 2], [2, -1]], dtype=complex)
-    b = PAULI_Y
-    c = np.array([[0, 3], [3, 5]], dtype=complex)
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+    for operator in (_SPLITTING, _EXCHANGE, *_SIGNALS):
+        assert operator.dtype == np.float64
+    # the Y signal is sigma_x sigma_z (x) I = -i sigma_y (x) I
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    assert np.array_equal(_SIGNALS[2], -1j * np.kron(sigma_y, np.eye(2)))
 
 
 # ------------------------------------------------------ partial trace
@@ -257,7 +270,7 @@ def test_partial_trace_basis_projector():
 def test_partial_trace_requires_two_qubits():
     # the public routes check the shape before the kernel reshapes it
     with pytest.raises(InvalidStateError, match="4x4"):
-        two_qubit_matrix(np.eye(2, dtype=complex) / 2.0)
+        two_qubit_matrix(np.eye(2) / 2.0)
     with pytest.raises(InvalidStateError, match="4x4"):
         two_qubit_matrix(np.broadcast_to(maximally_mixed(4), (2, 4, 4)))
 
@@ -265,10 +278,10 @@ def test_partial_trace_requires_two_qubits():
 @given(density_matrices(dim=2), density_matrices(dim=2))
 @settings(max_examples=60)
 def test_partial_trace_of_product_recovers_second_factor(a, b):
-    out = _partial_trace_first(tensor(a, b))
+    out = _partial_trace_first(np.kron(a, b))
     assert np.abs(out - b).max() < 1e-12
-    assert abs(float(np.trace(out).real) - 1.0) < 1e-12
-    stacked = _partial_trace_first(np.stack([tensor(a, b), tensor(b, a)]))
+    assert abs(float(np.trace(out)) - 1.0) < 1e-12
+    stacked = _partial_trace_first(np.stack([np.kron(a, b), np.kron(b, a)]))
     assert np.array_equal(stacked[0], out) and np.abs(stacked[1] - a).max() < 1e-12
 
 
@@ -277,18 +290,18 @@ def test_partial_trace_of_product_recovers_second_factor(a, b):
 def test_check_density_accepts_a_state():
     rho = maximally_mixed(4)
     out = check_density(rho)
-    assert np.array_equal(out, rho) and out.dtype == np.complex128
-    assert check_density(rho.real).dtype == np.float64
+    assert np.array_equal(out, rho) and out.dtype == np.float64
+    assert check_density(rho.astype(np.float32)).dtype == np.float64
 
 
 def test_check_density_rejects_bad_trace():
     with pytest.raises(InvalidStateError):
-        check_density(np.eye(4, dtype=complex))
+        check_density(np.eye(4))
 
 
 def test_check_density_rejects_negative():
     with pytest.raises(InvalidStateError):
-        check_density(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+        check_density(np.diag([1.5, -0.5, 0.0, 0.0]))
     # positivity is left to the entropy policy without check_psd
     assert check_density(np.diag([1.5, -0.5, 0.0, 0.0]), check_psd=False).shape == (4, 4)
 

@@ -59,16 +59,6 @@ def test_floats_land_in_unit_interval():
     assert max(values) > 0.9 and min(values) < 0.1
 
 
-def test_uniform_mapping():
-    rng = SplitMix64(3)
-    mirror = SplitMix64(3)
-    for _ in range(50):
-        value = rng.uniform(-2.0, 5.0)
-        expected = -2.0 + 7.0 * mirror.next_float()
-        assert value == expected
-        assert -2.0 <= value < 5.0
-
-
 def test_seed_is_masked_to_64_bits():
     wide = SplitMix64((1 << 64) + 42)
     narrow = SplitMix64(42)

@@ -43,7 +43,7 @@ def kraus_conjugation(q):
 def test_operator_endpoints():
     # p = 0 (q = 1) is the identity, p = 1 (q = 0) the projector onto |0>(x)|0>
     assert np.array_equal(kraus_conjugation(1.0), np.ones((4, 4)))
-    assert np.array_equal(kraus_conjugation(0.0), basis_projector(0).real)
+    assert np.array_equal(kraus_conjugation(0.0), basis_projector(0))
 
 
 def test_operator_intermediate_strength():
@@ -143,13 +143,15 @@ def test_capacity_at_projective_endpoint_is_exactly_one_bit():
 
 def test_projective_endpoint_with_vanishing_branch_is_one_bit():
     # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0;
-    # the kept state is still |00><00|, so the closed form reports one bit
+    # the kept state is still |00><00|, so both closed-form routes report it
     # with the float success probability, while the numeric engine, which
     # divides by that probability, still refuses
     params = GravcatParams(1.0, 0.0, 1e-3)
     report = capacity_wm_closed_form(params, 1.0)
     assert report.chi == 1.0 and report.success_probability == 0.0
     assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
+    state = wm_state_closed_form(thermal_closed_form(params), 1.0)
+    assert np.array_equal(state.state, basis_projector(0)) and state.success_probability == 0.0
     with pytest.raises(ZeroSuccessProbabilityError):
         wm_module.numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
 
