@@ -18,12 +18,9 @@ import numpy as np
 
 from .closed_form import closed_form_engine
 from .linalg import (
-    _PAULI_I,
-    _PAULI_X,
-    _PAULI_Z,
+    _eigenvalues,
     _partial_trace_first,
     _symmetrized,
-    eigh,
     entropy_bits,
     two_qubit_matrix,
 )
@@ -77,10 +74,11 @@ class CapacityReport:
         return out
 
 
-# sigma_x sigma_z stands in for sigma_y (see `_twirl`)
-_SIGNALS = tuple(
-    np.kron(sigma, _PAULI_I) for sigma in (_PAULI_I, _PAULI_X, _PAULI_X @ _PAULI_Z, _PAULI_Z)
-)
+# I, X, XZ and Z on the sender's qubit are signed permutations of the basis
+# |00>, |01>, |10>, |11>: X (x) I swaps the two halves, Z (x) I flips the
+# sign of the second half
+_SWAP_HALVES = np.array([2, 3, 0, 1])
+_HALF_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 
 
 def _twirl(rho) -> np.ndarray:
@@ -88,24 +86,27 @@ def _twirl(rho) -> np.ndarray:
 
     The four terms are u rho u^dagger for u = s (x) I with s = I, X, Y, Z, in
     that order.  Since sigma_y = i sigma_x sigma_z, the Y term equals
-    (sigma_x sigma_z) rho (sigma_x sigma_z)^T, so every u is real and
-    u^dagger = u^T.
+    (sigma_x sigma_z) rho (sigma_x sigma_z)^T, so every u is a real signed
+    permutation and each term is ``rho`` with its rows and columns permuted
+    and its entries sign-flipped.  Each entry of a term is one entry of
+    ``rho`` times +-1, exactly what the product ``u @ rho @ u.T`` gives.
     """
-    return _symmetrized(0.25 * sum(u @ rho @ u.T for u in _SIGNALS))
+    swapped = rho[..., _SWAP_HALVES[:, np.newaxis], _SWAP_HALVES]
+    return _symmetrized(0.25 * (rho + swapped + swapped * _HALF_SIGNS + rho * _HALF_SIGNS))
+
+
+def _entropies_of(rho, average):
+    """(spectrum, S(rho), S(average)) over a stack of two-qubit states and their twirls,
+    where ``spectrum[i]`` is the i-th largest eigenvalue of ``rho`` over the stack."""
+    spectrum = _eigenvalues(rho)
+    entropy_state = entropy_bits(spectrum)
+    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(_eigenvalues(average))
 
 
 def _entropies(rho):
     """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states, where
     ``spectrum[i]`` is the i-th largest eigenvalue over the stack."""
-    spectrum = eigh(rho)[0]
-    entropy_state = entropy_bits(spectrum)
-    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(eigh(_twirl(rho))[0])
-
-
-def _chi(rho):
-    """chi = S(rho_bar) - S(rho) over a stack of two-qubit states."""
-    _, entropy_state, entropy_average = _entropies(rho)
-    return entropy_average - entropy_state
+    return _entropies_of(rho, _twirl(rho))
 
 
 def _marginal_replacement(rho) -> np.ndarray:

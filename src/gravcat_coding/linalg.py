@@ -1,12 +1,14 @@
 """Dense real-symmetric kernel for the 2x2 / 4x4 problems in this package.
 
 Every matrix of the model is real symmetric, so the kernels run in float64.
-Every kernel here works on stacks: the matrices are the last two axes,
-anything before them indexes the stack.  The eigensolver is
-``np.linalg.eigh``, which runs LAPACK's ``dsyevd`` and treats each matrix of
-a stack on its own, so a matrix gets the same bits alone or inside any
-stack.  Everything downstream (entropies, Gibbs operators, state oracles) is
-built on `eigh`.
+Every kernel here but `matrix_function` works on stacks: the matrices are
+the last two axes, anything before them indexes the stack; `matrix_function`
+takes one matrix.  The eigensolvers are LAPACK's ``dsyevd``, which treats
+each matrix of a stack on its own, so a matrix gets the same bits alone or
+inside any stack.  Only two routes read eigenvectors, through `eigh`: the
+Gibbs state (``thermal._gibbs``) and `matrix_function`.  Every other solve
+(entropies, positivity checks) reads the spectrum alone, through the
+eigenvalue-only `_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -91,13 +93,22 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return values[..., ::-1], vectors[..., ::-1]
 
 
+def _eigenvalues(m) -> np.ndarray:
+    """Descending eigenvalues of a real symmetric matrix or stack, as `eigh` orders them.
+
+    ``np.linalg.eigvalsh`` runs ``dsyevd`` without eigenvectors
+    (``jobz = 'N'``), so the spectrum costs no vector work.
+    """
+    return np.linalg.eigvalsh(require_hermitian(m))[..., ::-1]
+
+
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T over stacks, re-symmetrized."""
     return _symmetrized((vectors * values[..., np.newaxis, :]) @ vectors.swapaxes(-1, -2))
 
 
 def matrix_function(m, f) -> np.ndarray:
-    """Apply the scalar function ``f`` to a symmetric matrix through its spectrum.
+    """Apply the scalar function ``f`` to a symmetric matrix, not a stack, through its spectrum.
 
     Returns V diag(f(lambda)) V^T, re-symmetrized.  Raises
     ``NonFiniteResultError`` if ``f`` overflows or yields a non-finite value
@@ -125,7 +136,7 @@ def check_density(m, *, check_psd: bool = True) -> np.ndarray:
         np.abs(trace - 1.0) > TRACE_TOL, trace, "trace must be 1, got {:.12g}"
     )
     if check_psd:
-        low = eigh(a)[0][..., -1]
+        low = _eigenvalues(a)[..., -1]
         InvalidStateError.raise_first(
             low < EIG_CLAMP_FLOOR, low, "negative eigenvalue {:.3e} violates positivity"
         )

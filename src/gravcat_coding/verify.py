@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .closed_form import _chi_from_terms, _post_selected_terms, _thermal_terms, x_state
-from .coding import _chi, _marginal_replacement, _twirl
+from .coding import _entropies_of, _marginal_replacement, _twirl
 from .linalg import LocatedError, check_density
 from .rng import SplitMix64
 from .thermal import GravcatParams, _gibbs, _hamiltonian, check_strength
@@ -70,6 +70,12 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b).max(axis=(-2, -1))
 
 
+def _chi(rho, average) -> np.ndarray:
+    """chi = S(average) - S(rho) over a stack of states and their twirls."""
+    _, entropy_state, entropy_average = _entropies_of(rho, average)
+    return entropy_average - entropy_state
+
+
 def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarray, ...]]:
     """Per check, the deviations of each sample, one array per compared quantity."""
     q = 1.0 - strength
@@ -80,16 +86,18 @@ def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarr
     wm_cf = x_state(thermal, q) / measured.success[:, np.newaxis, np.newaxis]
     wm_kraus, kraus_success = _post_select(rho_cf, q)
     wm_num, _ = _post_select(rho_num, q)
+    rho_bar, wm_bar = _twirl(rho_num), _twirl(wm_num)  # each feeds a capacity and the identity
     chi_plain, chi_measured = _chi_from_terms(plain), _chi_from_terms(measured)
     return {
         "thermal_state_closed_vs_numeric": (_max_abs(rho_cf, rho_num),),
-        "capacity_closed_vs_numeric": (np.abs(chi_plain - _chi(rho_num)),),
+        "capacity_closed_vs_numeric": (np.abs(chi_plain - _chi(rho_num, rho_bar)),),
         "wm_state_closed_vs_kraus": (
             _max_abs(wm_cf, wm_kraus), np.abs(measured.success - kraus_success)
         ),
-        "wm_capacity_closed_vs_numeric": (np.abs(chi_measured - _chi(wm_num)),),
-        "twirl_vs_marginal_identity": tuple(
-            _max_abs(_twirl(rho), _marginal_replacement(rho)) for rho in (rho_num, wm_num)
+        "wm_capacity_closed_vs_numeric": (np.abs(chi_measured - _chi(wm_num, wm_bar)),),
+        "twirl_vs_marginal_identity": (
+            _max_abs(rho_bar, _marginal_replacement(rho_num)),
+            _max_abs(wm_bar, _marginal_replacement(wm_num)),
         ),
     }
 

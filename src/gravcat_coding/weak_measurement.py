@@ -147,15 +147,18 @@ STRENGTH_GRID_POINTS = 1001
 STRENGTH_MAX = 1.0 - 1e-9  # upper end of the scan; chi(p = 1) is exactly 1
 REFINE_POINTS = 101  # points per refinement level, ends of the bracket included
 REFINE_LEVELS = 4  # each level narrows the bracket 50-fold: 2e-3 wide to 3.2e-10
+OPTIMIZE_BLOCK = 256  # points per scan block; bounds the memory, never changes a result
 
 
 def optimize_strength_many(omega, gamma, temperature):
     """`optimize_strength` over broadcast arrays of points.
 
     Returns (p_star, chi_star) arrays of the broadcast shape.  The thermal
-    entries are evaluated once per point and the strengths run along a new
-    last axis; the work per point is fixed, so a point's result has the same
-    bits alone or in any batch.  Inputs are not validated here
+    entries are evaluated once per point; the scan and the refinement then
+    run over blocks of ``OPTIMIZE_BLOCK`` points, with the strengths along a
+    new last axis, so the memory they take does not grow with the batch.
+    The work per point is fixed, so a point's result has the same bits
+    alone, in any batch or in any block.  Inputs are not validated here
     (``GravcatParams`` holds the domain rules).
     """
     shape = np.broadcast(omega, gamma, temperature).shape
@@ -163,7 +166,16 @@ def optimize_strength_many(omega, gamma, temperature):
     stacked = np.empty((len(terms),) + shape)
     for i, term in enumerate(terms):
         stacked[i] = term  # exp(-2 gamma/T) may lack the omega axes
-    thermal = ThermalTerms(*stacked.reshape(len(terms), -1, 1))  # one row per point
+    rows = stacked.reshape(len(terms), -1, 1)  # one row per point
+    p_star, chi_star = np.empty((2, rows.shape[1]))
+    for start in range(0, rows.shape[1], OPTIMIZE_BLOCK):
+        block = slice(start, start + OPTIMIZE_BLOCK)
+        p_star[block], chi_star[block] = _optimize_rows(ThermalTerms(*rows[:, block]))
+    return p_star.reshape(shape), chi_star.reshape(shape)
+
+
+def _optimize_rows(thermal: ThermalTerms):
+    """(p_star, chi_star) of each row of thermal terms, each of shape (points, 1)."""
     rows = np.arange(thermal.z.shape[0])
     chi = lambda p: _chi_from_terms(_post_selected_terms(thermal, 1.0 - p))
 
@@ -187,7 +199,7 @@ def optimize_strength_many(omega, gamma, temperature):
     for chi_c, p_c in ((chi_scan, p_scan), (chi_refined, p_refined)):
         better = (chi_c > chi_star) | ((chi_c == chi_star) & (p_c < p_star))  # ties -> smaller p
         chi_star, p_star = np.where(better, chi_c, chi_star), np.where(better, p_c, p_star)
-    return p_star.reshape(shape), chi_star.reshape(shape)
+    return p_star, chi_star
 
 
 def optimize_strength(params: GravcatParams) -> tuple[float, float]:

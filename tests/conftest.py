@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from gravcat_coding import GravcatParams
+from gravcat_coding.linalg import _PAULI_I, _PAULI_X, _PAULI_Z
 
 settings.register_profile(
     "gravcat",
@@ -56,6 +58,31 @@ def gravcat_params(draw, omega_lo: float = 0.05, t_lo: float = 0.05, t_hi: float
         gamma=draw(finite_floats(0.0, 5.0)),
         temperature=draw(finite_floats(t_lo, t_hi)),
     )
+
+
+# the four dense-coding signals s (x) I, s = I, X, Y, Z, as real matrices:
+# sigma_x sigma_z = -i sigma_y stands in for sigma_y
+SIGNALS = tuple(
+    np.kron(sigma, _PAULI_I) for sigma in (_PAULI_I, _PAULI_X, _PAULI_X @ _PAULI_Z, _PAULI_Z)
+)
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Calls and matrices solved by ``np.linalg.eigh`` and ``np.linalg.eigvalsh``.
+
+    Both are wrapped with counters for the test; ``counts[name]`` is
+    ``[calls, matrices]``.
+    """
+    counts = {"eigh": [0, 0], "eigvalsh": [0, 0]}
+    for name in counts:
+        def counting(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            counts[_name][0] += 1
+            counts[_name][1] += math.prod(np.shape(a)[:-2])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
 
 
 def bell_state() -> np.ndarray:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from gravcat_coding import (
     Advantage,
     GravcatParams,
+    InvalidStateError,
+    NumericalNoiseWarning,
     assemble_thermal_state,
     build_hamiltonian,
     capacity_closed_form,
@@ -21,10 +23,11 @@ from gravcat_coding import (
 )
 from gravcat_coding.closed_form import _thermal_terms, x_state
 from gravcat_coding.coding import _twirl
-from gravcat_coding.linalg import _partial_trace_first
+from gravcat_coding.linalg import _partial_trace_first, _symmetrized
 from gravcat_coding.thermal import _gibbs, _hamiltonian
 from gravcat_coding.weak_measurement import _post_select
 from conftest import (
+    SIGNALS,
     basis_projector,
     bell_state,
     density_matrices,
@@ -77,6 +80,16 @@ def test_twirl_matches_the_complex_pauli_sum():
     assert np.abs(twirled - textbook).max() <= 1e-15
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4), (3, 5, 4, 4)])
+def test_twirl_has_the_bits_of_the_matrix_products(shape):
+    # each signal is a signed permutation, so permuting and sign-flipping the
+    # entries gives exactly the bits of u @ rho @ u.T, summed in the same order
+    g = np.random.default_rng(len(shape)).standard_normal(shape)
+    rho = g + g.swapaxes(-1, -2)
+    want = _symmetrized(0.25 * sum(u @ rho @ u.T for u in SIGNALS))
+    assert np.array_equal(_twirl(rho), want)
+
+
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_numeric_route_runs_in_real_arithmetic(shape):
     # every matrix on the route is real symmetric, so eigh runs dsyevd on it
@@ -111,6 +124,23 @@ def test_capacity_of_maximally_mixed_is_zero():
     report = capacity_numeric(maximally_mixed(4))
     assert abs(report.chi) < 1e-10
     assert report.advantage is Advantage.NONE
+
+
+def _rotated_state(spectrum, seed):
+    """Q diag(spectrum) Q^T for a seeded random orthogonal Q."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    return _symmetrized((q * np.asarray(spectrum)) @ q.T)
+
+
+def test_capacity_keeps_the_clamp_policy_on_solved_spectra():
+    # the eigenvalue-only solve still meets the entropy policy: a slightly
+    # negative eigenvalue warns, a clearly negative one raises and is named
+    with pytest.warns(NumericalNoiseWarning):
+        report = capacity_numeric(_rotated_state([0.5, 0.3, 0.2 + 5e-10, -5e-10], 11))
+    assert abs(report.state_spectrum[3] + 5e-10) < 1e-15
+    with pytest.raises(InvalidStateError, match="-1.000000e-07") as info:
+        capacity_numeric(_rotated_state([0.5, 0.3, 0.2 + 1e-7, -1e-7], 11))
+    assert info.value.index == (3,)
 
 
 def test_capacity_of_bell_state_is_two():

@@ -17,17 +17,18 @@ from gravcat_coding import (
     gibbs_numeric,
     matrix_function,
 )
-from gravcat_coding.coding import _SIGNALS
 from gravcat_coding.linalg import (
     _PAULI_I,
     _PAULI_X,
     _PAULI_Z,
+    _eigenvalues,
     _partial_trace_first,
     check_density,
     two_qubit_matrix,
 )
 from gravcat_coding.thermal import _EXCHANGE, _SPLITTING
 from conftest import (
+    SIGNALS,
     basis_projector,
     bell_state,
     density_matrices,
@@ -112,6 +113,18 @@ def test_eigh_runs_in_float64():
         values, vectors = eigh(m)
         assert vectors.dtype == values.dtype == np.float64
         assert np.abs((vectors * values) @ vectors.T - real).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_eigenvalues_match_eigh_in_descending_order(shape):
+    g = np.random.default_rng(len(shape)).standard_normal(shape + (4, 4))
+    rho = g @ g.swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
+    values, want = _eigenvalues(rho), eigh(rho)[0]
+    assert values.shape == want.shape == shape + (4,)
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert (np.abs(values - want) <= 1e-14 * scale).all()
+    assert (np.diff(values, axis=-1) <= 0.0).all()
 
 
 # ---------------------------------------------------- matrix_function
@@ -234,12 +247,12 @@ def test_entropy_invariant_under_pauli_conjugation(rho):
 
 def test_tensor_of_identities():
     # the identity signal leaves the state alone
-    assert np.array_equal(_SIGNALS[0], np.eye(4))
+    assert np.array_equal(SIGNALS[0], np.eye(4))
 
 
 def test_tensor_basis_ordering():
     # the sender's qubit is the first factor, the slow index: |00>,|01>,|10>,|11>
-    assert np.array_equal(_SIGNALS[3], np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(SIGNALS[3], np.diag([1.0, 1.0, -1.0, -1.0]))
     assert np.array_equal(_SPLITTING, np.diag([2.0, 0.0, 0.0, -2.0]))
 
 
@@ -248,11 +261,11 @@ def test_tensor_coupling_layout():
 
 
 def test_tensor_of_real_factors_stays_real():
-    for operator in (_SPLITTING, _EXCHANGE, *_SIGNALS):
+    for operator in (_SPLITTING, _EXCHANGE, *SIGNALS):
         assert operator.dtype == np.float64
     # the Y signal is sigma_x sigma_z (x) I = -i sigma_y (x) I
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    assert np.array_equal(_SIGNALS[2], -1j * np.kron(sigma_y, np.eye(2)))
+    assert np.array_equal(SIGNALS[2], -1j * np.kron(sigma_y, np.eye(2)))
 
 
 # ------------------------------------------------------ partial trace

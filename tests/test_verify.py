@@ -101,6 +101,16 @@ def test_report_bytes_do_not_depend_on_chunking(monkeypatch):
     assert texts[0] == texts[1] == texts[2]
 
 
+@pytest.mark.parametrize("chunk, chunks", [(verify_module.CHUNK_SIZE, 1), (20, 3)])
+def test_only_the_gibbs_states_read_eigenvectors(solve_counts, monkeypatch, chunk, chunks):
+    # per chunk one eigh call, the Gibbs states; every other matrix, the
+    # closed-form state's positivity check and the four spectra per sample of
+    # the two capacities, is solved for its eigenvalues alone
+    monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
+    assert verification_report(50, 1)["all_passed"]
+    assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [5 * chunks, 5 * 50]}
+
+
 @pytest.mark.parametrize("seed", [0, 42, 123456789])
 def test_array_draw_rows_equal_single_draws(seed):
     batched, single, uniforms = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,31 @@ def test_batched_optimizer_equals_per_point_bit_for_bit():
     ):
         got = optimize_strength_many(*args)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_optimizer_bits_do_not_depend_on_the_block_size(monkeypatch):
+    omega, gamma, temperature = seeded_points((8, 8), 2012, cold=8)
+    results = []
+    for block in (1, 7, 256):
+        monkeypatch.setattr(wm_module, "OPTIMIZE_BLOCK", block)
+        results.append(optimize_strength_many(omega, gamma, temperature))
+    for p_star, chi_star in results[1:]:
+        assert np.array_equal(p_star, results[0][0]) and np.array_equal(chi_star, results[0][1])
+
+
+def _peak_bytes(points: int) -> int:
+    omega, gamma, temperature = seeded_points(points, 77)
+    tracemalloc.start()
+    try:
+        optimize_strength_many(omega, gamma, temperature)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_optimizer_memory_does_not_grow_with_the_batch():
+    # the scans run in fixed blocks, so 8x the points take about the same peak
+    assert _peak_bytes(2048) <= 2 * _peak_bytes(256)
 
 
 def synthetic_profile(monkeypatch, chi_of_q):
