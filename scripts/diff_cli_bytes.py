@@ -11,7 +11,9 @@ Of stderr only the ``error`` class of the JSON error object is compared, on
 a command that exits 2; the rest of stderr can carry paths.  The list covers
 every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
-1.0, domain errors, and ``verify`` at its default 1000 samples and seed 42.
+1.0, an exit-2 command for each rule of the parameter domain, the
+``--allow-zero-omega`` opt-in, and ``verify`` at its default 1000 samples
+and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
 between corresponding numbers is printed with it.  The exit code is 1 on
@@ -49,6 +51,21 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
+    # one command per domain rule, each exiting 2, and the omega = 0 opt-in
+    *(
+        ("capacity", "--omega", w, "--gamma", g, "--temp", t, *extra)
+        for w, g, t, extra in (
+            ("-1", "1", "1", ()),
+            ("0", "1", "1", ()),
+            ("1", "-1", "1", ()),
+            ("1", "1", "nan", ()),
+            ("1", "1", "1", ("--p", "-0.1")),
+            ("0", "1", "1", ("--allow-zero-omega",)),
+        )
+    ),
+    ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1e-7"),
+    ("sweep", "--x", "omega:0.5:1:3", "--y", "T:0.1:2:3", "--gamma", "1", "--p", "nan"),
+    ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1", "--allow-zero-omega"),
     ("sweep", "--x", "T:0.1:2:3", "--y", "p:0:1.5:4", "--omega", "1", "--gamma", "1"),
     ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
     ("figure", "5a", "--x", "T:1e-7:1:3"),

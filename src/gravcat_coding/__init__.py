@@ -26,6 +26,7 @@ from .thermal import (
     OutOfRangeError,
     assemble_thermal_state,
     build_hamiltonian,
+    check_domain,
     coupling_from_geometry,
     gibbs_numeric,
     thermal_closed_form,
@@ -99,6 +100,7 @@ __all__ = [
     "capacity_numeric",
     "capacity_wm_closed_form",
     "cell_capacity",
+    "check_domain",
     "chi_closed_form",
     "chi_numeric",
     "classify_advantage",

@@ -163,8 +163,8 @@ def closed_form_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) over broadcast arrays, with q = 1 - p.
 
     ``spectrum`` holds the four eigenvalues of the state, one array each, in
-    no fixed order.  Inputs are not validated here (``GravcatParams`` holds
-    the domain rules).
+    no fixed order.  An unvalidated kernel: NaN propagates and no domain rule
+    is checked, so callers run ``thermal.check_domain`` first.
     """
     terms = _closed_form_terms(omega, gamma, temperature, q)
     return (terms.spectrum, *closed_form_entropies(terms), terms.success)

@@ -24,7 +24,7 @@ from .linalg import (
     entropy_bits,
     two_qubit_matrix,
 )
-from .thermal import GravcatParams, check_strength
+from .thermal import GravcatParams, check_domain
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
 
@@ -160,9 +160,10 @@ def engine_report(engine, params: GravcatParams, strength: float | None = None) 
     q = 1, as a sweep cell without p does, and leaves the strength and the
     success probability out of the report.
     """
-    q = 1.0 if strength is None else 1.0 - check_strength(strength)
+    p = 0.0 if strength is None else strength  # no measurement is p = 0
+    check_domain(strength=p)
     spectrum, entropy_state, entropy_average, success = engine(
-        params.omega, params.gamma, params.temperature, q
+        params.omega, params.gamma, params.temperature, 1.0 - p
     )
     return capacity_report(spectrum, entropy_state, entropy_average, strength, success)
 

@@ -93,13 +93,14 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return values[..., ::-1], vectors[..., ::-1]
 
 
-def _eigenvalues(m) -> np.ndarray:
-    """Descending eigenvalues of a real symmetric matrix or stack, as `eigh` orders them.
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a float64 symmetric matrix or stack, as `eigh` orders them.
 
-    ``np.linalg.eigvalsh`` runs ``dsyevd`` without eigenvectors
-    (``jobz = 'N'``), so the spectrum costs no vector work.
+    ``np.linalg.eigvalsh`` runs ``dsyevd`` without eigenvectors (``jobz = 'N'``)
+    and checks nothing: every caller's stack passed `require_hermitian` or is
+    symmetric by construction.
     """
-    return np.linalg.eigvalsh(require_hermitian(m))[..., ::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .closed_form import closed_form_engine
 from .coding import engine_report
 from .linalg import InvalidStateError, LocatedError
-from .thermal import GravcatParams, InvalidParameterError, check_strength
+from .thermal import GravcatParams, InvalidParameterError, check_domain
 from .version import TOOL_NAME, __version__
 from .weak_measurement import numeric_engine
 
@@ -156,22 +156,16 @@ def evaluate_sweep(
         raise InvalidParameterError(
             f"fixed value(s) conflict with the axes or are unknown: {', '.join(sorted(extra))}"
         )
-    # every cell must be a valid parameter point; no axis value lies below its
-    # start, so the corner at both starts checks the whole grid, with the
-    # stop of a p axis for the upper bound of p
-    corner = {x_axis.name: x_axis.start, y_axis.name: y_axis.start, **fixed}
-    GravcatParams(
-        corner["omega"], corner["gamma"], corner["T"], allow_degenerate_omega=allow_zero_omega
-    )
-    for strength in [corner.get("p", 0.0)] + [a.stop for a in (x_axis, y_axis) if a.name == "p"]:
-        check_strength(strength)
-
     x_values, y_values = x_axis.values(), y_axis.values()
     point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
-    q = 1.0 - point["p"] if "p" in point else 1.0
+    p = point.get("p", 0.0)  # no p is p = 0, no measurement
+    check_domain(
+        omega=point["omega"], gamma=point["gamma"], temperature=point["T"], strength=p,
+        allow_zero_omega=allow_zero_omega,
+    )
     try:
         _, entropy_state, entropy_average, _ = engine_function(
-            point["omega"], point["gamma"], point["T"], q
+            point["omega"], point["gamma"], point["T"], 1.0 - p
         )
     except LocatedError as exc:
         iy, ix = exc.index[:2]
@@ -194,11 +188,6 @@ def _checked_values(grid: SweepGrid) -> np.ndarray:
     return values
 
 
-def format_float(v) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(v))
-
-
 def _ordered_fixed(fixed: dict[str, float]) -> list[tuple[str, float]]:
     return [(name, fixed[name]) for name in AXIS_NAMES if name in fixed]
 
@@ -215,7 +204,7 @@ def render_csv(grid: SweepGrid) -> str:
     from .float_text import text_rows
 
     values = _checked_values(grid)
-    fixed_part = ",".join(f"{k}={format_float(v)}" for k, v in _ordered_fixed(grid.fixed))
+    fixed_part = ",".join(f"{k}={float(v)!r}" for k, v in _ordered_fixed(grid.fixed))
     header = (
         f"# {TOOL_NAME} v{grid.version} engine={grid.engine} fixed={fixed_part}\n"
         "y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())) + "\n"
@@ -281,7 +270,10 @@ def figure_grid(
     y_axis: AxisSpec | None = None,
 ) -> SweepGrid:
     """Evaluate one built-in figure grid (axes overridable)."""
-    preset = _figure_preset(figure_id)
+    if figure_id not in FIGURES:
+        known = ", ".join(sorted(FIGURES))
+        raise InvalidParameterError(f"unknown figure id {figure_id!r}; known ids: {known}")
+    preset = FIGURES[figure_id]
     x = x_axis if x_axis is not None else AxisSpec.default(preset.x)
     y = y_axis if y_axis is not None else AxisSpec.default(preset.y)
     if x.name != preset.x or y.name != preset.y:
@@ -303,11 +295,3 @@ def figure_config(figure_id: str, grid: SweepGrid) -> dict:
         "y_axis": grid.y_axis.to_dict(),
         "fixed": dict(_ordered_fixed(grid.fixed)),
     }
-
-
-def _figure_preset(figure_id: str) -> FigurePreset:
-    try:
-        return FIGURES[figure_id]
-    except KeyError:
-        known = ", ".join(sorted(FIGURES))
-        raise InvalidParameterError(f"unknown figure id {figure_id!r}; known ids: {known}") from None

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import ThermalTerms, _thermal_terms, x_state
-from .linalg import _PAULI_I, _PAULI_X, _PAULI_Z, check_density, eigh, from_spectrum
+from .linalg import _PAULI_I, _PAULI_X, _PAULI_Z, LocatedError, check_density, eigh, from_spectrum
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
 
-class InvalidParameterError(ValueError):
-    """Model parameter outside its validity domain."""
+class InvalidParameterError(LocatedError):
+    """Model parameter outside its validity domain; ``index`` locates it in an array."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -33,23 +33,39 @@ class OutOfRangeError(InvalidParameterError):
     """Measurement strength outside [0, 1]."""
 
 
-def check_strength(strength: float) -> float:
-    """Return the measurement strength, raising ``OutOfRangeError`` outside [0, 1]."""
-    if not (math.isfinite(strength) and 0.0 <= strength <= 1.0):
-        raise OutOfRangeError(f"measurement strength must lie in [0, 1], got {strength!r}")
-    return strength
+# The domain: per parameter, the closed interval of doubles it must lie in, its error
+# class and message.  Bounds are finite, so NaN and +-inf fail; math.ulp(0.0) > 0 is omega > 0.
+_MAX = float(np.finfo(float).max)
+_DOMAIN = (
+    (math.ulp(0.0), _MAX, InvalidParameterError,
+     "omega must be finite and positive (set allow_degenerate_omega=True to permit omega = 0)"),
+    (0.0, _MAX, InvalidParameterError, "gamma must be finite and nonnegative"),
+    (MIN_TEMPERATURE, _MAX, InvalidParameterError,
+     f"temperature must be positive and finite (minimum {MIN_TEMPERATURE:g} in natural units)"),
+    (0.0, 1.0, OutOfRangeError, "measurement strength must lie in [0, 1]"),
+)
+_ZERO_OMEGA = (0.0, _MAX, InvalidParameterError, "omega must be finite and nonnegative")
+_UNSET = object()  # the default of a parameter not given; None is checked and fails
 
 
-def check_temperature(temperature: float) -> float:
-    """Return the temperature, raising ``InvalidParameterError`` below ``MIN_TEMPERATURE``."""
-    if not (math.isfinite(temperature) and temperature >= MIN_TEMPERATURE):
-        raise InvalidParameterError(
-            f"temperature must be positive (minimum {MIN_TEMPERATURE:g} in natural units)"
-        )
-    return temperature
+def check_domain(
+    *, omega=_UNSET, gamma=_UNSET, temperature=_UNSET, strength=_UNSET, allow_zero_omega=False
+) -> None:
+    """Raise unless each parameter given, a number or an array, lies in the domain.
+
+    ``allow_zero_omega`` admits omega = 0.  The error is ``OutOfRangeError``
+    for the strength and ``InvalidParameterError`` otherwise; its ``index``
+    locates the first bad element of the offending array (``()`` for a number).
+    """
+    rules = (_ZERO_OMEGA, *_DOMAIN[1:]) if allow_zero_omega else _DOMAIN
+    for value, (low, high, error, message) in zip((omega, gamma, temperature, strength), rules):
+        # a Python float takes one chained comparison; anything else goes through numpy
+        if value is not _UNSET and not (type(value) is float and low <= value <= high):
+            value = np.asarray(value)
+            error.raise_first(~((low <= value) & (value <= high)), value, message + ", got {}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GravcatParams:
     """Model knobs in natural units (k_B = 1).
 
@@ -65,16 +81,10 @@ class GravcatParams:
     allow_degenerate_omega: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("omega", "gamma", "temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
-        if self.omega < 0.0 or (self.omega == 0.0 and not self.allow_degenerate_omega):
-            raise InvalidParameterError(
-                "omega must be positive (set allow_degenerate_omega=True to permit omega = 0)"
-            )
-        if self.gamma < 0.0:
-            raise InvalidParameterError("gamma must be nonnegative")
-        check_temperature(self.temperature)
+        check_domain(
+            omega=self.omega, gamma=self.gamma, temperature=self.temperature,
+            allow_zero_omega=self.allow_degenerate_omega,
+        )
 
     @property
     def theta(self) -> float:
@@ -169,4 +179,5 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
 
 def gibbs_numeric(hamiltonian, temperature: float) -> np.ndarray:
     """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`)."""
-    return _gibbs(hamiltonian, check_temperature(temperature))
+    check_domain(temperature=temperature)
+    return _gibbs(hamiltonian, temperature)

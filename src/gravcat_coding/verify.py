@@ -21,7 +21,7 @@ from .closed_form import _chi_from_terms, _post_selected_terms, _thermal_terms, 
 from .coding import _entropies_of, _marginal_replacement, _twirl
 from .linalg import LocatedError, check_density
 from .rng import SplitMix64
-from .thermal import GravcatParams, _gibbs, _hamiltonian, check_strength
+from .thermal import GravcatParams, _gibbs, _hamiltonian, check_domain
 from .version import TOOL_NAME, __version__
 from .weak_measurement import _post_select
 
@@ -108,7 +108,7 @@ def verification_report(samples: int, seed: int) -> dict:
     Each check also names its worst sample, the first draw (0-based) that
     reaches the maximum.  A NaN deviation ranks above every number: its
     check fails, reports ``max_deviation`` None (JSON has no NaN) and names
-    the first NaN draw.  A kernel error names the sample it comes from.
+    the first NaN draw.  A domain or kernel error names its sample.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -116,12 +116,9 @@ def verification_report(samples: int, seed: int) -> dict:
     worst = {name: (-np.inf, None) for name, _ in CHECKS}  # (deviation, worst_sample)
     for start in range(0, samples, CHUNK_SIZE):
         draws = draw_samples(rng, min(CHUNK_SIZE, samples - start))
-        # every domain rule is a bound, so the componentwise corners check all draws
-        for omega, gamma, temperature, strength in (draws.min(axis=0), draws.max(axis=0)):
-            GravcatParams(omega=float(omega), gamma=float(gamma), temperature=float(temperature))
-            check_strength(float(strength))
-        columns = draws.T
+        omega, gamma, temperature, strength = columns = draws.T
         try:
+            check_domain(omega=omega, gamma=gamma, temperature=temperature, strength=strength)
             deviations = _deviations(*columns)
         except LocatedError as exc:
             sample = start + exc.index[0]

@@ -25,7 +25,7 @@ from .closed_form import (
 )
 from .coding import CapacityReport, _entropies, engine_report
 from .linalg import two_qubit_matrix
-from .thermal import GravcatParams, _gibbs, _hamiltonian, check_strength
+from .thermal import GravcatParams, _gibbs, _hamiltonian, check_domain
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     P_s is the trace before renormalization.  p = 1 (full projection) is
     allowed as long as the surviving branch has nonzero probability.
     """
-    state, success = _post_select(two_qubit_matrix(rho), 1.0 - check_strength(strength))
+    check_domain(strength=strength)
+    state, success = _post_select(two_qubit_matrix(rho), 1.0 - strength)
     return PostSelectedState(state=state, success_probability=float(success))
 
 
@@ -67,8 +68,8 @@ def numeric_engine(omega, gamma, temperature, q):
 
     Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
     each on the whole stack of 4x4 matrices over the broadcast inputs; no
-    closed form enters.  Inputs are not validated here (``GravcatParams``
-    holds the domain rules).
+    closed form enters.  An unvalidated kernel: callers run
+    ``thermal.check_domain`` first.
     """
     omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
     state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
@@ -90,7 +91,8 @@ def wm_state_closed_form(cf: ThermalTerms, strength: float) -> PostSelectedState
     `capacity_wm_closed_form`; any other vanishing branch raises
     ``ZeroSuccessProbabilityError``.
     """
-    q = 1.0 - check_strength(strength)
+    check_domain(strength=strength)
+    q = 1.0 - strength
     success = _post_selected_terms(cf, q).success
     state = np.diag([1.0, 0.0, 0.0, 0.0]) if q == 0.0 else x_state(cf, q) / success
     return PostSelectedState(state=state, success_probability=float(success))
@@ -158,9 +160,13 @@ def optimize_strength_many(omega, gamma, temperature):
     run over blocks of ``OPTIMIZE_BLOCK`` points, with the strengths along a
     new last axis, so the memory they take does not grow with the batch.
     The work per point is fixed, so a point's result has the same bits
-    alone, in any batch or in any block.  Inputs are not validated here
-    (``GravcatParams`` holds the domain rules).
+    alone, in any batch or in any block.  ``check_domain`` checks the inputs.
     """
+    check_domain(omega=omega, gamma=gamma, temperature=temperature)
+    return _optimize_many(omega, gamma, temperature)
+
+
+def _optimize_many(omega, gamma, temperature):
     shape = np.broadcast(omega, gamma, temperature).shape
     terms = _thermal_terms(omega, gamma, temperature)  # numpy scalars for scalar inputs
     stacked = np.empty((len(terms),) + shape)
@@ -216,8 +222,8 @@ def optimize_strength(params: GravcatParams) -> tuple[float, float]:
       maximum, the smaller p on ties, so it never falls below the p = 0
       capacity.
 
-    No derivative is used.  Runs `optimize_strength_many` on scalars, so
-    the thermal entries are numpy scalars.
+    No derivative is used.  Runs the core of `optimize_strength_many` on the
+    checked scalars of ``params``, so the thermal entries are numpy scalars.
     """
-    p_star, chi_star = optimize_strength_many(params.omega, params.gamma, params.temperature)
+    p_star, chi_star = _optimize_many(params.omega, params.gamma, params.temperature)
     return float(p_star), float(chi_star)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
+import gravcat_coding.linalg as linalg_module
 from gravcat_coding import GravcatParams
 from gravcat_coding.linalg import _PAULI_I, _PAULI_X, _PAULI_Z
 
@@ -83,6 +84,20 @@ def solve_counts(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+@pytest.fixture
+def symmetry_scans(monkeypatch):
+    """Calls of ``linalg.require_hermitian``, the symmetry scan, as ``[calls]``."""
+    calls = [0]
+    scan = linalg_module.require_hermitian
+
+    def counting(m):
+        calls[0] += 1
+        return scan(m)
+
+    monkeypatch.setattr(linalg_module, "require_hermitian", counting)
+    return calls
 
 
 def bell_state() -> np.ndarray:

@@ -387,9 +387,10 @@ def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
     thermal = tmp_path / "src" / "gravcat_coding" / "thermal.py"
     source = thermal.read_text(encoding="utf-8")
     reworded = source.replace('f"temperature must be positive', 'f"T must be positive')
+    # the temperature rule of `check_domain`'s table, with another error class
     reclassed = source.replace(
-        'raise InvalidParameterError(\n            f"temperature',
-        'raise OutOfRangeError(\n            f"temperature',
+        "(MIN_TEMPERATURE, _MAX, InvalidParameterError,",
+        "(MIN_TEMPERATURE, _MAX, OutOfRangeError,",
     )
     assert source != reworded and source != reclassed
     thermal.write_text(reworded, encoding="utf-8")

@@ -120,10 +120,11 @@ def test_twirl_is_idempotent(rho):
 
 # -------------------------------------------------- numeric capacity
 
-def test_capacity_of_maximally_mixed_is_zero():
+def test_capacity_of_maximally_mixed_is_zero(symmetry_scans):
     report = capacity_numeric(maximally_mixed(4))
     assert abs(report.chi) < 1e-10
     assert report.advantage is Advantage.NONE
+    assert symmetry_scans == [1]  # the input; its twirl is symmetric by construction
 
 
 def _rotated_state(spectrum, seed):

@@ -155,13 +155,16 @@ def test_numeric_grid_does_not_depend_on_chunking():
     assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
 
 
-def test_numeric_grid_solves_eigenvectors_only_for_the_gibbs_states(solve_counts):
+def test_numeric_grid_solves_eigenvectors_only_for_the_gibbs_states(
+    solve_counts, symmetry_scans
+):
     # one eigh call over the grid's Hamiltonians; the spectra of the states
     # and of their twirls are solved for eigenvalues alone
     x = AxisSpec("T", 0.05, 2.0, 6)
     y = AxisSpec("p", 0.0, 0.95, 5)
     evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.8}, engine="numeric")
     assert solve_counts == {"eigh": [1, 30], "eigvalsh": [2, 60]}
+    assert symmetry_scans == [1]  # the Hamiltonians; the states are symmetric by construction
 
 
 def test_fixed_strength_changes_cells():

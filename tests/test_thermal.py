@@ -4,22 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import gravcat_coding.verify as verify_module
 from gravcat_coding import (
+    AxisSpec,
     DegenerateGeometryError,
     GravcatGeometry,
     GravcatParams,
     InvalidParameterError,
     InvalidStateError,
+    OutOfRangeError,
+    apply_qwm,
     assemble_thermal_state,
     build_hamiltonian,
+    check_domain,
     coupling_from_geometry,
+    draw_samples,
     eigh,
     entropy_bits,
+    evaluate_sweep,
     gibbs_numeric,
+    optimize_strength_many,
     thermal_closed_form,
+    verification_report,
 )
+from gravcat_coding.closed_form import closed_form_engine
+from gravcat_coding.coding import engine_report
 from gravcat_coding.linalg import _partial_trace_first
-from conftest import boltzmann_weights, gravcat_params
+from conftest import boltzmann_weights, gravcat_params, maximally_mixed
 
 
 # ------------------------------------------------------- Hamiltonian
@@ -95,6 +106,8 @@ def test_params_validation():
         GravcatParams(omega=1.0, gamma=-0.5, temperature=1.0)
     with pytest.raises(InvalidParameterError):
         GravcatParams(omega=math.nan, gamma=0.0, temperature=1.0)
+    with pytest.raises(TypeError):  # None is no number, not a parameter left unchecked
+        GravcatParams(omega=1.0, gamma=None, temperature=1.0)
     # the degenerate gap is an explicit opt-in
     params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_degenerate_omega=True)
     assert params.theta == 1.0
@@ -191,6 +204,84 @@ def test_gibbs_diagonal_hamiltonian():
     rho = gibbs_numeric(np.diag([1.0, 0.0, 0.0, -1.0]), 1.0)
     weights = np.array([math.exp(-1.0), 1.0, 1.0, math.exp(1.0)])
     assert np.allclose(rho, np.diag(weights / weights.sum()), atol=1e-14)
+
+
+# every rule of the domain, as (parameter, bad value, error class)
+DOMAIN_CASES = [
+    *(("omega", v, InvalidParameterError) for v in (-1.0, 0.0, math.nan, math.inf)),
+    *(("gamma", v, InvalidParameterError) for v in (-0.5, math.nan)),
+    *(("T", v, InvalidParameterError) for v in (0.0, -0.1, 1e-7, math.nan)),
+    *(("p", v, OutOfRangeError) for v in (-0.1, 1.5, math.nan)),
+]
+VALID_POINT = {"omega": 1.0, "gamma": 0.5, "T": 0.8, "p": 0.3}
+
+
+def _sweep_with_fixed(point):
+    # the two axes avoid the parameter under test, which stays a fixed value
+    x, y = [name for name in ("omega", "gamma", "T") if point[name] == VALID_POINT[name]][:2]
+    fixed = {name: value for name, value in point.items() if name not in (x, y)}
+    return evaluate_sweep(AxisSpec(x, 0.5, 1.0, 2), AxisSpec(y, 0.5, 1.0, 3), fixed)
+
+
+def _verify_with_row(point, monkeypatch):
+    def draw_with_the_point(rng, n):
+        rows = draw_samples(rng, n)
+        rows[1] = [point[name] for name in ("omega", "gamma", "T", "p")]
+        return rows
+
+    monkeypatch.setattr(verify_module, "draw_samples", draw_with_the_point)
+    return verification_report(3, 5)
+
+
+# entry point -> (the parameters it takes, a call at one point)
+ENTRY_POINTS = {
+    "GravcatParams": ({"omega", "gamma", "T"}, lambda pt, mp: GravcatParams(
+        pt["omega"], pt["gamma"], pt["T"])),
+    "gibbs_numeric": ({"T"}, lambda pt, mp: gibbs_numeric(np.diag([1.0, -1.0]), pt["T"])),
+    "engine_report": ({"p"}, lambda pt, mp: engine_report(
+        closed_form_engine, GravcatParams(1.0, 0.5, 0.8), pt["p"])),
+    "apply_qwm": ({"p"}, lambda pt, mp: apply_qwm(maximally_mixed(4), pt["p"])),
+    "evaluate_sweep": ({"omega", "gamma", "T", "p"}, lambda pt, mp: _sweep_with_fixed(pt)),
+    "optimize_strength_many": ({"omega", "gamma", "T"}, lambda pt, mp: optimize_strength_many(
+        pt["omega"], pt["gamma"], pt["T"])),
+    "verify chunk": ({"omega", "gamma", "T", "p"}, _verify_with_row),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value, error",
+    [
+        pytest.param(entry, name, value, error, id=f"{entry}-{name}={value}")
+        for entry, (takes, _) in ENTRY_POINTS.items()
+        for name, value, error in DOMAIN_CASES
+        if name in takes
+    ],
+)
+def test_every_entry_point_applies_every_domain_rule(monkeypatch, entry, name, value, error):
+    call = ENTRY_POINTS[entry][1]
+    with pytest.raises(InvalidParameterError) as info:
+        call({**VALID_POINT, name: value}, monkeypatch)
+    assert type(info.value) is error
+    call(VALID_POINT, monkeypatch)  # the valid point passes
+
+
+def test_domain_error_locates_the_first_bad_element():
+    with pytest.raises(InvalidParameterError, match="gamma must be") as info:
+        optimize_strength_many(1.0, np.array([0.5, -1.0, 2.0, -3.0]), 1.0)
+    assert info.value.index == (1,)
+    temperature = np.full((2, 3), 0.5)
+    temperature[1, 0] = temperature[1, 2] = 0.0
+    with pytest.raises(InvalidParameterError, match=r"minimum 1e-06.*got 0\.0") as info:
+        check_domain(omega=np.ones(3), temperature=temperature)
+    assert info.value.index == (1, 0)
+    with pytest.raises(OutOfRangeError) as info:
+        check_domain(strength=np.array([0.0, 1.0, np.nextafter(1.0, 2.0)]))
+    assert info.value.index == (2,)
+    with pytest.raises(InvalidParameterError) as info:
+        check_domain(omega=0.0)
+    assert info.value.index == ()
+    check_domain(omega=np.array([0.0, 1.0]), allow_zero_omega=True)
+    check_domain(omega=math.ulp(0.0), gamma=0.0, temperature=1e-6, strength=1.0)
 
 
 def test_gibbs_spectrum_is_boltzmann():

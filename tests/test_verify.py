@@ -102,13 +102,19 @@ def test_report_bytes_do_not_depend_on_chunking(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk, chunks", [(verify_module.CHUNK_SIZE, 1), (20, 3)])
-def test_only_the_gibbs_states_read_eigenvectors(solve_counts, monkeypatch, chunk, chunks):
+def test_only_the_gibbs_states_read_eigenvectors(
+    solve_counts, symmetry_scans, monkeypatch, chunk, chunks
+):
     # per chunk one eigh call, the Gibbs states; every other matrix, the
     # closed-form state's positivity check and the four spectra per sample of
     # the two capacities, is solved for its eigenvalues alone
     monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
     assert verification_report(50, 1)["all_passed"]
     assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [5 * chunks, 5 * 50]}
+    # symmetry is scanned twice per chunk, in the closed-form state's density
+    # check and in the Hamiltonians' eigh; every other stack is symmetric by
+    # construction
+    assert symmetry_scans == [2 * chunks]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 123456789])
@@ -134,8 +140,9 @@ def test_every_draw_of_a_chunk_is_domain_checked(monkeypatch, column, value, err
         return rows
 
     monkeypatch.setattr(verify_module, "draw_samples", draw_with_a_bad_row)
-    with pytest.raises(error):
+    with pytest.raises(error, match="^verify sample 2: ") as info:
         verification_report(5, 3)
+    assert type(info.value) is error and info.value.index == (2,)
 
 
 def test_worst_sample_reproduces_its_deviation():
