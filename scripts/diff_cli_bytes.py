@@ -12,7 +12,8 @@ a command that exits 2; the rest of stderr can carry paths.  The list covers
 every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
 1.0, an exit-2 command for each rule of the parameter domain, the
-``--allow-zero-omega`` opt-in, and ``verify`` at its default 1000 samples
+``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and ``optimize``
+(and its absence on ``figure``), and ``verify`` at its default 1000 samples
 and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
@@ -63,6 +64,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
             ("0", "1", "1", ("--allow-zero-omega",)),
         )
     ),
+    # the opt-in paths: the unchecked optimizer core, H = 0 (the state I/4) on
+    # the numeric engine, and `figure`, which has no opt-in and exits 2
+    ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1", "--allow-zero-omega"),
+    ("capacity", "--omega", "0", "--gamma", "0", "--temp", "1", "--allow-zero-omega",
+     "--engine", "numeric", "--p", "1"),
+    ("figure", "2a", "--y", "omega:0:3:4"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1e-7"),
     ("sweep", "--x", "omega:0.5:1:3", "--y", "T:0.1:2:3", "--gamma", "1", "--p", "nan"),
     ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1", "--allow-zero-omega"),

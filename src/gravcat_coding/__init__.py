@@ -42,11 +42,11 @@ from .coding import (
     ensemble_average_via_marginal,
 )
 from .closed_form import ZeroSuccessProbabilityError, chi_closed_form
+from .numeric import chi_numeric
 from .weak_measurement import (
     PostSelectedState,
     apply_qwm,
     capacity_wm_closed_form,
-    chi_numeric,
     golden_section_maximize,
     optimize_strength,
     optimize_strength_many,

@@ -48,12 +48,7 @@ def _params_from_args(args: argparse.Namespace) -> GravcatParams:
     for name, flag in (("omega", "--omega"), ("gamma", "--gamma"), ("temp", "--temp")):
         if getattr(args, name) is None:
             raise InvalidParameterError(f"{flag} is required")
-    return GravcatParams(
-        omega=args.omega,
-        gamma=args.gamma,
-        temperature=args.temp,
-        allow_degenerate_omega=getattr(args, "allow_zero_omega", False),
-    )
+    return GravcatParams(args.omega, args.gamma, args.temp, allow_zero_omega=args.allow_zero_omega)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:

@@ -4,9 +4,10 @@ The capacity chi = S(rho_bar) - S(rho) measures, in bits, how much classical
 information one transmitted qubit of the shared pair can carry; rho_bar is
 the average over the four Pauli signal encodings applied to the sender's
 qubit (the first tensor factor).  chi > 1 beats the classical single-qubit
-limit and chi = 2 is the optimum.  Two routes are implemented: the general
-numeric pipeline on any real two-qubit state, and the closed form for
-gravcat thermal states, each serving as the other's oracle.
+limit and chi = 2 is the optimum.  `engine_report` turns the output of
+either engine, ``closed_form`` or ``numeric``, into a `CapacityReport`.  The
+wrappers over ``numeric`` for any real two-qubit state stay only because the
+benchmark's tracer pins them.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import numeric
 from .closed_form import closed_form_engine
-from .linalg import (
-    _eigenvalues,
-    _partial_trace_first,
-    _symmetrized,
-    entropy_bits,
-    two_qubit_matrix,
-)
+from .linalg import two_qubit_matrix
 from .thermal import GravcatParams, check_domain
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
@@ -74,48 +70,6 @@ class CapacityReport:
         return out
 
 
-# I, X, XZ and Z on the sender's qubit are signed permutations of the basis
-# |00>, |01>, |10>, |11>: X (x) I swaps the two halves, Z (x) I flips the
-# sign of the second half
-_SWAP_HALVES = np.array([2, 3, 0, 1])
-_HALF_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
-
-
-def _twirl(rho) -> np.ndarray:
-    """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized.
-
-    The four terms are u rho u^dagger for u = s (x) I with s = I, X, Y, Z, in
-    that order.  Since sigma_y = i sigma_x sigma_z, the Y term equals
-    (sigma_x sigma_z) rho (sigma_x sigma_z)^T, so every u is a real signed
-    permutation and each term is ``rho`` with its rows and columns permuted
-    and its entries sign-flipped.  Each entry of a term is one entry of
-    ``rho`` times +-1, exactly what the product ``u @ rho @ u.T`` gives.
-    """
-    swapped = rho[..., _SWAP_HALVES[:, np.newaxis], _SWAP_HALVES]
-    return _symmetrized(0.25 * (rho + swapped + swapped * _HALF_SIGNS + rho * _HALF_SIGNS))
-
-
-def _entropies_of(rho, average):
-    """(spectrum, S(rho), S(average)) over a stack of two-qubit states and their twirls,
-    where ``spectrum[i]`` is the i-th largest eigenvalue of ``rho`` over the stack."""
-    spectrum = _eigenvalues(rho)
-    entropy_state = entropy_bits(spectrum)
-    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(_eigenvalues(average))
-
-
-def _entropies(rho):
-    """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states, where
-    ``spectrum[i]`` is the i-th largest eigenvalue over the stack."""
-    return _entropies_of(rho, _twirl(rho))
-
-
-def _marginal_replacement(rho) -> np.ndarray:
-    """(I/2) (x) tr_A(rho) over a stack of two-qubit states."""
-    out = np.zeros_like(rho)
-    out[..., :2, :2] = out[..., 2:, 2:] = 0.5 * _partial_trace_first(rho)
-    return out
-
-
 def ensemble_average(rho) -> np.ndarray:
     """Average of the four signal encodings: (1/4) sum_i (s_i (x) I) rho (s_i (x) I).
 
@@ -123,12 +77,12 @@ def ensemble_average(rho) -> np.ndarray:
     equals (I/2) (x) tr_A(rho), which `ensemble_average_via_marginal`
     computes directly.
     """
-    return _twirl(two_qubit_matrix(rho))
+    return numeric._twirl(two_qubit_matrix(rho))
 
 
 def ensemble_average_via_marginal(rho) -> np.ndarray:
     """Identity route: the twirl replaces the sender's qubit with I/2."""
-    return _marginal_replacement(two_qubit_matrix(rho))
+    return numeric._marginal_replacement(two_qubit_matrix(rho))
 
 
 def capacity_report(
@@ -149,7 +103,8 @@ def capacity_report(
 
 def capacity_numeric(rho) -> CapacityReport:
     """chi = S(ensemble_average(rho)) - S(rho) on any real two-qubit state."""
-    return capacity_report(*_entropies(two_qubit_matrix(rho)))
+    rho = two_qubit_matrix(rho)
+    return capacity_report(*numeric._entropies(rho, numeric._twirl(rho)))
 
 
 def engine_report(engine, params: GravcatParams, strength: float | None = None) -> CapacityReport:

@@ -6,7 +6,7 @@ the last two axes, anything before them indexes the stack; `matrix_function`
 takes one matrix.  The eigensolvers are LAPACK's ``dsyevd``, which treats
 each matrix of a stack on its own, so a matrix gets the same bits alone or
 inside any stack.  Only two routes read eigenvectors, through `eigh`: the
-Gibbs state (``thermal._gibbs``) and `matrix_function`.  Every other solve
+Gibbs state (``numeric._gibbs``) and `matrix_function`.  Every other solve
 (entropies, positivity checks) reads the spectrum alone, through the
 eigenvalue-only `_eigenvalues`.
 """

@@ -21,9 +21,9 @@ import numpy as np
 from .closed_form import closed_form_engine
 from .coding import engine_report
 from .linalg import InvalidStateError, LocatedError
+from .numeric import numeric_engine
 from .thermal import GravcatParams, InvalidParameterError, check_domain
 from .version import TOOL_NAME, __version__
-from .weak_measurement import numeric_engine
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
 
@@ -109,7 +109,6 @@ class SweepGrid:
     fixed: dict[str, float]
     values: np.ndarray
     engine: str
-    version: str = __version__
 
 
 def cell_capacity(
@@ -122,9 +121,7 @@ def cell_capacity(
     allow_zero_omega: bool = False,
 ) -> float:
     """chi for one validated parameter point, on either engine."""
-    params = GravcatParams(
-        omega=omega, gamma=gamma, temperature=temperature, allow_degenerate_omega=allow_zero_omega
-    )
+    params = GravcatParams(omega, gamma, temperature, allow_zero_omega=allow_zero_omega)
     return engine_report(ENGINES[engine], params, strength).chi
 
 
@@ -206,7 +203,7 @@ def render_csv(grid: SweepGrid) -> str:
     values = _checked_values(grid)
     fixed_part = ",".join(f"{k}={float(v)!r}" for k, v in _ordered_fixed(grid.fixed))
     header = (
-        f"# {TOOL_NAME} v{grid.version} engine={grid.engine} fixed={fixed_part}\n"
+        f"# {TOOL_NAME} v{__version__} engine={grid.engine} fixed={fixed_part}\n"
         "y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())) + "\n"
     )
     heads = list(map(repr, grid.y_axis.values().tolist()))
@@ -221,7 +218,7 @@ def render_json(grid: SweepGrid) -> str:
     payload = {
         "schema_version": 1,
         "tool": TOOL_NAME,
-        "version": grid.version,
+        "version": __version__,
         "engine": grid.engine,
         "x_axis": grid.x_axis.to_dict(),
         "y_axis": grid.y_axis.to_dict(),
@@ -288,7 +285,7 @@ def figure_config(figure_id: str, grid: SweepGrid) -> dict:
     return {
         "schema_version": 1,
         "tool": TOOL_NAME,
-        "version": grid.version,
+        "version": __version__,
         "figure": figure_id,
         "engine": grid.engine,
         "x_axis": grid.x_axis.to_dict(),

@@ -18,12 +18,13 @@ import math
 import numpy as np
 
 from .closed_form import _chi_from_terms, _post_selected_terms, _thermal_terms, x_state
-from .coding import _entropies_of, _marginal_replacement, _twirl
 from .linalg import LocatedError, check_density
+from .numeric import (
+    _entropies, _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl,
+)
 from .rng import SplitMix64
-from .thermal import GravcatParams, _gibbs, _hamiltonian, check_domain
+from .thermal import GravcatParams, check_domain
 from .version import TOOL_NAME, __version__
-from .weak_measurement import _post_select
 
 # check name -> deviation threshold; report order is fixed
 CHECKS: tuple[tuple[str, float], ...] = (
@@ -72,7 +73,7 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _chi(rho, average) -> np.ndarray:
     """chi = S(average) - S(rho) over a stack of states and their twirls."""
-    _, entropy_state, entropy_average = _entropies_of(rho, average)
+    _, entropy_state, entropy_average = _entropies(rho, average)
     return entropy_average - entropy_state
 
 

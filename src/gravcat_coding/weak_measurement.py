@@ -1,10 +1,11 @@
-"""Weak-measurement post-selection protocol for gravcat thermal states.
+"""Weak-measurement post-selection: the measured capacity and its optimal strength.
 
 Both qubits are measured weakly toward |0> with strength p (a partial,
 in-principle-reversible collapse), the joint no-click branch is kept, and
-the capacity is evaluated on the surviving state.  The post-selected state
-and its capacity have closed forms in the thermal entries; the Kraus
-conjugation route provides the independent check.
+the capacity is evaluated on the surviving state.  `optimize_strength_many`
+maximizes the closed-form capacity over p.  The Kraus route lives in
+``numeric``; the wrappers here stay only because the benchmark's tracer pins
+them or its optimize-points gate calls them.
 """
 
 from __future__ import annotations
@@ -14,18 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .closed_form import (
-    ThermalTerms,
-    _chi_from_terms,
-    _post_selected_terms,
-    _thermal_terms,
-    check_success,
-    closed_form_engine,
+    ThermalTerms, _chi_from_terms, _post_selected_terms, _thermal_terms, closed_form_engine,
     x_state,
 )
-from .coding import CapacityReport, _entropies, engine_report
+from .coding import CapacityReport, engine_report
 from .linalg import two_qubit_matrix
-from .thermal import GravcatParams, _gibbs, _hamiltonian, check_domain
+from .thermal import GravcatParams, check_domain
 
 
 @dataclass(frozen=True)
@@ -36,22 +33,6 @@ class PostSelectedState:
     success_probability: float
 
 
-def _post_select(rho, q):
-    """(Q(x)Q) rho (Q(x)Q)^dagger / P_s and P_s over a stack, with Q = diag(1, sqrt(q)).
-
-    Q leaves |0> untouched and damps |1>: q = 1 (p = 0) is the identity and
-    q = 0 (p = 1) the projector onto |0>.  Q(x)Q is diagonal with
-    k = (1, s, s, s^2), s = sqrt(q), so the conjugation scales entry (i, j)
-    by k_i k_j.
-    """
-    s = np.sqrt(np.asarray(q, dtype=float))
-    k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)
-    kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])
-    success = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-    check_success(success)
-    return kept / success[..., np.newaxis, np.newaxis], success
-
-
 def apply_qwm(rho, strength: float) -> PostSelectedState:
     """Measure both qubits weakly and post-select: (Q(x)Q) rho (Q(x)Q)^dagger / P_s.
 
@@ -59,27 +40,8 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     allowed as long as the surviving branch has nonzero probability.
     """
     check_domain(strength=strength)
-    state, success = _post_select(two_qubit_matrix(rho), 1.0 - strength)
+    state, success = numeric._post_select(two_qubit_matrix(rho), 1.0 - strength)
     return PostSelectedState(state=state, success_probability=float(success))
-
-
-def numeric_engine(omega, gamma, temperature, q):
-    """(spectrum, S(rho), S(rho_bar), success) through the matrix route, with q = 1 - p.
-
-    Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
-    each on the whole stack of 4x4 matrices over the broadcast inputs; no
-    closed form enters.  An unvalidated kernel: callers run
-    ``thermal.check_domain`` first.
-    """
-    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
-    state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
-    return (*_entropies(state), success)
-
-
-def chi_numeric(omega, gamma, temperature, q=1.0):
-    """Dense-coding capacity of `numeric_engine`: chi = S(rho_bar) - S(rho)."""
-    _, entropy_state, entropy_average, _ = numeric_engine(omega, gamma, temperature, q)
-    return entropy_average - entropy_state
 
 
 def wm_state_closed_form(cf: ThermalTerms, strength: float) -> PostSelectedState:

@@ -97,6 +97,17 @@ def test_capacity_invalid_temperature(capsys):
     assert "temperature must be positive" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
+    ("figure", "2a", "--y", "omega:0:3:2"),
+])
+def test_zero_omega_error_names_the_opt_in(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert "allow_zero_omega" in message and "--allow-zero-omega" in message
+
+
 def test_capacity_at_projective_endpoint(capsys):
     code, out, _ = run_cli(
         capsys, "capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--p", "1"

@@ -213,13 +213,13 @@ def test_report_decomposes_exactly(golden):
 @pytest.mark.parametrize("omega, gamma", [(0.0, 0.0), (0.0, 0.8)])
 def test_degenerate_splitting_matches_numeric_engine(omega, gamma):
     for strength in (0.0, 0.5, 0.9, 1.0):
-        params = GravcatParams(omega, gamma, 0.7, allow_degenerate_omega=True)
+        params = GravcatParams(omega, gamma, 0.7, allow_zero_omega=True)
         closed = capacity_wm_closed_form(params, strength).chi
         rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
         numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
         assert abs(closed - numeric) < 1e-12, strength
     # H = 0 leaves I/4: no capacity before the measurement, a product state after
-    params = GravcatParams(0.0, 0.0, 1.0, allow_degenerate_omega=True)
+    params = GravcatParams(0.0, 0.0, 1.0, allow_zero_omega=True)
     assert capacity_closed_form(params).chi == 0.0
     assert abs(capacity_wm_closed_form(params, 0.5).chi - 0.081704165945510485) < 1e-15
 

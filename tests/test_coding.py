@@ -22,10 +22,8 @@ from gravcat_coding import (
     thermal_closed_form,
 )
 from gravcat_coding.closed_form import _thermal_terms, x_state
-from gravcat_coding.coding import _twirl
 from gravcat_coding.linalg import _partial_trace_first, _symmetrized
-from gravcat_coding.thermal import _gibbs, _hamiltonian
-from gravcat_coding.weak_measurement import _post_select
+from gravcat_coding.numeric import _gibbs, _hamiltonian, _post_select, _twirl
 from conftest import (
     SIGNALS,
     basis_projector,

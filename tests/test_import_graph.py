@@ -1,0 +1,71 @@
+"""The two engines check each other only while neither is built from the other.
+
+These tests read the package's import statements from its sources: the
+closed form stands on ``linalg`` alone, the numeric engine on ``linalg`` and
+the shared success floor, and every module takes the matrix route from
+``numeric`` itself.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gravcat_coding"
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def package_imports(module: str) -> list[tuple[str, str | None]]:
+    """(package module, name) of each import of a package module in ``<module>.py``;
+    ``from . import x`` and ``import gravcat_coding.x`` give (x, None)."""
+    found = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                found.append((node.module, alias.name) if node.module else (alias.name, None))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            assert not any(name.startswith("gravcat_coding") for name in names), module
+    return found
+
+
+def defined_names(module: str) -> set[str]:
+    """The functions, classes and constants that ``<module>.py`` defines at its top level."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_closed_form_imports_only_linalg():
+    assert {module for module, _ in package_imports("closed_form")} == {"linalg"}
+
+
+def test_numeric_imports_only_linalg_and_the_success_floor():
+    imports = package_imports("numeric")
+    assert [item for item in imports if item[0] != "linalg"] == [("closed_form", "check_success")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_matrix_route_is_imported_from_numeric_only(module):
+    route = defined_names("numeric")
+    assert {"_gibbs", "_post_select", "_twirl", "numeric_engine"} <= route
+    stray = [(source, name) for source, name in package_imports(module)
+             if name in route and source != "numeric"]
+    assert stray == []
+
+
+def test_verify_takes_the_matrix_route_from_numeric():
+    imports = package_imports("verify")
+    assert {"coding", "weak_measurement"}.isdisjoint(module for module, _ in imports)
+    from_numeric = {name for module, name in imports if module == "numeric"}
+    assert {"_hamiltonian", "_gibbs", "_post_select", "_twirl", "_entropies"} <= from_numeric

@@ -26,7 +26,7 @@ from gravcat_coding.linalg import (
     check_density,
     two_qubit_matrix,
 )
-from gravcat_coding.thermal import _EXCHANGE, _SPLITTING
+from gravcat_coding.numeric import _EXCHANGE, _SPLITTING
 from conftest import (
     SIGNALS,
     basis_projector,

@@ -14,6 +14,7 @@ from gravcat_coding import (
     InvalidStateError,
     OutOfRangeError,
     SweepGrid,
+    __version__,
     cell_capacity,
     chi_numeric,
     evaluate_sweep,
@@ -315,7 +316,7 @@ def reference_csv(grid) -> str:
     """The CSV writer as one `repr` call per cell: the oracle for the kernel."""
     names = [name for name in ("omega", "gamma", "T", "p") if name in grid.fixed]
     fixed = ",".join(f"{name}={grid.fixed[name]!r}" for name in names)
-    lines = [f"# gravcat-coding v{grid.version} engine={grid.engine} fixed={fixed}"]
+    lines = [f"# gravcat-coding v{__version__} engine={grid.engine} fixed={fixed}"]
     lines.append("y\\x," + ",".join(map(repr, grid.x_axis.values().tolist())))
     for y_value, row in zip(grid.y_axis.values().tolist(), grid.values.tolist()):
         lines.append(repr(y_value) + "," + ",".join(map(repr, row)))

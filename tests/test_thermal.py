@@ -41,7 +41,7 @@ def test_hamiltonian_non_interacting_limit():
 
 
 def test_hamiltonian_pure_coupling_limit():
-    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_degenerate_omega=True)
+    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_zero_omega=True)
     assert np.array_equal(build_hamiltonian(params), -np.fliplr(np.eye(4)))
 
 
@@ -109,7 +109,7 @@ def test_params_validation():
     with pytest.raises(TypeError):  # None is no number, not a parameter left unchecked
         GravcatParams(omega=1.0, gamma=None, temperature=1.0)
     # the degenerate gap is an explicit opt-in
-    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_degenerate_omega=True)
+    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_zero_omega=True)
     assert params.theta == 1.0
 
 

@@ -24,7 +24,7 @@ from gravcat_coding import (
     thermal_closed_form,
     wm_state_closed_form,
 )
-from gravcat_coding.weak_measurement import _post_select
+from gravcat_coding.numeric import _post_select, numeric_engine
 from conftest import basis_projector, finite_floats, gravcat_params
 
 
@@ -154,7 +154,7 @@ def test_projective_endpoint_with_vanishing_branch_is_one_bit():
     state = wm_state_closed_form(thermal_closed_form(params), 1.0)
     assert np.array_equal(state.state, basis_projector(0)) and state.success_probability == 0.0
     with pytest.raises(ZeroSuccessProbabilityError):
-        wm_module.numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
+        numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
