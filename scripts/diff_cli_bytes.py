@@ -13,8 +13,8 @@ every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
 1.0, an exit-2 command for each rule of the parameter domain, the
 ``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and ``optimize``
-(and its absence on ``figure``), and ``verify`` at its default 1000 samples
-and seed 42.
+(and its absence on ``figure``), ``optimize`` at a peak about 1e-9 wide,
+and ``verify`` at its default 1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
 between corresponding numbers is printed with it.  The exit code is 1 on
@@ -101,6 +101,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("figure", "5a", *NUMERIC_5A, "--output", "figure_5a_numeric.csv"),
     ("figure", "5a", *NUMERIC_5A, "--format", "json"),
     *(("optimize", "--omega", w, "--gamma", g, "--temp", t) for w, g, t in POINTS),
+    # a chi(p) peak about 1e-9 wide at low T
+    ("optimize", "--omega", "2.43629677990019", "--gamma", "0.00691859790353444",
+     "--temp", "0.01"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
     ("verify", "--samples", "1000", "--seed", "42"),
     ("verify", "--samples", "50", "--seed", "7", "--output", "verify.json"),

@@ -9,6 +9,15 @@ the exponent (theta - gamma)/T is taken as omega^2 / ((theta + gamma) T),
 eigenvalue from the block determinant (Vieta).
 Every eigenvalue is a product or sum of positive terms, so each keeps full
 relative precision even after division by a tiny success probability.
+
+Each entropy is formed from the terms p = v log2 v, three ufunc calls each,
+as S(rho) = 0.0 - p1 - p2 - p3 - p4 and S(rho_bar) = 1.0 - (p_nu + p_mu).
+IEEE 754 defines x - y as x + (-y), so these have the bits of the sum of
+-v log2 v started at 0, signed zeros included: that running sum starts at
++0.0 and never becomes -0.0.  The negated sum -(p1 + p2 + p3 + p4) does
+not: at a pure state every term is a zero, and it gives S(rho) = -0.0.
+An exact eigenvalue 0 is floored at the least subnormal inside the log, so
+its term is a zero.
 """
 
 from __future__ import annotations
@@ -143,14 +152,22 @@ def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
     return _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
 
 
-def _entropy_bits(*values):
-    """Sum of -v log2 v; an exact 0 contributes 0 and a NaN propagates."""
-    return sum(-v * np.log2(v + (v == 0.0)) for v in values)
+def _v_log2_v(v):
+    """v log2 v in three ufunc calls; a NaN propagates.
+
+    The floor at the least subnormal changes only an exact 0, which gives
+    0 * log2(5e-324) = -0.0, as long as v is not negative.  No eigenvalue is
+    inside the domain; outside it (q < 0) a negative v gives a finite term,
+    not the NaN of log2.
+    """
+    return v * np.log2(np.maximum(v, 5e-324))
 
 
 def closed_form_entropies(terms: ClosedFormTerms):
     """(S(rho), S(rho_bar)) in bits; chi is S(rho_bar) - S(rho)."""
-    return _entropy_bits(*terms.spectrum), 1.0 + _entropy_bits(terms.nu, terms.mu)
+    v1, v2, v3, v4 = terms.spectrum  # one term at a time: each is freed once subtracted
+    entropy_state = 0.0 - _v_log2_v(v1) - _v_log2_v(v2) - _v_log2_v(v3) - _v_log2_v(v4)
+    return entropy_state, 1.0 - (_v_log2_v(terms.nu) + _v_log2_v(terms.mu))
 
 
 def _chi_from_terms(terms: ClosedFormTerms):
@@ -164,13 +181,21 @@ def closed_form_engine(omega, gamma, temperature, q):
 
     ``spectrum`` holds the four eigenvalues of the state, one array each, in
     no fixed order.  An unvalidated kernel: NaN propagates and no domain rule
-    is checked, so callers run ``thermal.check_domain`` first.
+    is checked, so callers run ``thermal.check_domain`` first.  Outside the
+    domain the numbers are not physical and not NaN: where q < 0 makes an
+    eigenvalue negative, its entropy term is taken at the least subnormal
+    inside the log, so both entropies stay finite.
     """
     terms = _closed_form_terms(omega, gamma, temperature, q)
     return (terms.spectrum, *closed_form_entropies(terms), terms.success)
 
 
 def chi_closed_form(omega, gamma, temperature, q=1.0):
-    """Dense-coding capacity of `closed_form_engine`: chi = S(rho_bar) - S(rho)."""
+    """Dense-coding capacity of `closed_form_engine`: chi = S(rho_bar) - S(rho).
+
+    Unvalidated like `closed_form_engine`, so finite outside the domain:
+    ``chi_closed_form(1, 1, 1, -0.5)`` is about 10837 bits, where a valid
+    chi lies in [0, 2].
+    """
     _, entropy_state, entropy_average, _ = closed_form_engine(omega, gamma, temperature, q)
     return entropy_average - entropy_state

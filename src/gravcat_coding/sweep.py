@@ -3,11 +3,11 @@
 A sweep evaluates chi on a uniform inclusive 2-D grid; any two of
 {omega, gamma, T, p} form the axes and the rest are fixed.  Each engine is
 one array function of (omega, gamma, T, q) with q = 1 - p, listed in
-``ENGINES``; a grid on either engine is one call to it, so a cell has the
-same bits in a grid, a row, alone, or in the ``capacity`` command.  Output
-is deterministic byte-for-byte for identical invocations: formatting is
-ordered, floats are rendered as shortest round-trip decimals, and no
-timestamps are serialized.
+``ENGINES``; a grid on either engine is evaluated in blocks of whole rows,
+one call each, and a cell has the same bits in a grid, a block, a row,
+alone, or in the ``capacity`` command.  Output is deterministic
+byte-for-byte for identical invocations: formatting is ordered, floats are
+rendered as shortest round-trip decimals, and no timestamps are serialized.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
 
 CHI_MIN = -1e-10
 CHI_MAX = 2.0 + 1e-10
+# cells per engine call, in whole rows (at least one): 200x200 figures stay
+# one call, and a large grid's temporaries stay those of one block
+SWEEP_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,13 @@ def evaluate_sweep(
     *,
     allow_zero_omega: bool = False,
 ) -> SweepGrid:
-    """Evaluate chi over the grid in one call to the engine's array function.
+    """Evaluate chi over the grid with the engine's array function.
 
     ``fixed`` must cover exactly the parameters that are not axes ("p" is
-    optional: leaving it out means no weak measurement).  A failure at a
-    cell aborts the sweep with the coordinates of the first failing cell.
+    optional: leaving it out means no weak measurement).  The rows go to the
+    engine in blocks of up to ``SWEEP_BLOCK_CELLS`` cells, so the memory the
+    engine takes does not grow with the grid.  A failure at a cell aborts
+    the sweep with the coordinates of the first failing cell.
     """
     engine_function = ENGINES[engine]
     if x_axis.name == y_axis.name:
@@ -155,21 +160,27 @@ def evaluate_sweep(
         )
     x_values, y_values = x_axis.values(), y_axis.values()
     point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
-    p = point.get("p", 0.0)  # no p is p = 0, no measurement
     check_domain(
-        omega=point["omega"], gamma=point["gamma"], temperature=point["T"], strength=p,
-        allow_zero_omega=allow_zero_omega,
+        omega=point["omega"], gamma=point["gamma"], temperature=point["T"],
+        strength=point.get("p", 0.0), allow_zero_omega=allow_zero_omega,
     )
-    try:
-        _, entropy_state, entropy_average, _ = engine_function(
-            point["omega"], point["gamma"], point["T"], 1.0 - p
-        )
-    except LocatedError as exc:
-        iy, ix = exc.index[:2]
-        cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
-        coords = ", ".join(f"{k}={v:g}" for k, v in sorted(cell.items()))
-        raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
-    values = entropy_average - entropy_state
+    values = np.empty((y_axis.count, x_axis.count))
+    block_rows = max(1, SWEEP_BLOCK_CELLS // x_axis.count)
+    for start in range(0, y_axis.count, block_rows):
+        block = slice(start, start + block_rows)
+        point[y_axis.name] = y_values[block, np.newaxis]
+        p = point.get("p", 0.0)  # no p is p = 0, no measurement
+        try:
+            _, entropy_state, entropy_average, _ = engine_function(
+                point["omega"], point["gamma"], point["T"], 1.0 - p
+            )
+        except LocatedError as exc:
+            iy, ix = exc.index[:2]
+            iy += start
+            cell = {**fixed, x_axis.name: float(x_values[ix]), y_axis.name: float(y_values[iy])}
+            coords = ", ".join(f"{k}={v:g}" for k, v in sorted(cell.items()))
+            raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
+        np.subtract(entropy_average, entropy_state, out=values[block])
     return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=values, engine=engine)
 
 

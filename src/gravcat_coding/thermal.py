@@ -39,7 +39,8 @@ class OutOfRangeError(InvalidParameterError):
 _MAX = float(np.finfo(float).max)
 _DOMAIN = (
     (math.ulp(0.0), _MAX, InvalidParameterError,
-     "omega must be finite and positive (allow_zero_omega / --allow-zero-omega permits omega = 0)"),
+     "omega must be finite and positive (allow_zero_omega, or --allow-zero-omega on capacity,"
+     " sweep and optimize, permits omega = 0)"),
     (0.0, _MAX, InvalidParameterError, "gamma must be finite and nonnegative"),
     (MIN_TEMPERATURE, _MAX, InvalidParameterError,
      f"temperature must be positive and finite (minimum {MIN_TEMPERATURE:g} in natural units)"),

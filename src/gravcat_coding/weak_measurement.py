@@ -142,26 +142,42 @@ def _optimize_many(omega, gamma, temperature):
     return p_star.reshape(shape), chi_star.reshape(shape)
 
 
-def _optimize_rows(thermal: ThermalTerms):
-    """(p_star, chi_star) of each row of thermal terms, each of shape (points, 1)."""
-    rows = np.arange(thermal.z.shape[0])
-    chi = lambda p: _chi_from_terms(_post_selected_terms(thermal, 1.0 - p))
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index one below and one above each of ``range(n)``, clipped to the ends."""
+    index = np.arange(n)
+    return np.maximum(index - 1, 0), np.minimum(index + 1, n - 1)
 
-    step = STRENGTH_MAX / (STRENGTH_GRID_POINTS - 1)
-    grid = np.arange(STRENGTH_GRID_POINTS) * step  # bit-identical to i * step
-    scan = chi(grid)
+
+# everything the passes share is built once: a numpy call costs about 0.5 us
+# against about 40 ns per extra element, so one point's work is mostly calls
+_SCAN_GRID = np.arange(STRENGTH_GRID_POINTS) * (STRENGTH_MAX / (STRENGTH_GRID_POINTS - 1))
+_SCAN_Q = 1.0 - _SCAN_GRID
+_SCAN_BELOW, _SCAN_ABOVE = _neighbours(STRENGTH_GRID_POINTS)
+_REFINE_FRACTIONS = np.arange(REFINE_POINTS) / (REFINE_POINTS - 1)
+_REFINE_BELOW, _REFINE_ABOVE = _neighbours(REFINE_POINTS)
+
+
+def _optimize_rows(thermal: ThermalTerms):
+    """(p_star, chi_star) of each row of thermal terms, each of shape (points, 1).
+
+    ``_post_selected_terms`` and ``_chi_from_terms`` are looked up in this
+    module at each call, so a synthetic profile can stand in for the closed form.
+    """
+    rows = np.arange(thermal.z.shape[0])
+    chi_of_q = lambda q: _chi_from_terms(_post_selected_terms(thermal, q))
+
+    scan = chi_of_q(_SCAN_Q)
     best = scan.argmax(axis=-1)  # the first maximum
-    chi_scan, p_scan = scan[rows, best], grid[best]
-    lo = grid[np.maximum(best - 1, 0), np.newaxis]
-    hi = grid[np.minimum(best + 1, STRENGTH_GRID_POINTS - 1), np.newaxis]
-    fractions = np.arange(REFINE_POINTS) / (REFINE_POINTS - 1)
-    for _ in range(REFINE_LEVELS):
-        points = lo + (hi - lo) * fractions
-        values = chi(points)
+    chi_scan, p_scan = scan[rows, best], _SCAN_GRID[best]
+    lo, hi = _SCAN_GRID[_SCAN_BELOW[best], np.newaxis], _SCAN_GRID[_SCAN_ABOVE[best], np.newaxis]
+    for level in range(REFINE_LEVELS):
+        points = lo + (hi - lo) * _REFINE_FRACTIONS
+        values = chi_of_q(1.0 - points)
         best = values.argmax(axis=-1)
-        chi_refined, p_refined = values[rows, best], points[rows, best]
-        lo = points[rows, np.maximum(best - 1, 0), np.newaxis]
-        hi = points[rows, np.minimum(best + 1, REFINE_POINTS - 1), np.newaxis]
+        if level < REFINE_LEVELS - 1:  # the last level is read at its best point only
+            lo = points[rows, _REFINE_BELOW[best], np.newaxis]
+            hi = points[rows, _REFINE_ABOVE[best], np.newaxis]
+    chi_refined, p_refined = values[rows, best], points[rows, best]
 
     chi_star, p_star = scan[:, 0], np.zeros(rows.shape)
     for chi_c, p_c in ((chi_scan, p_scan), (chi_refined, p_refined)):

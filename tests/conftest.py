@@ -125,3 +125,25 @@ def boltzmann_weights(omega: float, gamma: float, temperature: float) -> np.ndar
     weights = np.exp(-(energies - energies.min()) / temperature)
     weights = weights / weights.sum()
     return np.sort(weights)[::-1]
+
+
+# the closed form's entropies as a sum of -v log2 v terms from 0, kept
+# verbatim from before its three-call kernel: the kernel must match these
+# bits, signed zeros included
+def summed_entropy_bits(*values):
+    """Sum of -v log2 v; an exact 0 contributes 0 and a NaN propagates."""
+    return sum(-v * np.log2(v + (v == 0.0)) for v in values)
+
+
+def summed_entropies(terms):
+    """(S(rho), S(rho_bar)) of closed-form terms by `summed_entropy_bits`."""
+    return summed_entropy_bits(*terms.spectrum), 1.0 + summed_entropy_bits(terms.nu, terms.mu)
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal float64 bits where ``want`` is not NaN, and NaN where it is;
+    ``==`` would hide the sign of a zero."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))

@@ -106,6 +106,8 @@ def test_zero_omega_error_names_the_opt_in(capsys, argv):
     assert code == 2 and out == ""
     message = json.loads(err)["message"]
     assert "allow_zero_omega" in message and "--allow-zero-omega" in message
+    # `figure` has no such flag, so the message names the commands that do
+    assert "capacity, sweep and optimize" in message
 
 
 def test_capacity_at_projective_endpoint(capsys):

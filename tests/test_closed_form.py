@@ -16,6 +16,7 @@ import pytest
 from gravcat_coding import (
     AxisSpec,
     GravcatParams,
+    OutOfRangeError,
     SweepGrid,
     ZeroSuccessProbabilityError,
     apply_qwm,
@@ -30,7 +31,10 @@ from gravcat_coding import (
     optimize_strength,
     render_csv,
 )
-from gravcat_coding.closed_form import _closed_form_terms
+from gravcat_coding.closed_form import (
+    ClosedFormTerms, _closed_form_terms, closed_form_engine, closed_form_entropies,
+)
+from conftest import assert_same_bits, summed_entropies
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
 GOLDEN_TOL = 1e-12
@@ -229,6 +233,20 @@ def test_nan_input_propagates():
     assert math.isnan(chi_closed_form(math.nan, 0.0, 1.0, 0.5))
 
 
+def test_outside_the_domain_the_kernel_is_finite_not_nan():
+    # q < 0 makes two eigenvalues negative; each term v log2 v takes the
+    # least subnormal inside the log, so chi is finite (no NaN, no warning)
+    # and far outside [0, 2]; every checked entry point refuses q < 0 first
+    spectrum, _, _, _ = closed_form_engine(1.0, 1.0, 1.0, -0.5)
+    assert sum(float(v) < 0.0 for v in spectrum) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi = chi_closed_form(1.0, 1.0, 1.0, -0.5)
+    assert chi == pytest.approx(10836.939652553752, rel=1e-12)
+    with pytest.raises(OutOfRangeError):
+        capacity_wm_closed_form(GravcatParams(1.0, 1.0, 1.0), 1.5)
+
+
 def test_vanishing_success_names_the_first_element():
     # at q = 1e-200 every kept weight underflows where omega/T = 1000
     temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
@@ -249,3 +267,57 @@ def test_projective_endpoint_with_underflowed_weight_is_one_bit():
     with pytest.raises(ZeroSuccessProbabilityError) as info:
         chi_closed_form(1.0, 0.0, temperature, q)
     assert info.value.index == (1, 0)
+
+
+# ------------------------------------------- the entropy kernel's bits
+
+def log_uniform_box(n, seed):
+    """omega 10^U(-3,3); gamma 10^U(-6,3) or 0; T 10^U(-6,3); q 10^U(-9,0), 1 or 0."""
+    rng = np.random.default_rng(seed)
+    omega = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    gamma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, n))
+    temperature = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    q = 10.0 ** rng.uniform(-9.0, 0.0, n)
+    q[::10], q[5::50] = 1.0, 0.0
+    return omega, gamma, temperature, q
+
+
+def test_engine_entropies_equal_the_summed_form_bit_for_bit():
+    # 300,000 points over the whole accepted box, plus one NaN in each input
+    nan_rows = np.full((4, 4), 0.5)
+    np.fill_diagonal(nan_rows, math.nan)
+    seen_zero = seen_subnormal = seen_pure = False
+    for seed in range(3):
+        columns = np.array(log_uniform_box(100_000, seed))
+        if seed == 0:
+            columns = np.concatenate([columns, nan_rows], axis=1)
+        omega, gamma, temperature, q = columns
+        spectrum, entropy_state, entropy_average, _ = closed_form_engine(
+            omega, gamma, temperature, q
+        )
+        terms = _closed_form_terms(omega, gamma, temperature, q)
+        want_state, want_average = summed_entropies(terms)
+        assert_same_bits(entropy_state, want_state)
+        assert_same_bits(entropy_average, want_average)
+        spectrum = np.stack(spectrum)
+        seen_zero |= (spectrum == 0.0).any()
+        seen_subnormal |= ((0.0 < spectrum) & (spectrum < np.finfo(float).tiny)).any()
+        seen_pure |= (entropy_state == 0.0).any()
+        if seed == 0:
+            assert np.isnan(entropy_state[-4:]).all() and np.isnan(entropy_average[-4:]).all()
+    assert seen_zero and seen_subnormal and seen_pure
+
+
+def test_entropy_kernel_on_every_tuple_of_special_values():
+    # every spectrum of four values and every (nu, mu) pair from a set with
+    # both zeros, subnormals, the least normal, ordinary values, inf and NaN
+    special = np.array(
+        [0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.25, 0.5, 1.0, np.inf, math.nan]
+    )
+    grid = np.stack(np.meshgrid(*[special] * 4, indexing="ij")).reshape(4, -1)
+    terms = ClosedFormTerms(None, tuple(grid), grid[0], grid[1])
+    for got, want in zip(closed_form_entropies(terms), summed_entropies(terms)):
+        assert_same_bits(got, want)
+    # a pure state: a running sum from +0.0 never turns into -0.0
+    pure = ClosedFormTerms(None, (1.0, 0.0, 0.0, 0.0), 1.0, 0.0)
+    assert [str(v) for v in closed_form_entropies(pure)] == ["0.0", "1.0"]

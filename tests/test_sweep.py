@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravcat_coding.float_text as float_text
+import gravcat_coding.sweep as sweep_module
 from gravcat_coding import (
     AxisSpec,
     DEFAULT_AXES,
@@ -188,6 +190,69 @@ def test_cell_failures_abort_with_context():
     first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
     with pytest.raises(RuntimeError, match=first_bad):
         evaluate_sweep(*VANISHING_AT_P1, engine="numeric")
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_failure_in_a_later_block_names_its_cell(monkeypatch, block_rows):
+    # the failing cells are in the last row (p = 1): with blocks of one or
+    # two rows the error comes from a later block and names the same cell
+    monkeypatch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", 2 * block_rows)
+    p_axis, t_axis, fixed = VANISHING_AT_P1
+    first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
+    with pytest.raises(RuntimeError, match=first_bad):
+        evaluate_sweep(t_axis, p_axis, fixed, engine="numeric")
+
+
+BLOCKED_GRIDS = (
+    (AxisSpec("gamma", 0.0, 3.0, 9), AxisSpec("omega", 0.01, 3.0, 23), {"T": 0.05, "p": 0.6}),
+    (AxisSpec("T", 0.01, 2.0, 9), AxisSpec("p", 0.0, 1.0, 23), {"omega": 1.3, "gamma": 0.8}),
+)
+
+
+@pytest.mark.parametrize("engine", ["closed_form", "numeric"])
+@pytest.mark.parametrize("x, y, fixed", BLOCKED_GRIDS)
+def test_grid_bits_do_not_depend_on_the_row_block(monkeypatch, engine, x, y, fixed):
+    # blocks of 1 row, of 7 rows (the last one short) and the whole grid
+    results = []
+    for cells in (1, 7 * x.count, x.count * y.count):
+        monkeypatch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", cells)
+        results.append(evaluate_sweep(x, y, fixed, engine=engine).values.view(np.uint64))
+    assert all(np.array_equal(results[0], other) for other in results[1:])
+
+
+def test_default_grids_are_one_engine_call(monkeypatch):
+    # every default 200x200 figure grid, and 12x12 and 20x20 grids, go to the
+    # engine in one call
+    shapes = []
+    engine = sweep_module.ENGINES["closed_form"]
+
+    def counting(*args):
+        shapes.append(np.broadcast_shapes(*map(np.shape, args)))
+        return engine(*args)
+
+    monkeypatch.setitem(sweep_module.ENGINES, "closed_form", counting)
+    for figure_id in FIGURES:
+        figure_grid(figure_id)
+    for side in (12, 20):
+        evaluate_sweep(
+            AxisSpec("T", 0.05, 2.0, side), AxisSpec("p", 0.0, 0.95, side),
+            {"omega": 1.0, "gamma": 1.0},
+        )
+    assert shapes == [(200, 200)] * len(FIGURES) + [(12, 12), (20, 20)]
+
+
+def test_large_grid_memory_is_that_of_one_block():
+    # 500,000 closed-form cells take about 200 bytes per cell of one block
+    # beyond the grid itself; the whole grid in one call would take 92 MB
+    x = AxisSpec("gamma", 0.0, 3.0, 500)
+    y = AxisSpec("omega", 0.01, 3.0, 1000)
+    tracemalloc.start()
+    try:
+        grid = evaluate_sweep(x, y, {"T": 0.3, "p": 0.4})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.values.nbytes + 512 * sweep_module.SWEEP_BLOCK_CELLS
 
 
 def test_projective_cells_with_vanishing_weight_are_one_bit():

@@ -24,8 +24,11 @@ from gravcat_coding import (
     thermal_closed_form,
     wm_state_closed_form,
 )
+from gravcat_coding.closed_form import _post_selected_terms
 from gravcat_coding.numeric import _post_select, numeric_engine
-from conftest import basis_projector, finite_floats, gravcat_params
+from conftest import (
+    assert_same_bits, basis_projector, finite_floats, gravcat_params, summed_entropies,
+)
 
 
 def thermal_state(omega, gamma, temperature):
@@ -255,6 +258,61 @@ def test_batched_optimizer_equals_per_point_bit_for_bit():
     ):
         got = optimize_strength_many(*args)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def summed_optimize_rows(thermal):
+    """The strength search before its import-time tables, kept verbatim, scoring
+    chi with the summed entropies."""
+    STRENGTH_GRID_POINTS, STRENGTH_MAX = wm_module.STRENGTH_GRID_POINTS, wm_module.STRENGTH_MAX
+    REFINE_POINTS, REFINE_LEVELS = wm_module.REFINE_POINTS, wm_module.REFINE_LEVELS
+
+    def _chi_from_terms(terms):
+        entropy_state, entropy_average = summed_entropies(terms)
+        return entropy_average - entropy_state
+
+    rows = np.arange(thermal.z.shape[0])
+    chi = lambda p: _chi_from_terms(_post_selected_terms(thermal, 1.0 - p))
+
+    step = STRENGTH_MAX / (STRENGTH_GRID_POINTS - 1)
+    grid = np.arange(STRENGTH_GRID_POINTS) * step  # bit-identical to i * step
+    scan = chi(grid)
+    best = scan.argmax(axis=-1)  # the first maximum
+    chi_scan, p_scan = scan[rows, best], grid[best]
+    lo = grid[np.maximum(best - 1, 0), np.newaxis]
+    hi = grid[np.minimum(best + 1, STRENGTH_GRID_POINTS - 1), np.newaxis]
+    fractions = np.arange(REFINE_POINTS) / (REFINE_POINTS - 1)
+    for _ in range(REFINE_LEVELS):
+        points = lo + (hi - lo) * fractions
+        values = chi(points)
+        best = values.argmax(axis=-1)
+        chi_refined, p_refined = values[rows, best], points[rows, best]
+        lo = points[rows, np.maximum(best - 1, 0), np.newaxis]
+        hi = points[rows, np.minimum(best + 1, REFINE_POINTS - 1), np.newaxis]
+
+    chi_star, p_star = scan[:, 0], np.zeros(rows.shape)
+    for chi_c, p_c in ((chi_scan, p_scan), (chi_refined, p_refined)):
+        better = (chi_c > chi_star) | ((chi_c == chi_star) & (p_c < p_star))  # ties -> smaller p
+        chi_star, p_star = np.where(better, chi_c, chi_star), np.where(better, p_c, p_star)
+    return p_star, chi_star
+
+
+def test_optimizer_equals_the_summed_search_bit_for_bit(monkeypatch):
+    # 2,400 seeded points, 600 of them at T = 0.01, and a peak about 1e-9
+    # wide at low T; batched and one point at a time
+    peak = [[2.43629677990019], [0.00691859790353444], [0.01]]
+    omega, gamma, temperature = np.concatenate([seeded_points(2400, 20, cold=600), peak], axis=1)
+    p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
+    with monkeypatch.context() as patch:
+        patch.setattr(wm_module, "_optimize_rows", summed_optimize_rows)
+        want_p, want_chi = optimize_strength_many(omega, gamma, temperature)
+    assert_same_bits(p_star, want_p)
+    assert_same_bits(chi_star, want_chi)
+    one_at_a_time = np.array([
+        optimize_strength(GravcatParams(*point))
+        for point in zip(omega.tolist(), gamma.tolist(), temperature.tolist())
+    ])
+    assert_same_bits(one_at_a_time[:, 0], want_p)
+    assert_same_bits(one_at_a_time[:, 1], want_chi)
 
 
 def test_optimizer_bits_do_not_depend_on_the_block_size(monkeypatch):
