@@ -13,7 +13,8 @@ every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
 1.0, an exit-2 command for each rule of the parameter domain, the
 ``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and ``optimize``
-(and its absence on ``figure``), ``optimize`` at a peak about 1e-9 wide,
+(and its absence on ``figure``), ``optimize`` at a peak about 1e-9 wide
+and at two narrow peaks at small ``q = 1 - p`` (about 1.6e-6 and 6.7e-10),
 and ``verify`` at its default 1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
@@ -104,6 +105,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # a chi(p) peak about 1e-9 wide at low T
     ("optimize", "--omega", "2.43629677990019", "--gamma", "0.00691859790353444",
      "--temp", "0.01"),
+    # a peak at q = 1 - p ~ 1.6e-6, narrower than a 1e-3 step in p, and one
+    # at q ~ 6.7e-10, below 1e-9
+    ("optimize", "--omega", "589.1944623047525", "--gamma", "0.001866604525764097",
+     "--temp", "29.749164530732823"),
+    ("optimize", "--omega", "945.5923560605206", "--gamma", "1.2620091565284667e-06",
+     "--temp", "8.835663407464747"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
     ("verify", "--samples", "1000", "--seed", "42"),
     ("verify", "--samples", "50", "--seed", "7", "--output", "verify.json"),

@@ -3,9 +3,11 @@
 Both qubits are measured weakly toward |0> with strength p (a partial,
 in-principle-reversible collapse), the joint no-click branch is kept, and
 the capacity is evaluated on the surviving state.  `optimize_strength_many`
-maximizes the closed-form capacity over p.  The Kraus route lives in
-``numeric``; the wrappers here stay only because the benchmark's tracer pins
-them or its optimize-points gate calls them.
+maximizes the closed-form capacity over p as the best of three candidate
+strengths: none, the one that balances the corner block, and the largest
+below 1.  The Kraus route lives in ``numeric``; the wrappers here stay only
+because the benchmark's tracer pins them or its optimize-points gate calls
+them.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-9) -> tupl
     count, so identical inputs give bit-identical results.  Returns
     (x_best, fn(x_best)) for the best probed point.
 
-    Nothing in the package calls it since `optimize_strength_many` refines
-    with array levels; it stays only because the benchmark's tracer looks
-    the name up, and goes once the tracer stops doing so.
+    Nothing in the package calls it since `optimize_strength_many` takes
+    the best of three candidates; it stays only because the benchmark's
+    tracer looks the name up, and goes once the tracer stops doing so.
     """
     span = hi - lo
     if span <= tol:
@@ -107,101 +109,62 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-9) -> tupl
     return (c, fc) if fc >= fd else (d, fd)
 
 
-STRENGTH_GRID_POINTS = 1001
-STRENGTH_MAX = 1.0 - 1e-9  # upper end of the scan; chi(p = 1) is exactly 1
-REFINE_POINTS = 101  # points per refinement level, ends of the bracket included
-REFINE_LEVELS = 4  # each level narrows the bracket 50-fold: 2e-3 wide to 3.2e-10
-OPTIMIZE_BLOCK = 256  # points per scan block; bounds the memory, never changes a result
+Q_MIN = 2.0**-53  # the smallest candidate q = 1 - p: p = 1 - Q_MIN is exact
+STRENGTH_MAX = 1.0 - Q_MIN  # the largest double below 1; chi(p = 1) is exactly 1
+
+# per-candidate bounds: p_eq clipped between them gives the three candidates
+# p = 0, p_eq within [0, STRENGTH_MAX] and p = STRENGTH_MAX, in two calls
+_CANDIDATE_FLOOR = np.array([0.0, 0.0, STRENGTH_MAX])
+_CANDIDATE_CEIL = np.array([0.0, STRENGTH_MAX, STRENGTH_MAX])
 
 
 def optimize_strength_many(omega, gamma, temperature):
     """`optimize_strength` over broadcast arrays of points.
 
-    Returns (p_star, chi_star) arrays of the broadcast shape.  The thermal
-    entries are evaluated once per point; the scan and the refinement then
-    run over blocks of ``OPTIMIZE_BLOCK`` points, with the strengths along a
-    new last axis, so the memory they take does not grow with the batch.
-    The work per point is fixed, so a point's result has the same bits
-    alone, in any batch or in any block.  ``check_domain`` checks the inputs.
+    Returns (p_star, chi_star) arrays of the broadcast shape.  The three
+    candidate strengths of each point are evaluated in one closed-form pass
+    over a leading candidate axis, so the work per point is fixed and a
+    point's result has the same bits alone or in any batch.  The memory is
+    linear in the batch, about 450 bytes per point.  ``check_domain``
+    checks the inputs.
     """
     check_domain(omega=omega, gamma=gamma, temperature=temperature)
     return _optimize_many(omega, gamma, temperature)
 
 
 def _optimize_many(omega, gamma, temperature):
-    shape = np.broadcast(omega, gamma, temperature).shape
-    terms = _thermal_terms(omega, gamma, temperature)  # numpy scalars for scalar inputs
-    stacked = np.empty((len(terms),) + shape)
-    for i, term in enumerate(terms):
-        stacked[i] = term  # exp(-2 gamma/T) may lack the omega axes
-    rows = stacked.reshape(len(terms), -1, 1)  # one row per point
-    p_star, chi_star = np.empty((2, rows.shape[1]))
-    for start in range(0, rows.shape[1], OPTIMIZE_BLOCK):
-        block = slice(start, start + OPTIMIZE_BLOCK)
-        p_star[block], chi_star[block] = _optimize_rows(ThermalTerms(*rows[:, block]))
-    return p_star.reshape(shape), chi_star.reshape(shape)
-
-
-def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index one below and one above each of ``range(n)``, clipped to the ends."""
-    index = np.arange(n)
-    return np.maximum(index - 1, 0), np.minimum(index + 1, n - 1)
-
-
-# everything the passes share is built once: a numpy call costs about 0.5 us
-# against about 40 ns per extra element, so one point's work is mostly calls
-_SCAN_GRID = np.arange(STRENGTH_GRID_POINTS) * (STRENGTH_MAX / (STRENGTH_GRID_POINTS - 1))
-_SCAN_Q = 1.0 - _SCAN_GRID
-_SCAN_BELOW, _SCAN_ABOVE = _neighbours(STRENGTH_GRID_POINTS)
-_REFINE_FRACTIONS = np.arange(REFINE_POINTS) / (REFINE_POINTS - 1)
-_REFINE_BELOW, _REFINE_ABOVE = _neighbours(REFINE_POINTS)
-
-
-def _optimize_rows(thermal: ThermalTerms):
-    """(p_star, chi_star) of each row of thermal terms, each of shape (points, 1).
-
-    ``_post_selected_terms`` and ``_chi_from_terms`` are looked up in this
-    module at each call, so a synthetic profile can stand in for the closed form.
-    """
-    rows = np.arange(thermal.z.shape[0])
-    chi_of_q = lambda q: _chi_from_terms(_post_selected_terms(thermal, q))
-
-    scan = chi_of_q(_SCAN_Q)
-    best = scan.argmax(axis=-1)  # the first maximum
-    chi_scan, p_scan = scan[rows, best], _SCAN_GRID[best]
-    lo, hi = _SCAN_GRID[_SCAN_BELOW[best], np.newaxis], _SCAN_GRID[_SCAN_ABOVE[best], np.newaxis]
-    for level in range(REFINE_LEVELS):
-        points = lo + (hi - lo) * _REFINE_FRACTIONS
-        values = chi_of_q(1.0 - points)
-        best = values.argmax(axis=-1)
-        if level < REFINE_LEVELS - 1:  # the last level is read at its best point only
-            lo = points[rows, _REFINE_BELOW[best], np.newaxis]
-            hi = points[rows, _REFINE_ABOVE[best], np.newaxis]
-    chi_refined, p_refined = values[rows, best], points[rows, best]
-
-    chi_star, p_star = scan[:, 0], np.zeros(rows.shape)
-    for chi_c, p_c in ((chi_scan, p_scan), (chi_refined, p_refined)):
-        better = (chi_c > chi_star) | ((chi_c == chi_star) & (p_c < p_star))  # ties -> smaller p
-        chi_star, p_star = np.where(better, chi_c, chi_star), np.where(better, p_c, p_star)
-    return p_star, chi_star
+    thermal = _thermal_terms(omega, gamma, temperature)  # numpy scalars for scalar inputs
+    # alpha_plus >= 1/8 keeps q_eq finite, and alpha_plus >= alpha_minus
+    # puts it in [0, 1]; the clip also absorbs a rounding above 1.  p = 1 - q
+    # is formed first and chi is read at 1 - p, so chi_star is chi at p_star
+    p_eq = 1.0 - np.sqrt(thermal.alpha_minus / thermal.alpha_plus)
+    column = (3,) + (1,) * np.ndim(p_eq)  # the candidates lead, so ey2 may lack the omega axes
+    p = np.minimum(np.maximum(p_eq, _CANDIDATE_FLOOR.reshape(column)),
+                   _CANDIDATE_CEIL.reshape(column))
+    chi = _chi_from_terms(_post_selected_terms(thermal, 1.0 - p))
+    # the candidates run in increasing p, so the first maximum is the smaller p on ties
+    p_star = np.take_along_axis(p, chi.argmax(axis=0)[np.newaxis], axis=0)[0]
+    return p_star, chi.max(axis=0)
 
 
 def optimize_strength(params: GravcatParams) -> tuple[float, float]:
     """Measurement strength maximizing the closed-form capacity: (p_star, chi_star).
 
-    - A scan of 1001 points ``i * step`` on [0, 1 - 1e-9] locates the
-      maximum, the first one on ties.  The profile can be non-monotonic
-      with plateaus, so the whole scan always runs.
-    - Four levels of 101 evenly spaced points, starting on the bracket one
-      scan step to either side, each re-bracket around their first maximum,
-      down to a final bracket at most 1e-9 wide (3.2e-10 from an interior
-      scan point).
-    - The result is the best of p = 0, the scan maximum and the refined
-      maximum, the smaller p on ties, so it never falls below the p = 0
-      capacity.
+    The best of three candidates, q = 1 - p:
 
-    No derivative is used.  Runs the core of `optimize_strength_many` on the
-    checked scalars of ``params``, so the thermal entries are numpy scalars.
+    - q = 1, no measurement, so chi_star is never below the p = 0 capacity
+      and p_star is exactly 0 when no measurement helps;
+    - the corner-balance strength q_eq = sqrt(alpha_minus / alpha_plus),
+      clipped to [Q_MIN, 1]: the measurement scales alpha_plus by q^2 and
+      keeps alpha_minus, so at q_eq the two halves of the Pauli-averaged
+      state are equal and S(rho_bar) reaches its maximum of 2 bits;
+    - q = Q_MIN = 2^-53, the largest strength below 1, for the profiles
+      that climb towards chi's p = 1 limit of 1 bit all the way there.
+
+    Ties go to the smaller p.  Each p is formed first and chi is evaluated
+    at 1 - p, so chi_star is ``chi_closed_form(omega, gamma, T, 1 - p_star)``
+    bit for bit.  Runs the core of `optimize_strength_many` on the checked
+    scalars of ``params``, so the thermal entries are numpy scalars.
     """
     p_star, chi_star = _optimize_many(params.omega, params.gamma, params.temperature)
     return float(p_star), float(chi_star)

@@ -176,7 +176,7 @@ def test_criterion_7_measurement_protection():
     _report(
         "criterion 7 (weak measurement protects the advantage)",
         ok,
-        f"gain {gain:.6f} at omega=gamma=1, T=1 (p*={p_star:.9f}); chi>=1 window covers "
+        f"gain {gain:.6f} at omega=gamma=1, T=1 (p*={p_star!r}); chi>=1 window covers "
         f"{widths[3.0]}/{len(strengths)} grid points at omega=gamma=3 vs "
         f"{widths[1.0]} at omega=gamma=1",
     )

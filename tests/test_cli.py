@@ -246,7 +246,7 @@ def test_optimize_reference_point(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["gain"] > 0.0
-    assert 0.0 <= payload["p_star"] <= 1.0 - 1e-9
+    assert 0.0 <= payload["p_star"] < 1.0
     assert abs(payload["chi_at_zero"] - capacity_closed_form(GravcatParams(1, 1, 1)).chi) < 1e-12
     assert payload["chi_star"] == payload["chi_at_zero"] + payload["gain"]
 
