@@ -11,11 +11,12 @@ Of stderr only the ``error`` class of the JSON error object is compared, on
 a command that exits 2; the rest of stderr can carry paths.  The list covers
 every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
-1.0, an exit-2 command for each rule of the parameter domain, the
-``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and ``optimize``
-(and its absence on ``figure``), ``optimize`` at a peak about 1e-9 wide
-and at two narrow peaks at small ``q = 1 - p`` (about 1.6e-6 and 6.7e-10),
-and ``verify`` at its default 1000 samples and seed 42.
+1.0, grids that take several engine calls (a short last block, and rows
+longer than one block), an exit-2 command for each rule of the parameter
+domain, the ``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and
+``optimize`` (and its absence on ``figure``), ``optimize`` at a peak about
+1e-9 wide and at two narrow peaks at small ``q = 1 - p`` (about 1.6e-6 and
+6.7e-10), and ``verify`` at its default 1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
 between corresponding numbers is printed with it.  The exit code is 1 on
@@ -93,6 +94,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         for fmt in ("csv", "json")
     ),
     ("figure", "5a", "--x", "T:1e-6:1e-5:3", "--y", "p:0:1:3"),
+    # grids of several engine calls: blocks of 27 rows with a short last
+    # block, and rows longer than one block
+    ("sweep", "--x", "gamma:0:3:300", "--y", "omega:0.01:3:100", "--temp", "0.3", "--p", "0.4"),
+    ("sweep", "--x", "omega:0.01:3:9000", "--y", "T:0.05:2:3", "--gamma", "1"),
     *(
         ("figure", fig, "--format", fmt, "--output", f"figure_{fig}.{fmt}")
         for fig in FIGURE_IDS

@@ -4,8 +4,8 @@ Subcommands: ``capacity`` (one parameter point, JSON), ``sweep`` (2-D grid,
 CSV/JSON), ``figure`` (built-in grid presets), ``optimize`` (best measurement
 strength), ``verify`` (cross-engine report).  Exit codes are stable: 0 on
 success, 1 when verification finds a deviation over threshold, 2 on bad
-usage, invalid parameters or an unwritable output path (with a JSON error
-object on stderr).
+usage, invalid parameters, a grid too large to allocate or an unwritable
+output path (with a JSON error object on stderr).
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         _emit_error(exc)
+        return 2
+    except MemoryError as exc:  # numpy raises a private subclass; name the public class
+        _emit_error(MemoryError(str(exc)))
         return 2
 
 

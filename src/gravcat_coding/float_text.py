@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-CHUNK_CELLS = 8192  # cells per rendered block; bounds the kernel's temporaries at about 2 MB
+CHUNK_CELLS = 8192  # cells per rendered block: the fastest of 2k-16k, temporaries about 2 MB
 _POW5 = np.array([5**i for i in range(20)], dtype=np.uint64)  # 5^p; p = 14 - e lies in [13, 19]
 _LOW32 = 0xFFFFFFFF
 

@@ -49,9 +49,16 @@ DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
 
 CHI_MIN = -1e-10
 CHI_MAX = 2.0 + 1e-10
-# cells per engine call, in whole rows (at least one): 200x200 figures stay
-# one call, and a large grid's temporaries stay those of one block
-SWEEP_BLOCK_CELLS = 65_536
+# cells per engine call, in whole rows (at least one), sized to the cache:
+# the closed form makes about 100 array passes over some 30 live temporaries
+# per call, and at this size they stay in a core's 2 MiB L2.  Evaluating the
+# ten 200x200 closed-form figures, per figure (min of 15, 2-CPU box):
+#   65,536 cells 6.2 ms, 16,384 5.0 ms, 8,192 4.8 ms, 4,096 4.1 ms,
+#   2,048 4.6 ms, 1,024 6.7 ms, 512 11.9 ms
+# Below about 2k cells the per-call dispatch dominates; with the CSV render,
+# 8,192 beat 4,096 in 52 of 60 interleaved pairs.  A 200x200 figure is 5
+# calls of 40 rows, and a large grid's memory is that of one block.
+SWEEP_BLOCK_CELLS = 8_192
 
 
 @dataclass(frozen=True)
@@ -140,9 +147,11 @@ def evaluate_sweep(
 
     ``fixed`` must cover exactly the parameters that are not axes ("p" is
     optional: leaving it out means no weak measurement).  The rows go to the
-    engine in blocks of up to ``SWEEP_BLOCK_CELLS`` cells, so the memory the
-    engine takes does not grow with the grid.  A failure at a cell aborts
-    the sweep with the coordinates of the first failing cell.
+    engine in blocks of whole rows of up to ``SWEEP_BLOCK_CELLS`` cells (one
+    row where a row is longer), a size picked so that one call's temporaries
+    stay in cache; so the memory the engine takes does not grow with the
+    grid, and every cell has the same bits at any block size.  A failure at
+    a cell aborts the sweep with the coordinates of the first failing cell.
     """
     engine_function = ENGINES[engine]
     if x_axis.name == y_axis.name:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gravcat_coding.cli as cli_module
 import gravcat_coding.verify as verify_module
 from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, capacity_closed_form
 from gravcat_coding import cell_capacity, evaluate_sweep
@@ -328,6 +329,27 @@ def test_unwritable_output_exits_two(tmp_path, capsys, target):
     error = json.loads(err)
     assert error["error"] in ("IsADirectoryError", "FileNotFoundError")
     assert str(path) in error["message"]
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the private MemoryError subclass numpy raises."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_grid_too_large_to_allocate_exits_two(capsys, monkeypatch, error):
+    # a real grid of 1e16 cells would first allocate gigabytes of axis values
+    def unallocatable(*args, **kwargs):
+        raise error("Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000)")
+
+    monkeypatch.setattr(cli_module, "evaluate_sweep", unallocatable)
+    code, out, err = run_cli(
+        capsys, "sweep", "--x", "gamma:0:3:100000000", "--y", "omega:0.01:3:100000000",
+        "--temp", "1",
+    )
+    assert code == 2 and out == ""
+    error_object = json.loads(err)
+    assert error_object["error"] == "MemoryError"
+    assert "71.1 PiB" in error_object["message"]
 
 
 def test_cli_import_loads_no_process_pool():

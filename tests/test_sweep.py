@@ -220,25 +220,59 @@ def test_grid_bits_do_not_depend_on_the_row_block(monkeypatch, engine, x, y, fix
     assert all(np.array_equal(results[0], other) for other in results[1:])
 
 
-def test_default_grids_are_one_engine_call(monkeypatch):
-    # every default 200x200 figure grid, and 12x12 and 20x20 grids, go to the
-    # engine in one call
-    shapes = []
+ENGINE_ARGUMENT = {"omega": 0, "gamma": 1, "T": 2, "p": 3}
+
+
+def test_grids_go_to_the_engine_in_whole_consecutive_rows(monkeypatch):
+    # each call takes whole rows, at most SWEEP_BLOCK_CELLS cells or a single
+    # longer row, and the calls cover the rows once each and in order; the
+    # 12x12 and 20x20 grids stay one call
+    calls = []
     engine = sweep_module.ENGINES["closed_form"]
 
-    def counting(*args):
-        shapes.append(np.broadcast_shapes(*map(np.shape, args)))
+    def recording(*args):
+        calls.append(args)
         return engine(*args)
 
-    monkeypatch.setitem(sweep_module.ENGINES, "closed_form", counting)
-    for figure_id in FIGURES:
-        figure_grid(figure_id)
-    for side in (12, 20):
-        evaluate_sweep(
-            AxisSpec("T", 0.05, 2.0, side), AxisSpec("p", 0.0, 0.95, side),
-            {"omega": 1.0, "gamma": 1.0},
-        )
-    assert shapes == [(200, 200)] * len(FIGURES) + [(12, 12), (20, 20)]
+    monkeypatch.setitem(sweep_module.ENGINES, "closed_form", recording)
+    figures = [
+        (AxisSpec.default(preset.x), AxisSpec.default(preset.y), preset.fixed)
+        for preset in FIGURES.values()
+    ]
+    small = [
+        (AxisSpec("T", 0.05, 2.0, n), AxisSpec("p", 0.0, 0.95, n), {"omega": 1.0, "gamma": 1.0})
+        for n in (12, 20)
+    ]
+    long_rows = (AxisSpec("omega", 0.01, 3.0, 9000), AxisSpec("T", 0.05, 2.0, 3), {"gamma": 1.0})
+    for x, y, fixed in [*figures, *small, long_rows]:
+        calls.clear()
+        evaluate_sweep(x, y, fixed)
+        rows = y.values()[:, np.newaxis]
+        if y.name == "p":
+            rows = 1.0 - rows  # the engine takes q = 1 - p
+        covered = 0
+        for args in calls:
+            count, width = np.broadcast_shapes(*map(np.shape, args))
+            assert width == x.count
+            assert count * width <= sweep_module.SWEEP_BLOCK_CELLS or count == 1
+            assert np.array_equal(args[ENGINE_ARGUMENT[y.name]], rows[covered:covered + count])
+            covered += count
+        assert covered == y.count
+        if (x, y, fixed) in small:
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "engine, figure_ids", [("closed_form", sorted(FIGURES)), ("numeric", ["5a"])]
+)
+def test_default_figures_equal_their_one_call_grids(monkeypatch, engine, figure_ids):
+    # the default block size against the whole 200x200 grid in one call
+    for figure_id in figure_ids:
+        blocked = figure_grid(figure_id, engine=engine).values
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", 40_000)
+            whole = figure_grid(figure_id, engine=engine).values
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64)), figure_id
 
 
 def test_large_grid_memory_is_that_of_one_block():
