@@ -13,14 +13,16 @@ every subcommand, both engines, CSV and JSON output, all ten figure presets,
 grids whose cells print in scientific notation or as exact values such as
 1.0, grids that take several engine calls (a short last block, and rows
 longer than one block), an exit-2 command for each rule of the parameter
-domain, the ``--allow-zero-omega`` opt-in on ``capacity``, ``sweep`` and
-``optimize`` (and its absence on ``figure``), ``optimize`` at a peak about
-1e-9 wide and at two narrow peaks at small ``q = 1 - p`` (about 1.6e-6 and
-6.7e-10), and ``verify`` at its default 1000 samples and seed 42.
+domain, ``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
+and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
+``optimize`` at a peak about 1e-9 wide and at two narrow peaks at small
+``q = 1 - p`` (about 1.6e-6 and 6.7e-10), and ``verify`` at its default
+1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
-between corresponding numbers is printed with it.  The exit code is 1 on
-any difference and 0 otherwise.
+between corresponding numbers is printed with it.  The last line gives the
+count as "N of M commands differ".  The exit code is 1 on any difference
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,29 +56,28 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
-    # one command per domain rule, each exiting 2, and the omega = 0 opt-in
+    # one command per domain rule, each exiting 2
     *(
         ("capacity", "--omega", w, "--gamma", g, "--temp", t, *extra)
         for w, g, t, extra in (
             ("-1", "1", "1", ()),
-            ("0", "1", "1", ()),
             ("1", "-1", "1", ()),
             ("1", "1", "nan", ()),
             ("1", "1", "1", ("--p", "-0.1")),
-            ("0", "1", "1", ("--allow-zero-omega",)),
         )
     ),
-    # the opt-in paths: the unchecked optimizer core, H = 0 (the state I/4) on
-    # the numeric engine, and `figure`, which has no opt-in and exits 2
-    ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1", "--allow-zero-omega"),
-    ("capacity", "--omega", "0", "--gamma", "0", "--temp", "1", "--allow-zero-omega",
-     "--engine", "numeric", "--p", "1"),
-    ("figure", "2a", "--y", "omega:0:3:4"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1e-7"),
     ("sweep", "--x", "omega:0.5:1:3", "--y", "T:0.1:2:3", "--gamma", "1", "--p", "nan"),
-    ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1", "--allow-zero-omega"),
     ("sweep", "--x", "T:0.1:2:3", "--y", "p:0:1.5:4", "--omega", "1", "--gamma", "1"),
+    # omega = 0, the pure-coupling limit, on every command that takes it: the
+    # optimizer and H = 0 (the state I/4) on the numeric engine among them;
+    # and the removed opt-in flag, now a usage error that exits 2
+    ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
+    ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1"),
+    ("capacity", "--omega", "0", "--gamma", "0", "--temp", "1", "--engine", "numeric", "--p", "1"),
     ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
+    ("figure", "2a", "--y", "omega:0:3:4"),
+    ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1", "--allow-zero-omega"),
     ("figure", "5a", "--x", "T:1e-7:1:3"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "capacity.json"),
     *(

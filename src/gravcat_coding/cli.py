@@ -48,7 +48,7 @@ def _params_from_args(args: argparse.Namespace) -> GravcatParams:
     for name, flag in (("omega", "--omega"), ("gamma", "--gamma"), ("temp", "--temp")):
         if getattr(args, name) is None:
             raise InvalidParameterError(f"{flag} is required")
-    return GravcatParams(args.omega, args.gamma, args.temp, allow_zero_omega=args.allow_zero_omega)
+    return GravcatParams(args.omega, args.gamma, args.temp)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
@@ -67,9 +67,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     x_axis = AxisSpec.parse(args.x)
     y_axis = AxisSpec.parse(args.y)
     fixed = _fixed_from_args(args)
-    grid = evaluate_sweep(
-        x_axis, y_axis, fixed, engine=args.engine, allow_zero_omega=args.allow_zero_omega
-    )
+    grid = evaluate_sweep(x_axis, y_axis, fixed, engine=args.engine)
     text = render_csv(grid) if args.format == "csv" else render_json(grid)
     _write_output(text, args.output)
     return 0
@@ -110,16 +108,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, *, with_p: bool) -> None:
-    parser.add_argument("--omega", type=float, default=None, help="level splitting (> 0)")
+    parser.add_argument("--omega", type=float, default=None, help="level splitting (>= 0)")
     parser.add_argument("--gamma", type=float, default=None, help="gravitational coupling (>= 0)")
-    parser.add_argument("--temp", type=float, default=None, help="temperature (> 0, k_B = 1)")
+    parser.add_argument("--temp", type=float, default=None, help="temperature (>= 1e-6, k_B = 1)")
     if with_p:
         parser.add_argument("--p", type=float, default=None, help="measurement strength in [0, 1]")
-    parser.add_argument(
-        "--allow-zero-omega",
-        action="store_true",
-        help="permit omega = 0 (degenerate level crossing)",
-    )
 
 
 def _add_output_flag(parser: argparse.ArgumentParser) -> None:

@@ -127,11 +127,9 @@ def cell_capacity(
     gamma: float,
     temperature: float,
     strength: float | None = None,
-    *,
-    allow_zero_omega: bool = False,
 ) -> float:
     """chi for one validated parameter point, on either engine."""
-    params = GravcatParams(omega, gamma, temperature, allow_zero_omega=allow_zero_omega)
+    params = GravcatParams(omega, gamma, temperature)
     return engine_report(ENGINES[engine], params, strength).chi
 
 
@@ -140,8 +138,6 @@ def evaluate_sweep(
     y_axis: AxisSpec,
     fixed: dict[str, float],
     engine: str = "closed_form",
-    *,
-    allow_zero_omega: bool = False,
 ) -> SweepGrid:
     """Evaluate chi over the grid with the engine's array function.
 
@@ -171,7 +167,7 @@ def evaluate_sweep(
     point = {**fixed, x_axis.name: x_values[np.newaxis, :], y_axis.name: y_values[:, np.newaxis]}
     check_domain(
         omega=point["omega"], gamma=point["gamma"], temperature=point["T"],
-        strength=point.get("p", 0.0), allow_zero_omega=allow_zero_omega,
+        strength=point.get("p", 0.0),
     )
     values = np.empty((y_axis.count, x_axis.count))
     block_rows = max(1, SWEEP_BLOCK_CELLS // x_axis.count)

@@ -35,32 +35,27 @@ class OutOfRangeError(InvalidParameterError):
 
 
 # The domain: per parameter, the closed interval of doubles it must lie in, its error
-# class and message.  Bounds are finite, so NaN and +-inf fail; math.ulp(0.0) > 0 is omega > 0.
+# class and message.  Bounds are finite, so NaN and +-inf fail.
 _MAX = float(np.finfo(float).max)
 _DOMAIN = (
-    (math.ulp(0.0), _MAX, InvalidParameterError,
-     "omega must be finite and positive (allow_zero_omega, or --allow-zero-omega on capacity,"
-     " sweep and optimize, permits omega = 0)"),
+    (0.0, _MAX, InvalidParameterError, "omega must be finite and nonnegative"),
     (0.0, _MAX, InvalidParameterError, "gamma must be finite and nonnegative"),
     (MIN_TEMPERATURE, _MAX, InvalidParameterError,
      f"temperature must be positive and finite (minimum {MIN_TEMPERATURE:g} in natural units)"),
     (0.0, 1.0, OutOfRangeError, "measurement strength must lie in [0, 1]"),
 )
-_ZERO_OMEGA = (0.0, _MAX, InvalidParameterError, "omega must be finite and nonnegative")
 _UNSET = object()  # the default of a parameter not given; None is checked and fails
 
 
-def check_domain(
-    *, omega=_UNSET, gamma=_UNSET, temperature=_UNSET, strength=_UNSET, allow_zero_omega=False
-) -> None:
+def check_domain(*, omega=_UNSET, gamma=_UNSET, temperature=_UNSET, strength=_UNSET) -> None:
     """Raise unless each parameter given, a number or an array, lies in the domain.
 
-    ``allow_zero_omega`` admits omega = 0.  The error is ``OutOfRangeError``
-    for the strength and ``InvalidParameterError`` otherwise; its ``index``
-    locates the first bad element of the offending array (``()`` for a number).
+    The domain is omega >= 0, gamma >= 0, temperature >= 1e-6 and strength
+    in [0, 1], all finite.  The error is ``OutOfRangeError`` for the strength
+    and ``InvalidParameterError`` otherwise; its ``index`` locates the first
+    bad element of the offending array (``()`` for a number).
     """
-    rules = (_ZERO_OMEGA, *_DOMAIN[1:]) if allow_zero_omega else _DOMAIN
-    for value, (low, high, error, message) in zip((omega, gamma, temperature, strength), rules):
+    for value, (low, high, error, message) in zip((omega, gamma, temperature, strength), _DOMAIN):
         # a Python float takes one chained comparison; anything else goes through numpy
         if value is not _UNSET and not (type(value) is float and low <= value <= high):
             value = np.asarray(value)
@@ -71,27 +66,18 @@ def check_domain(
 class GravcatParams:
     """Model knobs in natural units (k_B = 1).
 
-    ``omega`` is the qubit level splitting, ``gamma`` the gravitational
-    exchange coupling, ``temperature`` the bath temperature.  ``omega = 0``
-    makes two pairs of thermal levels cross; it is physically fine but must
-    be opted into with ``allow_zero_omega``.
+    ``omega >= 0`` is the qubit level splitting (``omega = 0`` is the
+    pure-coupling limit), ``gamma >= 0`` the gravitational exchange coupling
+    and ``temperature >= 1e-6`` the bath temperature; `check_domain` holds
+    the rules.
     """
 
     omega: float
     gamma: float
     temperature: float
-    allow_zero_omega: bool = False
 
     def __post_init__(self) -> None:
-        check_domain(
-            omega=self.omega, gamma=self.gamma, temperature=self.temperature,
-            allow_zero_omega=self.allow_zero_omega,
-        )
-
-    @property
-    def theta(self) -> float:
-        """Energy scale sqrt(omega^2 + gamma^2) of the coupled outer block."""
-        return math.hypot(self.omega, self.gamma)
+        check_domain(omega=self.omega, gamma=self.gamma, temperature=self.temperature)
 
 
 @dataclass(frozen=True)

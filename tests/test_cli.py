@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -98,17 +99,24 @@ def test_capacity_invalid_temperature(capsys):
     assert "temperature must be positive" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
-    ("figure", "2a", "--y", "omega:0:3:2"),
-])
-def test_zero_omega_error_names_the_opt_in(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    message = json.loads(err)["message"]
-    assert "allow_zero_omega" in message and "--allow-zero-omega" in message
-    # `figure` has no such flag, so the message names the commands that do
-    assert "capacity, sweep and optimize" in message
+def test_zero_omega_needs_no_opt_in(capsys):
+    for argv in (
+        ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
+        ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
+        ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1"),
+        ("figure", "2a", "--y", "omega:0:3:4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+    # the opt-in that omega = 0 once needed is gone: the flag is a usage
+    # error, and the library keyword no parameter at all
+    with pytest.raises(SystemExit) as info:
+        main(["capacity", "--omega", "0", "--gamma", "1", "--temp", "1", "--allow-zero-omega"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--allow-zero-omega" in captured.err
+    with pytest.raises(TypeError):
+        GravcatParams(0.0, 1.0, 1.0, allow_zero_omega=True)
 
 
 def test_capacity_at_projective_endpoint(capsys):
@@ -447,3 +455,10 @@ def test_diff_cli_bytes_measures_number_differences():
     assert module.max_number_difference(base, base) == 0.0
     assert module.max_number_difference(base, b'{"chi": 1.25}') is None  # counts differ
     assert module.max_number_difference(b"no numbers", b"none here") is None
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1  # the library quick start
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -29,11 +29,13 @@ from gravcat_coding import (
     evaluate_sweep,
     gibbs_numeric,
     optimize_strength,
+    optimize_strength_many,
     render_csv,
 )
 from gravcat_coding.closed_form import (
     ClosedFormTerms, _closed_form_terms, closed_form_engine, closed_form_entropies,
 )
+from gravcat_coding.numeric import numeric_engine
 from conftest import assert_same_bits, summed_entropies
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
@@ -217,13 +219,13 @@ def test_report_decomposes_exactly(golden):
 @pytest.mark.parametrize("omega, gamma", [(0.0, 0.0), (0.0, 0.8)])
 def test_degenerate_splitting_matches_numeric_engine(omega, gamma):
     for strength in (0.0, 0.5, 0.9, 1.0):
-        params = GravcatParams(omega, gamma, 0.7, allow_zero_omega=True)
+        params = GravcatParams(omega, gamma, 0.7)
         closed = capacity_wm_closed_form(params, strength).chi
         rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
         numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
         assert abs(closed - numeric) < 1e-12, strength
     # H = 0 leaves I/4: no capacity before the measurement, a product state after
-    params = GravcatParams(0.0, 0.0, 1.0, allow_zero_omega=True)
+    params = GravcatParams(0.0, 0.0, 1.0)
     assert capacity_closed_form(params).chi == 0.0
     assert abs(capacity_wm_closed_form(params, 0.5).chi - 0.081704165945510485) < 1e-15
 
@@ -321,3 +323,21 @@ def test_entropy_kernel_on_every_tuple_of_special_values():
     # a pure state: a running sum from +0.0 never turns into -0.0
     pure = ClosedFormTerms(None, (1.0, 0.0, 0.0, 0.0), 1.0, 0.0)
     assert [str(v) for v in closed_form_entropies(pure)] == ["0.0", "1.0"]
+
+
+def test_zero_splitting_has_the_bits_of_the_least_positive_splitting():
+    # omega = 0, the pure-coupling limit, takes no special route: both engines
+    # and the optimizer give it the bits of omega = 5e-324, the least double
+    # above 0, over a wide box with zeros in gamma and q
+    _, gamma, temperature, q = log_uniform_box(20_000, 23)
+    q[::7], q[::13] = 1.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for engine in (closed_form_engine, numeric_engine):
+            zero = engine(0.0, gamma, temperature, q)
+            least = engine(math.ulp(0.0), gamma, temperature, q)
+            for got, want in zip((*zero[0], *zero[1:]), (*least[0], *least[1:])):
+                assert_same_bits(got, want)
+        for got, want in zip(optimize_strength_many(0.0, gamma, temperature),
+                             optimize_strength_many(math.ulp(0.0), gamma, temperature)):
+            assert_same_bits(got, want)

@@ -60,7 +60,7 @@ def test_axis_domain_validation():
         )
     with pytest.raises(InvalidParameterError, match="omega"):
         evaluate_sweep(
-            AxisSpec("omega", 0.0, 2.0, 3), AxisSpec("T", 0.1, 1.0, 3), {"gamma": 1.0}
+            AxisSpec("omega", -1.0, 2.0, 3), AxisSpec("T", 0.1, 1.0, 3), {"gamma": 1.0}
         )
     with pytest.raises(InvalidParameterError, match="strength"):
         evaluate_sweep(
@@ -73,12 +73,9 @@ def test_axis_domain_validation():
     ):
         with pytest.raises(OutOfRangeError, match=r"must lie in \[0, 1\], got"):
             evaluate_sweep(x_axis, AxisSpec("T", 0.1, 1.0, 3), fixed)
-    # omega = 0 allowed with the explicit override
+    # omega = 0, the pure-coupling limit, is in the domain
     grid = evaluate_sweep(
-        AxisSpec("omega", 0.0, 1.0, 2),
-        AxisSpec("T", 0.5, 1.0, 2),
-        {"gamma": 1.0},
-        allow_zero_omega=True,
+        AxisSpec("omega", 0.0, 1.0, 2), AxisSpec("T", 0.5, 1.0, 2), {"gamma": 1.0}
     )
     assert grid.values.shape == (2, 2)
 

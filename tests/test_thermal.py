@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_hamiltonian_non_interacting_limit():
 
 
 def test_hamiltonian_pure_coupling_limit():
-    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_zero_omega=True)
+    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0)
     assert np.array_equal(build_hamiltonian(params), -np.fliplr(np.eye(4)))
 
 
@@ -99,7 +100,7 @@ def test_params_validation():
     with pytest.raises(InvalidParameterError, match="temperature must be positive"):
         GravcatParams(omega=1.0, gamma=0.0, temperature=1e-7)
     with pytest.raises(InvalidParameterError):
-        GravcatParams(omega=0.0, gamma=1.0, temperature=1.0)
+        GravcatParams(omega=-math.ulp(0.0), gamma=1.0, temperature=1.0)
     with pytest.raises(InvalidParameterError):
         GravcatParams(omega=-1.0, gamma=1.0, temperature=1.0)
     with pytest.raises(InvalidParameterError):
@@ -108,9 +109,9 @@ def test_params_validation():
         GravcatParams(omega=math.nan, gamma=0.0, temperature=1.0)
     with pytest.raises(TypeError):  # None is no number, not a parameter left unchecked
         GravcatParams(omega=1.0, gamma=None, temperature=1.0)
-    # the degenerate gap is an explicit opt-in
-    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0, allow_zero_omega=True)
-    assert params.theta == 1.0
+    # the pure-coupling limit omega = 0 is in the domain; the three numbers are all there is
+    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0)
+    assert astuple(params) == (0.0, 1.0, 1.0)
 
 
 # --------------------------------------------------- closed form
@@ -118,7 +119,7 @@ def test_params_validation():
 def test_closed_form_matches_unshifted_formulas():
     # direct transcription with plain cosh/sinh, valid away from overflow
     params = GravcatParams(omega=1.3, gamma=0.7, temperature=0.9)
-    theta = params.theta
+    theta = math.hypot(1.3, 0.7)
     z = 2.0 * (math.cosh(theta / 0.9) + math.cosh(0.7 / 0.9))
     cf = thermal_closed_form(params)
     assert math.isclose(
@@ -154,7 +155,6 @@ def test_closed_form_zero_coupling_kills_offdiagonals():
 @settings(max_examples=80)
 def test_closed_form_invariants(params):
     cf = thermal_closed_form(params)
-    assert math.isclose(params.theta**2, params.omega**2 + params.gamma**2, rel_tol=1e-12)
     assert abs(cf.alpha_minus + cf.alpha_plus + 2.0 * cf.beta - 1.0) < 1e-12
     assert cf.alpha_minus > 0.0 and cf.alpha_plus > 0.0 and cf.beta > 0.0
     assert cf.kappa >= 0.0 and cf.eta >= 0.0
@@ -208,7 +208,7 @@ def test_gibbs_diagonal_hamiltonian():
 
 # every rule of the domain, as (parameter, bad value, error class)
 DOMAIN_CASES = [
-    *(("omega", v, InvalidParameterError) for v in (-1.0, 0.0, math.nan, math.inf)),
+    *(("omega", v, InvalidParameterError) for v in (-1.0, -math.ulp(0.0), math.nan, math.inf)),
     *(("gamma", v, InvalidParameterError) for v in (-0.5, math.nan)),
     *(("T", v, InvalidParameterError) for v in (0.0, -0.1, 1e-7, math.nan)),
     *(("p", v, OutOfRangeError) for v in (-0.1, 1.5, math.nan)),
@@ -277,10 +277,13 @@ def test_domain_error_locates_the_first_bad_element():
     with pytest.raises(OutOfRangeError) as info:
         check_domain(strength=np.array([0.0, 1.0, np.nextafter(1.0, 2.0)]))
     assert info.value.index == (2,)
-    with pytest.raises(InvalidParameterError) as info:
-        check_domain(omega=0.0)
+    with pytest.raises(InvalidParameterError, match="omega must be finite and nonnegative") as info:
+        check_domain(omega=-1.0)
     assert info.value.index == ()
-    check_domain(omega=np.array([0.0, 1.0]), allow_zero_omega=True)
+    with pytest.raises(InvalidParameterError) as info:
+        check_domain(omega=np.array([0.0, 1.0, -math.ulp(0.0)]))
+    assert info.value.index == (2,)
+    check_domain(omega=np.array([0.0, -0.0, 1.0]))  # IEEE -0.0 >= 0
     check_domain(omega=math.ulp(0.0), gamma=0.0, temperature=1e-6, strength=1.0)
 
 

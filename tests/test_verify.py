@@ -1,6 +1,7 @@
 """The batched verification report against the per-sample route it replaced."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_array_draw_rows_equal_single_draws(seed):
 
 @pytest.mark.parametrize(
     "column, value, error",
-    [(0, 0.0, InvalidParameterError), (2, 1e-7, InvalidParameterError),
+    [(0, -math.ulp(0.0), InvalidParameterError), (2, 1e-7, InvalidParameterError),
      (1, np.nan, InvalidParameterError), (3, 1.5, OutOfRangeError)],
 )
 def test_every_draw_of_a_chunk_is_domain_checked(monkeypatch, column, value, error):
