@@ -99,17 +99,19 @@ def test_capacity_invalid_temperature(capsys):
     assert "temperature must be positive" in error["message"]
 
 
-def test_zero_omega_needs_no_opt_in(capsys):
-    for argv in (
-        ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
-        ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
-        ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1"),
-        ("figure", "2a", "--y", "omega:0:3:4"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 0 and out and err == "", argv
-    # the opt-in that omega = 0 once needed is gone: the flag is a usage
-    # error, and the library keyword no parameter at all
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--omega", "0", "--gamma", "1", "--temp", "1"),
+    ("figure", "2a", "--y", "omega:0:3:4"),
+    ("sweep", "--x", "omega:0:3:4", "--y", "T:0.1:2:3", "--gamma", "1"),
+    ("optimize", "--omega", "0", "--gamma", "1", "--temp", "1"),
+])
+def test_zero_omega_needs_no_opt_in(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+def test_zero_omega_opt_in_is_gone(capsys):
+    # the flag is a usage error, and the library keyword no parameter at all
     with pytest.raises(SystemExit) as info:
         main(["capacity", "--omega", "0", "--gamma", "1", "--temp", "1", "--allow-zero-omega"])
     assert info.value.code == 2
