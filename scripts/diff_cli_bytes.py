@@ -10,6 +10,7 @@ exit code, the stdout bytes and every file the command writes are compared.
 Of stderr only the ``error`` class of the JSON error object is compared, on
 a command that exits 2; the rest of stderr can carry paths.  The list covers
 every subcommand, both engines, CSV and JSON output, all ten figure presets,
+numeric grids whose cells share a Hamiltonian per row or per column,
 grids whose cells print in scientific notation or as exact values such as
 1.0, grids that take several engine calls (a short last block, and rows
 longer than one block), an exit-2 command for each rule of the parameter
@@ -107,6 +108,11 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("figure", "2a"),
     ("figure", "5a", *NUMERIC_5A, "--output", "figure_5a_numeric.csv"),
     ("figure", "5a", *NUMERIC_5A, "--format", "json"),
+    # numeric grids whose cells share Hamiltonians: one per omega row, and
+    # one per gamma column at fixed omega and T
+    ("figure", "3a", "--engine", "numeric", "--x", "T:0.01:2:13", "--y", "omega:0.01:3:11"),
+    ("sweep", "--x", "p:0:1:9", "--y", "gamma:0:3:7", "--omega", "1.3", "--temp", "0.05",
+     "--engine", "numeric"),
     *(("optimize", "--omega", w, "--gamma", g, "--temp", t) for w, g, t in POINTS),
     # a chi(p) peak about 1e-9 wide at low T
     ("optimize", "--omega", "2.43629677990019", "--gamma", "0.00691859790353444",

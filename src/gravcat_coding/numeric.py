@@ -1,10 +1,9 @@
 """The numeric engine: the matrix route to the gravcat state and its capacity.
 
-Hamiltonian, Gibbs state from one eigendecomposition, Kraus post-selection,
-Pauli twirl of the sender's qubit and von Neumann entropies, each on a stack
-of real 4x4 matrices over broadcast inputs.  No closed form enters: only the
-success floor `check_success` is shared with ``closed_form``, so each engine
-is the other's oracle.
+Hamiltonian, Gibbs state, Kraus post-selection, Pauli twirl of the sender's
+qubit and von Neumann entropies on stacks of real 4x4 matrices.  No closed
+form enters: only the success floor `check_success` is shared with
+``closed_form``, so each engine is the other's oracle.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ def _hamiltonian(omega, gamma) -> np.ndarray:
 
 
 def _gibbs(hamiltonian, temperature) -> np.ndarray:
-    """Stack of thermal states exp(-H/T)/Z from one eigendecomposition per matrix.
+    """Stack of thermal states exp(-H/T)/Z from one eigendecomposition per Hamiltonian.
 
-    The Boltzmann weights are taken relative to the ground energy, so they
-    lie in [0, 1] and nothing overflows at any valid temperature.  Energy
-    gaps reach 2 sqrt(2) times the largest entry of H, so a matrix whose
-    largest entry reaches 2^1021 is scaled down with its temperature by an
-    exact 2^-4 (the state depends only on H/T).
+    ``eigh`` solves the stack of ``hamiltonian`` alone; the weights broadcast
+    over ``temperature``.  They are taken relative to the ground energy, so
+    they lie in [0, 1] and nothing overflows at any valid temperature.
+    Energy gaps reach 2 sqrt(2) times the largest entry of H, so a matrix
+    whose largest entry reaches 2^1021 is scaled down with its temperature
+    by an exact 2^-4 (the state depends only on H/T).
     """
     temperature = np.asarray(temperature)
     huge = np.abs(hamiltonian).max(axis=(-2, -1)) >= 2.0**1021
@@ -106,12 +106,11 @@ def _entropies(rho, average):
 def numeric_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) through the matrix route, with q = 1 - p.
 
-    Gibbs state, Kraus post-selection, Pauli twirl and von Neumann entropies,
-    each on the whole stack of 4x4 matrices over the broadcast inputs; no
-    closed form enters.  An unvalidated kernel: callers run
-    ``thermal.check_domain`` first.
+    Each stage runs on the shape of its own inputs: ``eigh`` on
+    ``(omega, gamma)``, the weights on ``(omega, gamma, T)``, post-selection,
+    twirl and spectra on the broadcast block; no closed form enters.  An
+    unvalidated kernel: callers run ``thermal.check_domain`` first.
     """
-    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
     state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
     return (*_entropies(state, _twirl(state)), success)
 

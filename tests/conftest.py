@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import gravcat_coding.linalg as linalg_module
 from gravcat_coding import GravcatParams
 from gravcat_coding.linalg import _PAULI_I, _PAULI_X, _PAULI_Z
+from gravcat_coding.numeric import _entropies, _gibbs, _hamiltonian, _post_select, _twirl
 
 settings.register_profile(
     "gravcat",
@@ -138,6 +139,16 @@ def summed_entropy_bits(*values):
 def summed_entropies(terms):
     """(S(rho), S(rho_bar)) of closed-form terms by `summed_entropy_bits`."""
     return summed_entropy_bits(*terms.spectrum), 1.0 + summed_entropy_bits(terms.nu, terms.mu)
+
+
+# the numeric engine kept verbatim from before it dropped its up-front
+# broadcast, when every cell solved its own Hamiltonian: the engine must
+# match these bits
+def broadcast_numeric_engine(omega, gamma, temperature, q):
+    """(spectrum, S(rho), S(rho_bar), success) with every input broadcast first."""
+    omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
+    state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
+    return (*_entropies(state, _twirl(state)), success)
 
 
 def assert_same_bits(got, want) -> None:

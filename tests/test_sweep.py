@@ -25,6 +25,8 @@ from gravcat_coding import (
     render_csv,
     render_json,
 )
+from gravcat_coding.numeric import numeric_engine
+from conftest import broadcast_numeric_engine
 
 
 # ----------------------------------------------------------- AxisSpec
@@ -155,15 +157,24 @@ def test_numeric_grid_does_not_depend_on_chunking():
     assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
 
 
+@pytest.mark.parametrize(
+    "x, y, fixed, hamiltonians",
+    [
+        (AxisSpec("T", 0.05, 2.0, 6), AxisSpec("p", 0.0, 0.95, 5), {"omega": 1.3, "gamma": 0.8}, 1),
+        (AxisSpec("T", 0.05, 2.0, 6), AxisSpec("omega", 0.1, 3.0, 5), {"gamma": 0.8, "p": 0.5}, 5),
+        (AxisSpec("p", 0.0, 0.95, 6), AxisSpec("gamma", 0.0, 3.0, 5), {"omega": 1.3, "T": 0.4}, 5),
+        (AxisSpec("gamma", 0.0, 3.0, 6), AxisSpec("omega", 0.1, 3.0, 5), {"T": 0.4}, 30),
+    ],
+    ids=["T-p", "T-omega", "p-gamma", "gamma-omega"],
+)
 def test_numeric_grid_solves_eigenvectors_only_for_the_gibbs_states(
-    solve_counts, symmetry_scans
+    solve_counts, symmetry_scans, x, y, fixed, hamiltonians
 ):
-    # one eigh call over the grid's Hamiltonians; the spectra of the states
-    # and of their twirls are solved for eigenvalues alone
-    x = AxisSpec("T", 0.05, 2.0, 6)
-    y = AxisSpec("p", 0.0, 0.95, 5)
-    evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.8}, engine="numeric")
-    assert solve_counts == {"eigh": [1, 30], "eigvalsh": [2, 60]}
+    # one eigh call over the grid's distinct Hamiltonians, one per
+    # (omega, gamma); the spectra of the 30 states and of their twirls are
+    # solved for eigenvalues alone
+    evaluate_sweep(x, y, fixed, engine="numeric")
+    assert solve_counts == {"eigh": [1, hamiltonians], "eigvalsh": [2, 60]}
     assert symmetry_scans == [1]  # the Hamiltonians; the states are symmetric by construction
 
 
@@ -187,6 +198,18 @@ def test_cell_failures_abort_with_context():
     first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
     with pytest.raises(RuntimeError, match=first_bad):
         evaluate_sweep(*VANISHING_AT_P1, engine="numeric")
+
+
+def test_failing_cell_and_index_are_those_of_the_broadcast_engine(monkeypatch):
+    # the engine solves one Hamiltonian here; the error still comes from the
+    # whole block and locates the same cell
+    errors = []
+    for engine in (numeric_engine, broadcast_numeric_engine):
+        monkeypatch.setitem(sweep_module.ENGINES, "numeric", engine)
+        with pytest.raises(RuntimeError) as info:
+            evaluate_sweep(*VANISHING_AT_P1, engine="numeric")
+        errors.append((str(info.value), info.value.__cause__.index))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
