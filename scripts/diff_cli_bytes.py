@@ -17,8 +17,9 @@ longer than one block), an exit-2 command for each rule of the parameter
 domain, ``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
 and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 ``optimize`` at a peak about 1e-9 wide and at two narrow peaks at small
-``q = 1 - p`` (about 1.6e-6 and 6.7e-10), and ``verify`` at its default
-1000 samples and seed 42.
+``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``capacity`` (both engines) and
+``optimize`` at subnormal ``omega`` and ``gamma``, and ``verify`` at its
+default 1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
 between corresponding numbers is printed with it.  The last line gives the
@@ -124,6 +125,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("optimize", "--omega", "945.5923560605206", "--gamma", "1.2620091565284667e-06",
      "--temp", "8.835663407464747"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
+    # subnormal energies, where theta = hypot(omega, gamma) keeps only a few bits
+    *(
+        ("capacity", "--omega", "5e-324", "--gamma", "5e-324", "--temp", "1e-6", "--engine", engine)
+        for engine in ("closed_form", "numeric")
+    ),
+    ("optimize", "--omega", "5e-324", "--gamma", "5e-324", "--temp", "1e-6"),
     ("verify", "--samples", "1000", "--seed", "42"),
     ("verify", "--samples", "50", "--seed", "7", "--output", "verify.json"),
 )

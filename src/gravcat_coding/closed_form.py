@@ -93,11 +93,18 @@ def x_state(thermal: ThermalTerms, q=1.0) -> np.ndarray:
 def _thermal_terms(omega, gamma, temperature) -> ThermalTerms:
     """The thermal half of the closed forms, over broadcast arrays."""
     theta = np.hypot(omega, gamma)
-    # from theta = 2^1021 on, theta + omega can overflow; chi depends only on
-    # energy ratios, so such points are scaled down by an exact 2^-4
-    huge = theta >= 2.0**1021
-    if huge.any() if huge.ndim else huge:  # .any() of a numpy scalar costs 2 us a call
-        scale = np.where(huge, 2.0**-4, 1.0)
+    # chi depends only on energy ratios, so two ranges are rescaled exactly:
+    # from theta = 2^1021 on, theta + omega can overflow, and such points are
+    # scaled down by 2^-4; below 2^-1021, theta and the ratios omega/theta,
+    # gamma/theta keep only a few bits, and such points are scaled up by 2^64
+    # (a temperature past 1e289 then overflows to inf, where theta/T is 0 anyway);
+    # the range test reduces, so a block in range allocates no mask
+    if theta.ndim:  # a numpy scalar skips the reductions, which cost about 2 us a call
+        low, high = theta.min(initial=np.inf), theta.max(initial=-np.inf)
+    else:
+        low = high = theta
+    if not (2.0**-1021 <= low and high < 2.0**1021):  # NaN takes this branch, at scale 1
+        scale = np.where(theta >= 2.0**1021, 2.0**-4, np.where(theta < 2.0**-1021, 2.0**64, 1.0))
         omega, gamma, temperature = omega * scale, gamma * scale, temperature * scale
         theta = np.hypot(omega, gamma)
     # omega = gamma = 0 is H = 0, whose state is exactly I/4: the stand-in
@@ -147,11 +154,6 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     return ClosedFormTerms(success, spectrum, nu, mu)
 
 
-def _closed_form_terms(omega, gamma, temperature, q) -> ClosedFormTerms:
-    """The one definition of the gravcat closed forms, over broadcast arrays."""
-    return _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
-
-
 def _v_log2_v(v):
     """v log2 v in three ufunc calls; a NaN propagates.
 
@@ -186,7 +188,7 @@ def closed_form_engine(omega, gamma, temperature, q):
     eigenvalue negative, its entropy term is taken at the least subnormal
     inside the log, so both entropies stay finite.
     """
-    terms = _closed_form_terms(omega, gamma, temperature, q)
+    terms = _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
     return (terms.spectrum, *closed_form_entropies(terms), terms.success)
 
 

@@ -5,9 +5,12 @@ information one transmitted qubit of the shared pair can carry; rho_bar is
 the average over the four Pauli signal encodings applied to the sender's
 qubit (the first tensor factor).  chi > 1 beats the classical single-qubit
 limit and chi = 2 is the optimum.  `engine_report` turns the output of
-either engine, ``closed_form`` or ``numeric``, into a `CapacityReport`.  The
-wrappers over ``numeric`` for any real two-qubit state stay only because the
-benchmark's tracer pins them.
+either engine, ``closed_form`` or ``numeric``, into a `CapacityReport`.  No
+command runs the wrappers here: `ensemble_average`,
+`ensemble_average_via_marginal` and `capacity_numeric` over ``numeric`` for
+any real two-qubit state, and `capacity_closed_form`.  They stay because the
+benchmark's tracer looks all four up, and its optimize-points gate calls
+`capacity_numeric`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ Two double-well qubits, each with level splitting ``omega``, are coupled by a
 gravity-induced sigma_x (x) sigma_x exchange of strength ``gamma``, in natural
 units with k_B = 1.  `check_domain` is the one rule set of the parameter
 domain.  The thermal state is computed by the two engines, ``closed_form``
-and ``numeric``; the wrappers here stay only because the benchmark's tracer
-pins them.
+and ``numeric``.  No command runs the wrappers here: `build_hamiltonian`,
+`gibbs_numeric`, `thermal_closed_form` and `assemble_thermal_state`.  They
+stay because the benchmark's tracer looks all four up, and its
+optimize-points gate calls `build_hamiltonian` and `gibbs_numeric`.
 """
 
 from __future__ import annotations

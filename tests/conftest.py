@@ -10,9 +10,16 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 import gravcat_coding.linalg as linalg_module
-from gravcat_coding import GravcatParams
-from gravcat_coding.linalg import _PAULI_I, _PAULI_X, _PAULI_Z
-from gravcat_coding.numeric import _entropies, _gibbs, _hamiltonian, _post_select, _twirl
+from gravcat_coding import (
+    CHECKS, GravcatParams, InvalidParameterError, OutOfRangeError, SplitMix64, chi_closed_form,
+    draw_sample,
+)
+from gravcat_coding.closed_form import _post_selected_terms, _thermal_terms, x_state
+from gravcat_coding.coding import CapacityReport, capacity_report
+from gravcat_coding.linalg import _PAULI_I, _PAULI_X, _PAULI_Z, check_density
+from gravcat_coding.numeric import (
+    _entropies, _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl,
+)
 
 settings.register_profile(
     "gravcat",
@@ -158,3 +165,78 @@ def assert_same_bits(got, want) -> None:
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def gibbs_state(params: GravcatParams) -> np.ndarray:
+    """The numeric engine's thermal state exp(-H/T)/Z at one point."""
+    return _gibbs(_hamiltonian(params.omega, params.gamma), params.temperature)
+
+
+def state_report(rho) -> CapacityReport:
+    """The capacity report of one real two-qubit state, from the numeric engine's
+    entropies of ``rho`` and of its Pauli twirl."""
+    return capacity_report(*_entropies(rho, _twirl(rho)))
+
+
+# every rule of the domain, as (parameter, bad value, error class)
+DOMAIN_CASES = [
+    *(("omega", v, InvalidParameterError) for v in (-1.0, -math.ulp(0.0), math.nan, math.inf)),
+    *(("gamma", v, InvalidParameterError) for v in (-0.5, math.nan)),
+    *(("T", v, InvalidParameterError) for v in (0.0, -0.1, 1e-7, math.nan)),
+    *(("p", v, OutOfRangeError) for v in (-0.1, 1.5, math.nan)),
+]
+VALID_POINT = {"omega": 1.0, "gamma": 0.5, "T": 0.8, "p": 0.3}
+
+
+def _max_abs(a, b) -> float:
+    return float(np.abs(a - b).max())
+
+
+def per_sample_route(samples: int, seed: int) -> dict:
+    """Every `verify` check replayed one draw at a time, on scalars, through the
+    kernels of both engines, as the batched report's reference.
+
+    Returns, per check, (max_deviation, worst_sample): the maximum starts at
+    0.0, and the worst sample is the first draw that reaches it.
+    """
+    rng = SplitMix64(seed)
+    deviations = {name: [] for name, _ in CHECKS}
+    points = []
+    for _ in range(samples):
+        params, strength = draw_sample(rng)
+        omega, gamma, temperature = params.omega, params.gamma, params.temperature
+        points.append((omega, gamma, temperature, strength))
+        q = 1.0 - strength  # draws stop at p = 0.99, so the kept branch never vanishes
+        thermal = _thermal_terms(omega, gamma, temperature)
+        rho_cf = check_density(x_state(thermal))
+        rho_num = gibbs_state(params)
+        wm_success = _post_selected_terms(thermal, q).success
+        wm_cf = x_state(thermal, q) / wm_success
+        wm_kraus, kraus_success = _post_select(rho_cf, q)
+        wm_num, _ = _post_select(rho_num, q)
+        found = {
+            "thermal_state_closed_vs_numeric": [_max_abs(rho_cf, rho_num)],
+            "capacity_closed_vs_numeric": [
+                abs(chi_closed_form(omega, gamma, temperature) - state_report(rho_num).chi)
+            ],
+            "wm_state_closed_vs_kraus": [
+                _max_abs(wm_cf, wm_kraus), abs(float(wm_success) - float(kraus_success)),
+            ],
+            "wm_capacity_closed_vs_numeric": [
+                abs(chi_closed_form(omega, gamma, temperature, q) - state_report(wm_num).chi)
+            ],
+            "twirl_vs_marginal_identity": [
+                _max_abs(_twirl(rho), _marginal_replacement(rho)) for rho in (rho_num, wm_num)
+            ],
+        }
+        for name, values in found.items():
+            deviations[name].append(float(max(values)))
+    out = {}
+    for name, values in deviations.items():
+        worst = max([0.0, *values])
+        index = values.index(worst) if worst in values else None
+        point = None
+        if index is not None:
+            point = {"index": index, **dict(zip(("omega", "gamma", "temp", "p"), points[index]))}
+        out[name] = (worst, point)
+    return out

@@ -14,19 +14,18 @@ from gravcat_coding import (
     AxisSpec,
     GravcatParams,
     SplitMix64,
-    assemble_thermal_state,
-    capacity_closed_form,
-    capacity_numeric,
-    capacity_wm_closed_form,
+    chi_closed_form,
     eigh,
     figure_grid,
     optimize_strength,
-    thermal_closed_form,
     verification_report,
 )
 from gravcat_coding.cli import main as cli_main
+from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_state
+from gravcat_coding.coding import engine_report
+from gravcat_coding.linalg import check_density
 from gravcat_coding.verify import draw_sample
-from conftest import bell_state, boltzmann_weights, maximally_mixed
+from conftest import bell_state, boltzmann_weights, maximally_mixed, state_report
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -62,29 +61,30 @@ def test_criterion_2_capacity_oracle_equivalence(seeded_verification):
 
 
 def test_criterion_3_exact_limits():
-    chi_mixed = capacity_numeric(maximally_mixed(4)).chi
-    chi_bell = capacity_numeric(bell_state()).chi
+    chi_mixed = state_report(maximally_mixed(4)).chi
+    chi_bell = state_report(bell_state()).chi
 
     no_coupling_ok = True
     worst_gamma0 = -math.inf
     for omega in np.linspace(0.05, 5.0, 10):
         for temperature in np.linspace(0.05, 10.0, 10):
-            chi = capacity_closed_form(GravcatParams(float(omega), 0.0, float(temperature))).chi
+            chi = chi_closed_form(float(omega), 0.0, float(temperature))
             worst_gamma0 = max(worst_gamma0, chi)
             no_coupling_ok &= chi <= 1.0 + 1e-12
 
     rng = SplitMix64(2024)
+    strong = 1.0 - 1e-9  # the strength that probes the p -> 1 limit
     zero_strength_dev = 0.0
     boundary_dev = 0.0
     for _ in range(1000):
         params, _ = draw_sample(rng)
         zero_strength_dev = max(
             zero_strength_dev,
-            abs(capacity_wm_closed_form(params, 0.0).chi - capacity_closed_form(params).chi),
+            abs(engine_report(closed_form_engine, params, 0.0).chi
+                - engine_report(closed_form_engine, params).chi),
         )
-        boundary_dev = max(
-            boundary_dev, abs(capacity_wm_closed_form(params, 1.0 - 1e-9).chi - 1.0)
-        )
+        boundary = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - strong)
+        boundary_dev = max(boundary_dev, abs(boundary - 1.0))
 
     ok = (
         abs(chi_mixed) < 1e-10
@@ -107,7 +107,7 @@ def test_criterion_4_spectrum_law():
     worst = 0.0
     for _ in range(300):
         params, _ = draw_sample(rng)
-        rho = assemble_thermal_state(thermal_closed_form(params))
+        rho = check_density(x_state(_thermal_terms(params.omega, params.gamma, params.temperature)))
         expected = boltzmann_weights(params.omega, params.gamma, params.temperature)
         worst = max(worst, float(np.abs(eigh(rho)[0] - expected).max()))
     _report(
@@ -131,9 +131,7 @@ def test_criterion_5a_default_grid_brightness():
 
 def test_criterion_5b_ridge_shape_along_omega():
     omegas = AxisSpec.default("omega").values()
-    row = np.array(
-        [capacity_closed_form(GravcatParams(float(w), 0.5, 0.01)).chi for w in omegas]
-    )
+    row = np.array([chi_closed_form(float(w), 0.5, 0.01) for w in omegas])
     peak = int(row.argmax())
     diffs = np.diff(row)
     ok = (
@@ -152,8 +150,8 @@ def test_criterion_5b_ridge_shape_along_omega():
 
 
 def test_criterion_6_capacity_decays_with_temperature():
-    cold = capacity_closed_form(GravcatParams(1.0, 1.0, 0.1)).chi
-    hot = capacity_closed_form(GravcatParams(1.0, 1.0, 2.0)).chi
+    cold = chi_closed_form(1.0, 1.0, 0.1)
+    hot = chi_closed_form(1.0, 1.0, 2.0)
     _report(
         "criterion 6 (thermal decay at omega = gamma = 1)",
         hot < cold,
@@ -163,14 +161,13 @@ def test_criterion_6_capacity_decays_with_temperature():
 
 def test_criterion_7_measurement_protection():
     p_star, chi_star = optimize_strength(GravcatParams(1.0, 1.0, 1.0))
-    chi_zero = capacity_wm_closed_form(GravcatParams(1.0, 1.0, 1.0), 0.0).chi
+    chi_zero = chi_closed_form(1.0, 1.0, 1.0, 1.0 - 0.0)
     gain = chi_star - chi_zero
 
     strengths = AxisSpec.default("p").values()
     widths = {}
     for scale in (1.0, 3.0):
-        params = GravcatParams(scale, scale, 1.0)
-        chis = np.array([capacity_wm_closed_form(params, float(p)).chi for p in strengths])
+        chis = np.array([chi_closed_form(scale, scale, 1.0, 1.0 - float(p)) for p in strengths])
         widths[scale] = int((chis >= 1.0).sum())
     ok = gain > 0.0 and widths[3.0] > widths[1.0]
     _report(
@@ -188,8 +185,8 @@ def test_criterion_8_deep_cold_hygiene():
     for omega, gamma in ((1.0, 1.0), (5.0, 5.0), (0.3, 2.0)):
         theta = math.hypot(omega, gamma)
         params = GravcatParams(omega, gamma, theta / 700.0)
-        report = capacity_closed_form(params)
-        rho = assemble_thermal_state(thermal_closed_form(params))
+        report = engine_report(closed_form_engine, params)
+        rho = check_density(x_state(_thermal_terms(omega, gamma, params.temperature)))
         trace_err = abs(float(np.trace(rho)) - 1.0)
         ok &= math.isfinite(report.chi) and 0.0 <= report.chi <= 2.0 and trace_err < 1e-10
         details.append(f"chi={report.chi:.4f}, trace err {trace_err:.1e}")

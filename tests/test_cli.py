@@ -11,7 +11,7 @@ import pytest
 
 import gravcat_coding.cli as cli_module
 import gravcat_coding.verify as verify_module
-from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, capacity_closed_form
+from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, chi_closed_form
 from gravcat_coding import cell_capacity, evaluate_sweep
 from gravcat_coding.cli import build_parser, main
 
@@ -258,7 +258,7 @@ def test_optimize_reference_point(capsys):
     assert code == 0
     assert payload["gain"] > 0.0
     assert 0.0 <= payload["p_star"] < 1.0
-    assert abs(payload["chi_at_zero"] - capacity_closed_form(GravcatParams(1, 1, 1)).chi) < 1e-12
+    assert abs(payload["chi_at_zero"] - chi_closed_form(1.0, 1.0, 1.0)) < 1e-12
     assert payload["chi_star"] == payload["chi_at_zero"] + payload["gain"]
 
 

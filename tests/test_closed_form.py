@@ -19,22 +19,18 @@ from gravcat_coding import (
     OutOfRangeError,
     SweepGrid,
     ZeroSuccessProbabilityError,
-    apply_qwm,
-    build_hamiltonian,
-    capacity_closed_form,
-    capacity_numeric,
-    capacity_wm_closed_form,
     chi_closed_form,
     chi_numeric,
     evaluate_sweep,
-    gibbs_numeric,
     optimize_strength,
     optimize_strength_many,
     render_csv,
 )
 from gravcat_coding.closed_form import (
-    ClosedFormTerms, _closed_form_terms, closed_form_engine, closed_form_entropies,
+    ClosedFormTerms, _post_selected_terms, _thermal_terms, closed_form_engine,
+    closed_form_entropies,
 )
+from gravcat_coding.coding import engine_report
 from gravcat_coding.numeric import numeric_engine
 from conftest import assert_same_bits, summed_entropies
 
@@ -82,9 +78,9 @@ def test_golden_table_scalar_reports(golden):
     points, want = golden
     for (omega, gamma, temperature, strength), chi in zip(points.tolist(), want.tolist()):
         params = GravcatParams(omega, gamma, temperature)
-        assert abs(capacity_wm_closed_form(params, strength).chi - chi) <= GOLDEN_TOL
+        assert abs(engine_report(closed_form_engine, params, strength).chi - chi) <= GOLDEN_TOL
         if strength == 0.0:
-            assert abs(capacity_closed_form(params).chi - chi) <= GOLDEN_TOL
+            assert abs(engine_report(closed_form_engine, params).chi - chi) <= GOLDEN_TOL
 
 
 # ------------------------------------------------------- regressions
@@ -101,22 +97,21 @@ def test_golden_table_scalar_reports(golden):
     ],
 )
 def test_measured_capacity_without_cancellation(omega, gamma, temperature, strength, want):
-    report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), strength)
-    assert abs(report.chi - want) < 1e-13
+    chi = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
+    assert abs(chi - want) < 1e-13
 
 
 def test_plain_capacity_exponent_without_cancellation():
     # gamma >> omega at low T: theta/T and gamma/T are each ~3e7 and differ by ~4
-    report = capacity_closed_form(GravcatParams(0.0873, 172.5, 5.6e-6))
-    assert abs(report.chi - 1.8642785666605935973) < 1e-13
+    assert abs(chi_closed_form(0.0873, 172.5, 5.6e-6) - 1.8642785666605935973) < 1e-13
 
 
 def test_optimizer_agrees_with_numeric_route_at_a_cold_point():
     params = GravcatParams(2.9423374852881232, 9.993036120958809e-05, 0.011439857518148635)
     p_star, chi_star = optimize_strength(params)
-    rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-    assert abs(chi_star - capacity_numeric(apply_qwm(rho, p_star).state).chi) < 1e-9
-    assert chi_star >= capacity_wm_closed_form(params, 0.0).chi
+    point = (params.omega, params.gamma, params.temperature)
+    assert abs(chi_star - chi_numeric(*point, 1.0 - p_star)) < 1e-9
+    assert chi_star >= chi_closed_form(*point)
 
 
 # ------------------------------------------- properties with no oracle
@@ -161,8 +156,7 @@ def test_numeric_engine_at_huge_points_matches_the_scaled_points():
         warnings.simplefilter("error", RuntimeWarning)
         huge = chi_numeric(omega, gamma, temperature, 1.0 - strength)
         scaled = chi_numeric(omega * f, gamma * f, temperature * f, 1.0 - strength)
-        rho = gibbs_numeric(build_hamiltonian(GravcatParams(1e308, 1e307, 1e308)), 1e308)
-        single = capacity_numeric(rho).chi
+        single = chi_numeric(1e308, 1e307, 1e308)
     assert np.abs(huge - scaled).max() <= 1e-12
     assert abs(single - 0.16530151997838383) <= 1e-12
 
@@ -174,7 +168,7 @@ def test_sweep_cells_equal_scalar_reports_bit_for_bit():
     for iy, strength in enumerate(y.values().tolist()):
         for ix, temperature in enumerate(x.values().tolist()):
             params = GravcatParams(1.3, 0.4, temperature)
-            assert grid.values[iy, ix] == capacity_wm_closed_form(params, strength).chi
+            assert grid.values[iy, ix] == engine_report(closed_form_engine, params, strength).chi
 
 
 def test_grid_bytes_do_not_depend_on_chunking():
@@ -204,13 +198,15 @@ def test_plain_capacity_equals_zero_strength_bit_for_bit(golden):
     points, _ = golden
     for omega, gamma, temperature, _ in points[::10].tolist():
         params = GravcatParams(omega, gamma, temperature)
-        assert capacity_closed_form(params).chi == capacity_wm_closed_form(params, 0.0).chi
+        plain = engine_report(closed_form_engine, params)
+        assert plain.chi == engine_report(closed_form_engine, params, 0.0).chi
 
 
 def test_report_decomposes_exactly(golden):
     points, _ = golden
     for omega, gamma, temperature, strength in points[::25].tolist():
-        report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), strength)
+        params = GravcatParams(omega, gamma, temperature)
+        report = engine_report(closed_form_engine, params, strength)
         assert report.chi == report.entropy_average - report.entropy_state
         assert list(report.state_spectrum) == sorted(report.state_spectrum, reverse=True)
         assert abs(sum(report.state_spectrum) - 1.0) < 1e-12
@@ -219,15 +215,27 @@ def test_report_decomposes_exactly(golden):
 @pytest.mark.parametrize("omega, gamma", [(0.0, 0.0), (0.0, 0.8)])
 def test_degenerate_splitting_matches_numeric_engine(omega, gamma):
     for strength in (0.0, 0.5, 0.9, 1.0):
-        params = GravcatParams(omega, gamma, 0.7)
-        closed = capacity_wm_closed_form(params, strength).chi
-        rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-        numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
-        assert abs(closed - numeric) < 1e-12, strength
+        point = (omega, gamma, 0.7, 1.0 - strength)
+        assert abs(chi_closed_form(*point) - chi_numeric(*point)) < 1e-12, strength
     # H = 0 leaves I/4: no capacity before the measurement, a product state after
-    params = GravcatParams(0.0, 0.0, 1.0)
-    assert capacity_closed_form(params).chi == 0.0
-    assert abs(capacity_wm_closed_form(params, 0.5).chi - 0.081704165945510485) < 1e-15
+    assert chi_closed_form(0.0, 0.0, 1.0) == 0.0
+    assert abs(chi_closed_form(0.0, 0.0, 1.0, 1.0 - 0.5) - 0.081704165945510485) < 1e-15
+
+
+def test_subnormal_energies_match_the_numeric_engine():
+    # below theta = 2^-1021, theta and the ratios omega/theta, gamma/theta kept
+    # only a few bits until the closed form rescaled such points: at
+    # omega = gamma = 5e-324, T = 1e-6, where the state is I/4, it gave 0.079 bits
+    rng = np.random.default_rng(1)
+    omega, gamma = 10.0 ** rng.uniform(-324.0, -290.0, (2, 20_000))
+    temperature = 10.0 ** rng.uniform(-6.0, 3.0, 20_000)
+    q = np.where(rng.random(20_000) < 0.5, 1.0, 10.0 ** rng.uniform(-9.0, 0.0, 20_000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = chi_closed_form(omega, gamma, temperature, q)
+        numeric = chi_numeric(omega, gamma, temperature, q)
+    assert np.abs(closed - numeric).max() <= 1e-12
+    assert chi_closed_form(5e-324, 5e-324, 1e-6) == 0.0
 
 
 def test_nan_input_propagates():
@@ -246,7 +254,7 @@ def test_outside_the_domain_the_kernel_is_finite_not_nan():
         chi = chi_closed_form(1.0, 1.0, 1.0, -0.5)
     assert chi == pytest.approx(10836.939652553752, rel=1e-12)
     with pytest.raises(OutOfRangeError):
-        capacity_wm_closed_form(GravcatParams(1.0, 1.0, 1.0), 1.5)
+        engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0), 1.5)
 
 
 def test_vanishing_success_names_the_first_element():
@@ -262,7 +270,7 @@ def test_projective_endpoint_with_underflowed_weight_is_one_bit():
     # mixing underflowed and ordinary weights still raises where q > 0
     temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
     assert np.array_equal(chi_closed_form(1.0, 0.0, temperature, 0.0), np.ones((2, 2)))
-    terms = _closed_form_terms(1.0, 0.0, temperature, 0.0)
+    terms = _post_selected_terms(_thermal_terms(1.0, 0.0, temperature), 0.0)
     assert terms.success[0, 1] == 0.0 and terms.success[0, 0] > 0.0
     assert [float(v[0, 1]) for v in terms.spectrum] == [1.0, 0.0, 0.0, 0.0]
     q = np.array([[0.0], [1e-200]])
@@ -297,7 +305,7 @@ def test_engine_entropies_equal_the_summed_form_bit_for_bit():
         spectrum, entropy_state, entropy_average, _ = closed_form_engine(
             omega, gamma, temperature, q
         )
-        terms = _closed_form_terms(omega, gamma, temperature, q)
+        terms = _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
         want_state, want_average = summed_entropies(terms)
         assert_same_bits(entropy_state, want_state)
         assert_same_bits(entropy_average, want_average)

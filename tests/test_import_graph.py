@@ -3,7 +3,9 @@
 These tests read the package's import statements from its sources: the
 closed form stands on ``linalg`` alone, the numeric engine on ``linalg`` and
 the shared success floor, and every module takes the matrix route from
-``numeric`` itself.
+``numeric`` itself.  They also read the test suite's sources: only
+``test_wrapper_api.py`` names a general-state wrapper, so the wrappers can
+go with that one module.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gravcat_coding"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+WRAPPER_MODULE = "test_wrapper_api.py"
 
 
 def _tree(module: str) -> ast.Module:
@@ -69,3 +73,40 @@ def test_verify_takes_the_matrix_route_from_numeric():
     assert {"coding", "weak_measurement"}.isdisjoint(module for module, _ in imports)
     from_numeric = {name for module, name in imports if module == "numeric"}
     assert {"_hamiltonian", "_gibbs", "_post_select", "_twirl", "_entropies"} <= from_numeric
+
+
+def wrapper_names() -> set[str]:
+    """The ``WRAPPER_NAMES`` tuple of ``tests/test_wrapper_api.py``."""
+    for node in ast.parse((TESTS / WRAPPER_MODULE).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPPER_NAMES":
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"tests/{WRAPPER_MODULE} defines no WRAPPER_NAMES")
+
+
+def used_names(path: Path) -> set[str]:
+    """Every name, attribute, import, definition and string constant in a source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.asname or alias.name.rpartition(".")[2] for alias in node.names)
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_the_wrapper_module_names_a_wrapper():
+    wrappers = wrapper_names()
+    assert len(wrappers) == 17  # the fifteen wrappers and two constants of one of them
+    stray = [
+        (path.name, name)
+        for path in sorted(TESTS.glob("*.py")) if path.name != WRAPPER_MODULE
+        for name in sorted(wrappers & used_names(path))
+    ]
+    assert stray == []

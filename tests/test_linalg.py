@@ -7,15 +7,10 @@ from hypothesis import given, settings
 
 from gravcat_coding import (
     InvalidStateError,
-    NonFiniteResultError,
     NotHermitianError,
     NumericalNoiseWarning,
-    apply_qwm,
-    capacity_numeric,
     eigh,
     entropy_bits,
-    gibbs_numeric,
-    matrix_function,
 )
 from gravcat_coding.linalg import (
     _PAULI_I,
@@ -87,17 +82,7 @@ def test_eigh_deterministic_for_identical_bits(m):
     assert np.array_equal(first[1], second[1])
 
 
-@pytest.mark.parametrize(
-    "route",
-    [
-        eigh,
-        check_density,
-        capacity_numeric,
-        lambda m: gibbs_numeric(m, 1.0),
-        lambda m: apply_qwm(m, 0.5),
-    ],
-    ids=["eigh", "check_density", "capacity_numeric", "gibbs_numeric", "apply_qwm"],
-)
+@pytest.mark.parametrize("route", [eigh, check_density], ids=["eigh", "check_density"])
 def test_complex_input_is_refused(route):
     # a valid Hermitian state; dropping its imaginary part would change it silently
     rho = maximally_mixed(4).astype(complex)
@@ -125,57 +110,6 @@ def test_eigenvalues_match_eigh_in_descending_order(shape):
     scale = np.abs(want).max(axis=-1, keepdims=True)
     assert (np.abs(values - want) <= 1e-14 * scale).all()
     assert (np.diff(values, axis=-1) <= 0.0).all()
-
-
-# ---------------------------------------------------- matrix_function
-
-def _taylor_expm(m: np.ndarray, terms: int = 40) -> np.ndarray:
-    """Independent oracle: scaled-and-squared Taylor series for exp(m)."""
-    halvings = 0
-    scaled = np.asarray(m, dtype=float)
-    while np.linalg.norm(scaled) > 0.9:  # Frobenius bounds the spectral radius
-        scaled = scaled / 2.0
-        halvings += 1
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ scaled / k
-        out = out + term
-    for _ in range(halvings):
-        out = out @ out
-    return out
-
-
-def test_matrix_function_exp_of_zero_is_identity():
-    out = matrix_function(np.zeros((4, 4)), math.exp)
-    assert np.allclose(out, np.eye(4), atol=1e-15)
-
-
-def test_matrix_function_acts_on_diagonal():
-    out = matrix_function(np.diag([math.log(2.0), 0.0]), math.exp)
-    assert np.allclose(out, np.diag([2.0, 1.0]), atol=1e-14)
-
-
-def test_matrix_function_exp_trace_matches_partition_sum():
-    out = matrix_function(-COUPLED, math.exp)
-    expected = 2.0 * (math.cosh(SQRT2) + math.cosh(1.0))
-    assert math.isclose(float(np.trace(out)), expected, rel_tol=0, abs_tol=1e-12)
-
-
-@given(hermitian_matrices(dim=4, scale=2.5))  # Frobenius, hence spectral radius, <= 5
-@settings(max_examples=60)
-def test_matrix_function_exp_matches_taylor_series(m):
-    assert np.abs(matrix_function(m, math.exp) - _taylor_expm(m)).max() < 1e-9
-
-
-def test_matrix_function_overflow_raises():
-    with pytest.raises(NonFiniteResultError):
-        matrix_function(np.diag([800.0, 0.0]), math.exp)
-
-
-def test_matrix_function_nan_raises():
-    with pytest.raises(NonFiniteResultError):
-        matrix_function(np.diag([2.0, 0.0]), lambda x: float("nan"))
 
 
 # ------------------------------------------------------------ entropy

@@ -13,74 +13,14 @@ from gravcat_coding import (
     InvalidStateError,
     OutOfRangeError,
     SplitMix64,
-    apply_qwm,
-    assemble_thermal_state,
-    build_hamiltonian,
-    capacity_closed_form,
-    capacity_numeric,
-    capacity_wm_closed_form,
+    chi_closed_form,
     draw_sample,
     draw_samples,
-    ensemble_average,
-    ensemble_average_via_marginal,
-    gibbs_numeric,
-    thermal_closed_form,
     verification_report,
-    wm_state_closed_form,
 )
 from gravcat_coding.linalg import check_density
-
-
-def _max_abs(a, b) -> float:
-    return float(np.abs(a - b).max())
-
-
-def per_sample_route(samples: int, seed: int) -> dict:
-    """Every check replayed one draw at a time through the public wrappers.
-
-    Returns, per check, (max_deviation, worst_sample): the maximum starts at
-    0.0, and the worst sample is the first draw that reaches it.
-    """
-    rng = SplitMix64(seed)
-    deviations = {name: [] for name, _ in CHECKS}
-    points = []
-    for _ in range(samples):
-        params, strength = draw_sample(rng)
-        points.append((params.omega, params.gamma, params.temperature, strength))
-        cf = thermal_closed_form(params)
-        rho_cf = assemble_thermal_state(cf)
-        rho_num = gibbs_numeric(build_hamiltonian(params), params.temperature)
-        wm_cf = wm_state_closed_form(cf, strength)
-        wm_kraus = apply_qwm(rho_cf, strength)
-        wm_num = apply_qwm(rho_num, strength).state
-        found = {
-            "thermal_state_closed_vs_numeric": [_max_abs(rho_cf, rho_num)],
-            "capacity_closed_vs_numeric": [
-                abs(capacity_closed_form(params).chi - capacity_numeric(rho_num).chi)
-            ],
-            "wm_state_closed_vs_kraus": [
-                _max_abs(wm_cf.state, wm_kraus.state),
-                abs(wm_cf.success_probability - wm_kraus.success_probability),
-            ],
-            "wm_capacity_closed_vs_numeric": [
-                abs(capacity_wm_closed_form(params, strength).chi - capacity_numeric(wm_num).chi)
-            ],
-            "twirl_vs_marginal_identity": [
-                _max_abs(ensemble_average(rho), ensemble_average_via_marginal(rho))
-                for rho in (rho_num, wm_num)
-            ],
-        }
-        for name, values in found.items():
-            deviations[name].append(max(values))
-    out = {}
-    for name, values in deviations.items():
-        worst = max([0.0, *values])
-        index = values.index(worst) if worst in values else None
-        point = None
-        if index is not None:
-            point = {"index": index, **dict(zip(("omega", "gamma", "temp", "p"), points[index]))}
-        out[name] = (worst, point)
-    return out
+from gravcat_coding.numeric import _post_select
+from conftest import gibbs_state, per_sample_route, state_report
 
 
 @pytest.mark.parametrize("seed", [42, 20240117])
@@ -156,9 +96,9 @@ def test_worst_sample_reproduces_its_deviation():
     assert (params.omega, params.gamma, params.temperature, strength) == (
         sample["omega"], sample["gamma"], sample["temp"], sample["p"]
     )
-    rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-    numeric = capacity_numeric(apply_qwm(rho, strength).state).chi
-    assert abs(capacity_wm_closed_form(params, strength).chi - numeric) == entry["max_deviation"]
+    numeric = state_report(_post_select(gibbs_state(params), 1.0 - strength)[0]).chi
+    closed = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - strength)
+    assert abs(closed - numeric) == entry["max_deviation"]
 
 
 def test_kernel_error_names_the_sample(monkeypatch):

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,29 +9,25 @@ from gravcat_coding import (
     GravcatParams,
     OutOfRangeError,
     ZeroSuccessProbabilityError,
-    apply_qwm,
-    assemble_thermal_state,
-    build_hamiltonian,
-    capacity_closed_form,
-    capacity_numeric,
-    capacity_wm_closed_form,
     chi_closed_form,
-    gibbs_numeric,
-    golden_section_maximize,
+    chi_numeric,
     optimize_strength,
     optimize_strength_many,
-    thermal_closed_form,
-    wm_state_closed_form,
 )
-from gravcat_coding.closed_form import ThermalTerms, _post_selected_terms, _thermal_terms
+from gravcat_coding.closed_form import (
+    ThermalTerms, _post_selected_terms, _thermal_terms, closed_form_engine, x_state,
+)
+from gravcat_coding.coding import engine_report
+from gravcat_coding.linalg import check_density
 from gravcat_coding.numeric import _post_select, numeric_engine
 from conftest import (
-    assert_same_bits, basis_projector, finite_floats, gravcat_params, summed_entropies,
+    assert_same_bits, basis_projector, finite_floats, gravcat_params, state_report,
+    summed_entropies,
 )
 
 
 def thermal_state(omega, gamma, temperature):
-    return assemble_thermal_state(thermal_closed_form(GravcatParams(omega, gamma, temperature)))
+    return check_density(x_state(_thermal_terms(omega, gamma, temperature)))
 
 
 # ------------------------------------------------------- the operator
@@ -56,43 +51,32 @@ def test_operator_intermediate_strength():
     assert np.allclose(kraus_conjugation(0.25), np.outer(k, k), atol=1e-15)
 
 
-def test_operator_rejects_out_of_range():
-    rho = np.eye(4) / 4.0
-    with pytest.raises(OutOfRangeError):
-        apply_qwm(rho, -0.1)
-    with pytest.raises(OutOfRangeError):
-        apply_qwm(rho, 1.1)
-    with pytest.raises(OutOfRangeError):
-        apply_qwm(rho, math.nan)
-
-
 # --------------------------------------------------- state conjugation
 
 def test_zero_strength_is_identity():
     rho = thermal_state(1.0, 1.0, 1.0)
-    out = apply_qwm(rho, 0.0)
-    assert np.abs(out.state - rho).max() < 1e-14 and out.state.dtype == np.float64
-    assert abs(out.success_probability - 1.0) < 1e-12
+    state, success = _post_select(rho, 1.0)
+    assert np.abs(state - rho).max() < 1e-14 and state.dtype == np.float64
+    assert abs(success - 1.0) < 1e-12
 
 
 def test_full_strength_projects_onto_ground_corner():
-    cf = thermal_closed_form(GravcatParams(1.0, 1.0, 1.0))
-    out = apply_qwm(assemble_thermal_state(cf), 1.0)
-    assert np.abs(out.state - basis_projector(0)).max() < 1e-12
-    assert abs(out.success_probability - cf.alpha_minus) < 1e-14
+    cf = _thermal_terms(1.0, 1.0, 1.0)
+    state, success = _post_select(check_density(x_state(cf)), 0.0)
+    assert np.abs(state - basis_projector(0)).max() < 1e-12
+    assert abs(success - cf.alpha_minus) < 1e-14
 
 
 def test_full_strength_on_orthogonal_state_fails():
     with pytest.raises(ZeroSuccessProbabilityError):
-        apply_qwm(basis_projector(3), 1.0)
+        _post_select(basis_projector(3), 0.0)
 
 
 def test_half_strength_entry_pattern():
     # conjugation scales the corners by (1-p) and (1-p)^2 and the middle
     # block by (1-p); checked against the Kraus route at p = 0.5
-    cf = thermal_closed_form(GravcatParams(1.0, 1.0, 1.0))
-    rho = assemble_thermal_state(cf)
-    out = apply_qwm(rho, 0.5)
+    cf = _thermal_terms(1.0, 1.0, 1.0)
+    state, success = _post_select(check_density(x_state(cf)), 0.5)
     expected_ps = cf.alpha_minus + 2.0 * cf.beta * 0.5 + cf.alpha_plus * 0.25
     expected = np.array(
         [
@@ -102,25 +86,26 @@ def test_half_strength_entry_pattern():
             [0.5 * cf.kappa, 0.0, 0.0, 0.25 * cf.alpha_plus],
         ]
     ) / expected_ps
-    assert np.abs(out.state - expected).max() < 1e-12
-    assert abs(out.success_probability - expected_ps) < 1e-12
+    assert np.abs(state - expected).max() < 1e-12
+    assert abs(success - expected_ps) < 1e-12
 
 
 @given(gravcat_params(), finite_floats(0.0, 0.99))
 @settings(max_examples=80)
 def test_closed_form_state_matches_kraus_route(params, strength):
-    cf = thermal_closed_form(params)
-    closed = wm_state_closed_form(cf, strength)
-    kraus = apply_qwm(assemble_thermal_state(cf), strength)
-    assert np.abs(closed.state - kraus.state).max() < 1e-12
-    assert abs(closed.success_probability - kraus.success_probability) < 1e-12
+    cf = _thermal_terms(params.omega, params.gamma, params.temperature)
+    q = 1.0 - strength
+    closed_success = _post_selected_terms(cf, q).success
+    kraus_state, kraus_success = _post_select(check_density(x_state(cf)), q)
+    assert np.abs(x_state(cf, q) / closed_success - kraus_state).max() < 1e-12
+    assert abs(closed_success - kraus_success) < 1e-12
 
 
 @given(gravcat_params())
 @settings(max_examples=40)
 def test_success_probability_is_nonincreasing(params):
-    cf = thermal_closed_form(params)
-    probs = [wm_state_closed_form(cf, p).success_probability for p in np.linspace(0.0, 1.0, 21)]
+    cf = _thermal_terms(params.omega, params.gamma, params.temperature)
+    probs = _post_selected_terms(cf, 1.0 - np.linspace(0.0, 1.0, 21)).success.tolist()
     assert all(0.0 < p <= 1.0 + 1e-12 for p in probs)
     assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
 
@@ -130,54 +115,49 @@ def test_success_probability_is_nonincreasing(params):
 def test_zero_strength_reduces_to_plain_capacity():
     for omega, gamma, temperature in ((1.0, 1.0, 1.0), (2.0, 0.3, 0.2), (0.5, 3.0, 5.0)):
         params = GravcatParams(omega, gamma, temperature)
-        with_wm = capacity_wm_closed_form(params, 0.0)
-        plain = capacity_closed_form(params)
+        with_wm = engine_report(closed_form_engine, params, 0.0)
+        plain = engine_report(closed_form_engine, params)
         assert abs(with_wm.chi - plain.chi) < 1e-12
 
 
 def test_capacity_at_projective_endpoint_is_exactly_one_bit():
     # p = 1 leaves the |00> projector: no limit is needed, chi is exactly 1
     for omega, gamma, temperature in ((1.0, 1.0, 1.0), (2.0, 0.0, 0.3), (0.5, 3.0, 5.0)):
-        report = capacity_wm_closed_form(GravcatParams(omega, gamma, temperature), 1.0)
+        report = engine_report(closed_form_engine, GravcatParams(omega, gamma, temperature), 1.0)
         assert report.chi == 1.0
         assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(OutOfRangeError):
-        capacity_wm_closed_form(GravcatParams(1, 1, 1), 1.0 + 1e-12)
+        engine_report(closed_form_engine, GravcatParams(1, 1, 1), 1.0 + 1e-12)
 
 
 def test_projective_endpoint_with_vanishing_branch_is_one_bit():
     # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0;
-    # the kept state is still |00><00|, so both closed-form routes report it
-    # with the float success probability, while the numeric engine, which
-    # divides by that probability, still refuses
+    # the kept state is still |00><00|, so the closed form reports it with
+    # the float success probability, while the numeric engine, which divides
+    # by that probability, still refuses
     params = GravcatParams(1.0, 0.0, 1e-3)
-    report = capacity_wm_closed_form(params, 1.0)
+    report = engine_report(closed_form_engine, params, 1.0)
     assert report.chi == 1.0 and report.success_probability == 0.0
     assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
-    state = wm_state_closed_form(thermal_closed_form(params), 1.0)
-    assert np.array_equal(state.state, basis_projector(0)) and state.success_probability == 0.0
     with pytest.raises(ZeroSuccessProbabilityError):
         numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
-    report = capacity_wm_closed_form(GravcatParams(1.0, 1.0, 1.0), 1.0 - 1e-12)
-    assert abs(report.chi - 1.0) < 1e-9
+    strength = 1.0 - 1e-12
+    assert abs(chi_closed_form(1.0, 1.0, 1.0, 1.0 - strength) - 1.0) < 1e-9
 
 
 @given(gravcat_params(), finite_floats(0.0, 0.99))
 @settings(max_examples=60)
 def test_capacity_closed_form_matches_numeric(params, strength):
-    closed = capacity_wm_closed_form(params, strength)
-    rho = gibbs_numeric(build_hamiltonian(params), params.temperature)
-    numeric = capacity_numeric(apply_qwm(rho, strength).state)
-    assert abs(closed.chi - numeric.chi) < 1e-9
+    point = (params.omega, params.gamma, params.temperature, 1.0 - strength)
+    assert abs(chi_closed_form(*point) - chi_numeric(*point)) < 1e-9
 
 
 def test_reference_point_against_numeric():
-    params = GravcatParams(1.0, 1.0, 1.0)
-    closed = capacity_wm_closed_form(params, 0.3)
-    numeric = capacity_numeric(apply_qwm(thermal_state(1.0, 1.0, 1.0), 0.3).state)
+    closed = engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0), 0.3)
+    numeric = state_report(_post_select(thermal_state(1.0, 1.0, 1.0), 1.0 - 0.3)[0])
     assert abs(closed.chi - numeric.chi) < 1e-9
     assert closed.strength == 0.3
     assert closed.success_probability is not None
@@ -186,7 +166,7 @@ def test_reference_point_against_numeric():
 @given(gravcat_params(), finite_floats(0.0, 0.99))
 @settings(max_examples=60)
 def test_average_state_halves_sum_to_one(params, strength):
-    cf = thermal_closed_form(params)
+    cf = _thermal_terms(params.omega, params.gamma, params.temperature)
     q = 1.0 - strength
     success = cf.alpha_minus + 2.0 * cf.beta * q + cf.alpha_plus * q * q
     nu = (cf.alpha_minus + cf.beta * q) / success
@@ -202,34 +182,25 @@ def test_boundary_continuity_towards_full_collapse(params):
     # corner (gamma << omega, omega/T ~ 21) the crossover q ~ exp(-omega/T)
     # sits below 1e-9 and the limit needs a deeper p (see the test below)
     assume(params.gamma >= params.omega / 3.0)
-    report = capacity_wm_closed_form(params, 1.0 - 1e-9)
-    assert abs(report.chi - 1.0) < 1e-5
+    strength = 1.0 - 1e-9
+    chi = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - strength)
+    assert abs(chi - 1.0) < 1e-5
 
 
 def test_boundary_limit_in_the_slow_corner():
     # gamma = 0 with omega/T = 20.7 puts the post-selection crossover right
     # at q ~ 1e-9: chi(1 - 1e-9) is nowhere near 1, yet the p -> 1 limit is
     # still 1, approached once q falls below the thermal weight ratio
-    params = GravcatParams(omega=2.07, gamma=0.0, temperature=0.1)
-    shallow = capacity_wm_closed_form(params, 1.0 - 1e-9).chi
-    deeper = capacity_wm_closed_form(params, 1.0 - 1e-12).chi
-    deepest = capacity_wm_closed_form(params, 1.0 - 1e-15).chi
+    shallow, deeper, deepest = (
+        chi_closed_form(2.07, 0.0, 0.1, 1.0 - strength)
+        for strength in (1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15)
+    )
     assert shallow < 0.01
     assert shallow < deeper < deepest < 1.0
     assert abs(deepest - 1.0) < 1e-3
 
 
 # ------------------------------------------------------- optimization
-
-def test_golden_section_finds_parabola_peak():
-    # peak value 0 keeps full float resolution near the maximum; an additive
-    # offset would flatten the function below machine epsilon there
-    peak = lambda x: -((x - 0.37) ** 2)
-    x, fx = golden_section_maximize(peak, 0.0, 1.0, tol=1e-9)
-    assert abs(x - 0.37) < 5e-9
-    assert abs(fx) < 1e-16
-    assert golden_section_maximize(peak, 0.0, 1.0, tol=1e-9) == (x, fx)
-
 
 def seeded_points(shape, seed, cold=0):
     """omega, gamma in (0, 3], T log-uniform on [0.01, 10]; the first ``cold`` have T = 0.01."""
