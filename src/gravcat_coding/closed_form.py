@@ -115,16 +115,20 @@ def _thermal_terms(omega, gamma, temperature) -> ThermalTerms:
     rw = omega / safe
     rg = gamma / safe
     one_minus_rw = rg * (gamma / (safe + omega)) + degenerate
-    x = theta / temperature
-    ex2 = np.exp(-2.0 * x)                                           # exp(-2 theta/T)
+    # each repeated subexpression is formed once, in the same operation order
+    minus_2x = -2.0 * (theta / temperature)                          # -2 theta/T
+    minus_2y = -2.0 * gamma / temperature                            # -2 gamma/T
+    ex2 = np.exp(minus_2x)                                           # exp(-2 theta/T)
     exy = np.exp(-(omega / (safe + gamma)) * (omega / temperature))  # exp(-(theta - gamma)/T)
-    ey2 = np.exp(-2.0 * gamma / temperature)                         # exp(-2 gamma/T)
-    z = (1.0 + ex2) + exy * (1.0 + ey2)                              # Z exp(-theta/T)
-    alpha_minus = (one_minus_rw + ex2 * (1.0 + rw)) / (2.0 * z)
-    alpha_plus = ((1.0 + rw) + ex2 * one_minus_rw) / (2.0 * z)
-    kappa = rg * -np.expm1(-2.0 * x) / (2.0 * z)
-    beta = exy * (1.0 + ey2) / (2.0 * z)
-    eta = exy * -np.expm1(-2.0 * gamma / temperature) / (2.0 * z)
+    ey2 = np.exp(minus_2y)                                           # exp(-2 gamma/T)
+    one_plus_rw, one_plus_ey2 = 1.0 + rw, 1.0 + ey2
+    z = (1.0 + ex2) + exy * one_plus_ey2                             # Z exp(-theta/T)
+    two_z = 2.0 * z
+    alpha_minus = (one_minus_rw + ex2 * one_plus_rw) / two_z
+    alpha_plus = (one_plus_rw + ex2 * one_minus_rw) / two_z
+    kappa = rg * -np.expm1(minus_2x) / two_z
+    beta = exy * one_plus_ey2 / two_z
+    eta = exy * -np.expm1(minus_2y) / two_z
     return ThermalTerms(alpha_minus, alpha_plus, beta, kappa, eta, ex2, exy, ey2, z)
 
 

@@ -309,6 +309,22 @@ def test_large_grid_memory_is_that_of_one_block():
     assert peak <= grid.values.nbytes + 512 * sweep_module.SWEEP_BLOCK_CELLS
 
 
+def test_render_memory_is_that_of_one_chunk():
+    # a render ends holding its text twice (the blocks, then their join);
+    # before that it holds the blocks made so far and one chunk's
+    # temporaries, at most about 116 bytes per chunk cell.  The warm-up
+    # builds the digit tables.
+    grid = figure_grid("2a")
+    render_csv(grid)
+    tracemalloc.start()
+    try:
+        text = render_csv(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 128 * float_text.CHUNK_CELLS
+
+
 def test_projective_cells_with_vanishing_weight_are_one_bit():
     # the closed form reports the kept |00><00| state there: exactly one bit
     grid = evaluate_sweep(*VANISHING_AT_P1)
