@@ -9,12 +9,10 @@ from .version import TOOL_NAME, __version__
 
 from .linalg import (
     InvalidStateError,
-    NonFiniteResultError,
     NotHermitianError,
     NumericalNoiseWarning,
     eigh,
     entropy_bits,
-    matrix_function,
     require_hermitian,
 )
 from .thermal import (
@@ -24,33 +22,25 @@ from .thermal import (
     InvalidParameterError,
     MIN_TEMPERATURE,
     OutOfRangeError,
-    assemble_thermal_state,
     build_hamiltonian,
     check_domain,
     coupling_from_geometry,
     gibbs_numeric,
-    thermal_closed_form,
 )
 from .coding import (
     ADVANTAGE_EPSILON,
     Advantage,
     CapacityReport,
-    capacity_closed_form,
     capacity_numeric,
     classify_advantage,
-    ensemble_average,
-    ensemble_average_via_marginal,
 )
 from .closed_form import ZeroSuccessProbabilityError, chi_closed_form
 from .numeric import chi_numeric
 from .weak_measurement import (
-    PostSelectedState,
     apply_qwm,
     capacity_wm_closed_form,
-    golden_section_maximize,
     optimize_strength,
     optimize_strength_many,
-    wm_state_closed_form,
 )
 from .rng import SplitMix64
 from .sweep import (
@@ -66,7 +56,7 @@ from .sweep import (
     render_csv,
     render_json,
 )
-from .verify import CHECKS, draw_sample, draw_samples, verification_report
+from .verify import CHECKS, draw_samples, verification_report
 
 __all__ = [
     "ADVANTAGE_EPSILON",
@@ -83,20 +73,16 @@ __all__ = [
     "InvalidParameterError",
     "InvalidStateError",
     "MIN_TEMPERATURE",
-    "NonFiniteResultError",
     "NotHermitianError",
     "NumericalNoiseWarning",
     "OutOfRangeError",
-    "PostSelectedState",
     "SplitMix64",
     "SweepGrid",
     "TOOL_NAME",
     "ZeroSuccessProbabilityError",
     "__version__",
     "apply_qwm",
-    "assemble_thermal_state",
     "build_hamiltonian",
-    "capacity_closed_form",
     "capacity_numeric",
     "capacity_wm_closed_form",
     "cell_capacity",
@@ -105,24 +91,17 @@ __all__ = [
     "chi_numeric",
     "classify_advantage",
     "coupling_from_geometry",
-    "draw_sample",
     "draw_samples",
     "eigh",
-    "ensemble_average",
-    "ensemble_average_via_marginal",
     "entropy_bits",
     "evaluate_sweep",
     "figure_config",
     "figure_grid",
     "gibbs_numeric",
-    "golden_section_maximize",
-    "matrix_function",
     "optimize_strength",
     "optimize_strength_many",
     "render_csv",
     "render_json",
     "require_hermitian",
-    "thermal_closed_form",
     "verification_report",
-    "wm_state_closed_form",
 ]

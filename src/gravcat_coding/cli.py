@@ -15,11 +15,13 @@ import json
 import sys
 from pathlib import Path
 
+from .closed_form import chi_closed_form
 from .coding import engine_report
 from .sweep import (
     ENGINES,
     AxisSpec,
     FIGURES,
+    SweepGrid,
     evaluate_sweep,
     figure_config,
     figure_grid,
@@ -63,13 +65,15 @@ def _fixed_from_args(args: argparse.Namespace) -> dict[str, float]:
     return {name: value for name, value in supplied.items() if value is not None}
 
 
+def _write_grid(grid: SweepGrid, args: argparse.Namespace) -> None:
+    _write_output(render_csv(grid) if args.format == "csv" else render_json(grid), args.output)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     x_axis = AxisSpec.parse(args.x)
     y_axis = AxisSpec.parse(args.y)
     fixed = _fixed_from_args(args)
-    grid = evaluate_sweep(x_axis, y_axis, fixed, engine=args.engine)
-    text = render_csv(grid) if args.format == "csv" else render_json(grid)
-    _write_output(text, args.output)
+    _write_grid(evaluate_sweep(x_axis, y_axis, fixed, engine=args.engine), args)
     return 0
 
 
@@ -77,8 +81,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     x_axis = AxisSpec.parse(args.x) if args.x else None
     y_axis = AxisSpec.parse(args.y) if args.y else None
     grid = figure_grid(args.id, engine=args.engine, x_axis=x_axis, y_axis=y_axis)
-    text = render_csv(grid) if args.format == "csv" else render_json(grid)
-    _write_output(text, args.output)
+    _write_grid(grid, args)
     if args.output is not None:
         # sidecar with the exact configuration; skipped for stdout runs
         sidecar = Path(args.output).with_suffix(Path(args.output).suffix + ".json")
@@ -89,7 +92,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     p_star, chi_star = optimize_strength(params)
-    chi_at_zero = engine_report(ENGINES["closed_form"], params, 0.0).chi
+    chi_at_zero = float(chi_closed_form(params.omega, params.gamma, params.temperature))
     payload = {
         "schema_version": 1,
         "p_star": p_star,

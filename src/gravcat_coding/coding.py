@@ -6,11 +6,10 @@ the average over the four Pauli signal encodings applied to the sender's
 qubit (the first tensor factor).  chi > 1 beats the classical single-qubit
 limit and chi = 2 is the optimum.  `engine_report` turns the output of
 either engine, ``closed_form`` or ``numeric``, into a `CapacityReport`.  No
-command runs the wrappers here: `ensemble_average`,
-`ensemble_average_via_marginal` and `capacity_numeric` over ``numeric`` for
-any real two-qubit state, and `capacity_closed_form`.  They stay because the
-benchmark's tracer looks all four up, and its optimize-points gate calls
-`capacity_numeric`.
+command runs the wrappers `ensemble_average`, `ensemble_average_via_marginal`
+and `capacity_numeric` over ``numeric`` for any real two-qubit state, or
+`capacity_closed_form`; the README's "Wrappers kept for the benchmark" says
+why they stay.
 """
 
 from __future__ import annotations

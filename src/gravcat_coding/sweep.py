@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .coding import engine_report
 from .linalg import InvalidStateError, LocatedError
 from .numeric import numeric_engine
 from .thermal import GravcatParams, InvalidParameterError, check_domain
-from .version import TOOL_NAME, __version__
+from .version import STAMP, TOOL_NAME, __version__
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
 
@@ -63,7 +64,11 @@ SWEEP_BLOCK_CELLS = 8_192
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One sweep axis: a uniform inclusive grid of `count` points."""
+    """One sweep axis: a uniform inclusive grid of `count` points.
+
+    The bounds are stored as Python floats and the count as a Python int, so
+    numpy scalars give the same grid and serialize as JSON.
+    """
 
     name: str
     start: float
@@ -77,6 +82,15 @@ class AxisSpec:
             )
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise InvalidParameterError(f"axis {self.name}: bounds must be finite")
+        try:
+            count = operator.index(self.count)  # refuses 3.0 as well as 2.5
+        except TypeError:
+            raise InvalidParameterError(
+                f"axis {self.name}: count must be an integer, got {self.count!r}"
+            ) from None
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "count", count)
         if not self.start < self.stop:
             raise InvalidParameterError(
                 f"axis {self.name}: start must be below stop, got [{self.start:g}, {self.stop:g}]"
@@ -169,6 +183,8 @@ def evaluate_sweep(
         omega=point["omega"], gamma=point["gamma"], temperature=point["T"],
         strength=point.get("p", 0.0),
     )
+    fixed = {name: float(value) for name, value in fixed.items()}  # numpy scalars as floats
+    point.update(fixed)
     values = np.empty((y_axis.count, x_axis.count))
     block_rows = max(1, SWEEP_BLOCK_CELLS // x_axis.count)
     for start in range(0, y_axis.count, block_rows):
@@ -186,7 +202,7 @@ def evaluate_sweep(
             coords = ", ".join(f"{k}={v:g}" for k, v in sorted(cell.items()))
             raise RuntimeError(f"sweep cell ({coords}) failed: {exc}") from exc
         np.subtract(entropy_average, entropy_state, out=values[block])
-    return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=dict(fixed), values=values, engine=engine)
+    return SweepGrid(x_axis=x_axis, y_axis=y_axis, fixed=fixed, values=values, engine=engine)
 
 
 def _checked_values(grid: SweepGrid) -> np.ndarray:
@@ -203,6 +219,16 @@ def _checked_values(grid: SweepGrid) -> np.ndarray:
 
 def _ordered_fixed(fixed: dict[str, float]) -> list[tuple[str, float]]:
     return [(name, fixed[name]) for name in AXIS_NAMES if name in fixed]
+
+
+def _grid_fields(grid: SweepGrid) -> dict:
+    """The fields that describe a grid in its JSON and in a figure's sidecar."""
+    return {
+        "engine": grid.engine,
+        "x_axis": grid.x_axis.to_dict(),
+        "y_axis": grid.y_axis.to_dict(),
+        "fixed": dict(_ordered_fixed(grid.fixed)),
+    }
 
 
 def render_csv(grid: SweepGrid) -> str:
@@ -232,13 +258,8 @@ def render_json(grid: SweepGrid) -> str:
 
     values = _checked_values(grid)
     payload = {
-        "schema_version": 1,
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "engine": grid.engine,
-        "x_axis": grid.x_axis.to_dict(),
-        "y_axis": grid.y_axis.to_dict(),
-        "fixed": dict(_ordered_fixed(grid.fixed)),
+        **STAMP,
+        **_grid_fields(grid),
         "x_values": grid.x_axis.values().tolist(),
         "y_values": grid.y_axis.values().tolist(),
         "values": [],
@@ -298,13 +319,4 @@ def figure_grid(
 
 def figure_config(figure_id: str, grid: SweepGrid) -> dict:
     """Sidecar payload recording the exact configuration of a figure run."""
-    return {
-        "schema_version": 1,
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "figure": figure_id,
-        "engine": grid.engine,
-        "x_axis": grid.x_axis.to_dict(),
-        "y_axis": grid.y_axis.to_dict(),
-        "fixed": dict(_ordered_fixed(grid.fixed)),
-    }
+    return {**STAMP, "figure": figure_id, **_grid_fields(grid)}

@@ -4,10 +4,9 @@ Two double-well qubits, each with level splitting ``omega``, are coupled by a
 gravity-induced sigma_x (x) sigma_x exchange of strength ``gamma``, in natural
 units with k_B = 1.  `check_domain` is the one rule set of the parameter
 domain.  The thermal state is computed by the two engines, ``closed_form``
-and ``numeric``.  No command runs the wrappers here: `build_hamiltonian`,
-`gibbs_numeric`, `thermal_closed_form` and `assemble_thermal_state`.  They
-stay because the benchmark's tracer looks all four up, and its
-optimize-points gate calls `build_hamiltonian` and `gibbs_numeric`.
+and ``numeric``.  No command runs the wrappers `build_hamiltonian`,
+`gibbs_numeric`, `thermal_closed_form` and `assemble_thermal_state`; the
+README's "Wrappers kept for the benchmark" says why they stay.
 """
 
 from __future__ import annotations
@@ -58,10 +57,12 @@ def check_domain(*, omega=_UNSET, gamma=_UNSET, temperature=_UNSET, strength=_UN
     bad element of the offending array (``()`` for a number).
     """
     for value, (low, high, error, message) in zip((omega, gamma, temperature, strength), _DOMAIN):
-        # a Python float takes one chained comparison; anything else goes through numpy
+        # a Python float takes one chained comparison; anything else goes through numpy,
+        # compared in float64: cast to float32, the bounds would round and _MAX overflow
         if value is not _UNSET and not (type(value) is float and low <= value <= high):
             value = np.asarray(value)
-            error.raise_first(~((low <= value) & (value <= high)), value, message + ", got {}")
+            inside = (np.float64(low) <= value) & (value <= np.float64(high))
+            error.raise_first(~inside, value, message + ", got {}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +72,8 @@ class GravcatParams:
     ``omega >= 0`` is the qubit level splitting (``omega = 0`` is the
     pure-coupling limit), ``gamma >= 0`` the gravitational exchange coupling
     and ``temperature >= 1e-6`` the bath temperature; `check_domain` holds
-    the rules.
+    the rules.  The fields are stored as Python floats, so a numpy scalar
+    such as a float32 is evaluated in double precision.
     """
 
     omega: float
@@ -80,6 +82,9 @@ class GravcatParams:
 
     def __post_init__(self) -> None:
         check_domain(omega=self.omega, gamma=self.gamma, temperature=self.temperature)
+        if not type(self.omega) is type(self.gamma) is type(self.temperature) is float:
+            for name in ("omega", "gamma", "temperature"):
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ in-principle-reversible collapse), the joint no-click branch is kept, and
 the capacity is evaluated on the surviving state.  `optimize_strength_many`
 maximizes the closed-form capacity over p as the best of three candidate
 strengths: none, the one that balances the corner block, and the largest
-below 1.  The Kraus route lives in ``numeric``; the wrappers here stay only
-because the benchmark's tracer pins them or its optimize-points gate calls
-them.
+below 1.  The Kraus route lives in ``numeric``; the README's "Wrappers kept
+for the benchmark" says why the wrappers here stay.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ def golden_section_maximize(fn, lo: float, hi: float, tol: float = 1e-9) -> tupl
     (x_best, fn(x_best)) for the best probed point.
 
     Nothing in the package calls it since `optimize_strength_many` takes
-    the best of three candidates; it stays only because the benchmark's
-    tracer looks the name up, and goes once the tracer stops doing so.
+    the best of three candidates; the README's "Wrappers kept for the
+    benchmark" says why it stays.
     """
     span = hi - lo
     if span <= tol:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gravcat_coding.linalg as linalg_module
 from gravcat_coding import (
     CHECKS, GravcatParams, InvalidParameterError, OutOfRangeError, SplitMix64, chi_closed_form,
-    draw_sample,
+    draw_samples,
 )
 from gravcat_coding.closed_form import _post_selected_terms, _thermal_terms, x_state
 from gravcat_coding.coding import CapacityReport, capacity_report
@@ -203,8 +203,8 @@ def per_sample_route(samples: int, seed: int) -> dict:
     deviations = {name: [] for name, _ in CHECKS}
     points = []
     for _ in range(samples):
-        params, strength = draw_sample(rng)
-        omega, gamma, temperature = params.omega, params.gamma, params.temperature
+        omega, gamma, temperature, strength = draw_samples(rng, 1)[0].tolist()
+        params = GravcatParams(omega, gamma, temperature)
         points.append((omega, gamma, temperature, strength))
         q = 1.0 - strength  # draws stop at p = 0.99, so the kept branch never vanishes
         thermal = _thermal_terms(omega, gamma, temperature)

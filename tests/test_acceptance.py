@@ -24,7 +24,7 @@ from gravcat_coding.cli import main as cli_main
 from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_state
 from gravcat_coding.coding import engine_report
 from gravcat_coding.linalg import check_density
-from gravcat_coding.verify import draw_sample
+from gravcat_coding.verify import draw_samples
 from conftest import bell_state, boltzmann_weights, maximally_mixed, state_report
 
 
@@ -72,18 +72,17 @@ def test_criterion_3_exact_limits():
             worst_gamma0 = max(worst_gamma0, chi)
             no_coupling_ok &= chi <= 1.0 + 1e-12
 
-    rng = SplitMix64(2024)
     strong = 1.0 - 1e-9  # the strength that probes the p -> 1 limit
     zero_strength_dev = 0.0
     boundary_dev = 0.0
-    for _ in range(1000):
-        params, _ = draw_sample(rng)
+    for omega, gamma, temperature, _ in draw_samples(SplitMix64(2024), 1000).tolist():
+        params = GravcatParams(omega, gamma, temperature)
         zero_strength_dev = max(
             zero_strength_dev,
             abs(engine_report(closed_form_engine, params, 0.0).chi
                 - engine_report(closed_form_engine, params).chi),
         )
-        boundary = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - strong)
+        boundary = chi_closed_form(omega, gamma, temperature, 1.0 - strong)
         boundary_dev = max(boundary_dev, abs(boundary - 1.0))
 
     ok = (
@@ -103,12 +102,10 @@ def test_criterion_3_exact_limits():
 
 
 def test_criterion_4_spectrum_law():
-    rng = SplitMix64(7)
     worst = 0.0
-    for _ in range(300):
-        params, _ = draw_sample(rng)
-        rho = check_density(x_state(_thermal_terms(params.omega, params.gamma, params.temperature)))
-        expected = boltzmann_weights(params.omega, params.gamma, params.temperature)
+    for omega, gamma, temperature, _ in draw_samples(SplitMix64(7), 300).tolist():
+        rho = check_density(x_state(_thermal_terms(omega, gamma, temperature)))
+        expected = boltzmann_weights(omega, gamma, temperature)
         worst = max(worst, float(np.abs(eigh(rho)[0] - expected).max()))
     _report(
         "criterion 4 (thermal spectrum equals Boltzmann weights)",

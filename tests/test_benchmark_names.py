@@ -1,6 +1,7 @@
 """The benchmark under ``perfbench/`` looks package names up by string or as
 ``gc.<name>``; a rename there would break it only when the benchmark runs.
-These tests read its sources (without importing them) and resolve each name.
+These tests read its sources (without importing them) and resolve each name,
+and hold the package to exporting a wrapper only while a gate reads it there.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gravcat_coding as gc
+from test_import_graph import wrapper_names
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,5 +46,13 @@ def test_traced_name_resolves(module, name):
 
 def test_gate_names_resolve():
     names = gate_names()
-    assert {"figure_grid", "cell_capacity", "verification_report"} <= names
+    assert {"figure_grid", "evaluate_sweep", "verification_report"} <= names
     assert [name for name in sorted(names) if not hasattr(gc, name)] == []
+
+
+def test_the_package_exports_only_the_wrappers_a_gate_reads():
+    # every wrapper stays in its module for the tracer; the package binds one
+    # only while a gate reads it as gc.<name>
+    wrappers = wrapper_names()
+    exported = {name for name in wrappers if hasattr(gc, name)}
+    assert exported == wrappers & gate_names() == wrappers & set(gc.__all__)

@@ -11,8 +11,9 @@ import pytest
 
 import gravcat_coding.cli as cli_module
 import gravcat_coding.verify as verify_module
-from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, chi_closed_form
-from gravcat_coding import cell_capacity, evaluate_sweep
+from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, chi_closed_form, evaluate_sweep
+from gravcat_coding.coding import engine_report
+from gravcat_coding.sweep import ENGINES
 from gravcat_coding.cli import build_parser, main
 
 
@@ -71,7 +72,7 @@ def test_capacity_engines_agree(capsys):
 
 
 def test_capacity_numeric_bits_equal_sweep_cells(capsys):
-    # the command, cell_capacity and a sweep cell read one engine table, so a
+    # the command, engine_report and a sweep cell read one engine table, so a
     # point gets the same bits from each, with or without --p; the parser is
     # built once, as building it costs more than the point
     parser = build_parser()
@@ -86,7 +87,7 @@ def test_capacity_numeric_bits_equal_sweep_cells(capsys):
                 AxisSpec("omega", w, w + 1.0, 2), AxisSpec("gamma", g, g + 1.0, 2), fixed,
                 engine="numeric",
             )
-            cell = cell_capacity("numeric", w, g, t, fixed.get("p"))
+            cell = engine_report(ENGINES["numeric"], GravcatParams(w, g, t), fixed.get("p")).chi
             assert chi == cell == grid.values[0, 0], (w, g, t, extra)
 
 
@@ -262,6 +263,16 @@ def test_optimize_reference_point(capsys):
     assert payload["chi_star"] == payload["chi_at_zero"] + payload["gain"]
 
 
+def test_optimize_chi_at_zero_is_the_unmeasured_report():
+    # the command reads chi_closed_form at q = 1; the p = 0 report of the
+    # closed-form engine evaluates the same call
+    for w, g, t in SplitMix64(31).next_floats(3 * 300).reshape(300, 3).tolist():
+        params = GravcatParams(3.0 * w, 3.0 * g, 0.01 + 1.99 * t)
+        report = engine_report(ENGINES["closed_form"], params, 0.0)
+        chi = chi_closed_form(params.omega, params.gamma, params.temperature)
+        assert float(chi) == report.chi, params
+
+
 def test_optimize_plateau_case(capsys):
     # already essentially optimal without measurement
     code, out, _ = run_cli(capsys, "optimize", "--omega", "1", "--gamma", "3", "--temp", "0.01")
@@ -389,6 +400,70 @@ def test_huge_inputs_leave_stderr_empty(command):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["schema_version"] == 1
+
+
+# numbers a command prints at two CPU dispatch levels of one numpy build agree
+# within this bound (README, "File formats"); measured at most 6.7e-16 on the
+# closed-form figures, 9.8e-15 on numeric ones and 5.1e-15 on verify's
+# max_deviation
+DISPATCH_BOUND = 1e-13
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"}
+HASWELL_BLAS = {"OPENBLAS_CORETYPE": "Haswell"}
+
+
+def numpy_cpu_has(*features: str) -> bool:
+    """Whether numpy finds every named CPU feature on this machine."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return all(__cpu_features__.get(name, False) for name in features)
+
+
+def cli_in_subprocess(argv, dispatch: dict[str, str]) -> tuple[int, bytes]:
+    """(exit code, stdout) of a fresh CLI process with only ``dispatch`` set of the
+    variables that pick numpy's loops and OpenBLAS's kernels."""
+    env = {k: v for k, v in os.environ.items() if k not in {*NO_AVX512, *HASWELL_BLAS}}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gravcat_coding", *argv], env={**env, **dispatch},
+        stdout=subprocess.PIPE, timeout=120, check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def without_worst_samples(report: bytes) -> bytes:
+    payload = json.loads(report)
+    for entry in payload["checks"].values():
+        del entry["worst_sample"]
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "argv, dispatch",
+    [
+        (("figure", "2a", "--x", "gamma:0:3:40", "--y", "omega:0.01:3:40"), NO_AVX512),
+        (("capacity", "--omega", "0.8", "--gamma", "2", "--temp", "0.4", "--p", "0.35",
+          "--engine", "numeric"), NO_AVX512),
+        (("verify",), NO_AVX512),
+        (("figure", "5a", "--engine", "numeric", "--x", "T:0.01:2:20", "--y", "p:0:0.99:20"),
+         HASWELL_BLAS),
+    ],
+    ids=["figure-2a", "capacity-numeric", "verify", "figure-5a-numeric-haswell"],
+)
+def test_numbers_agree_across_cpu_dispatch_levels(argv, dispatch):
+    # where the machine lacks the disabled features, numpy ignores the
+    # variable and the outputs are equal
+    if dispatch is HASWELL_BLAS and not numpy_cpu_has("AVX2", "FMA3"):
+        pytest.skip("OpenBLAS's Haswell kernels need AVX2 and FMA3")
+    (code, native), (other_code, other) = (cli_in_subprocess(argv, d) for d in ({}, dispatch))
+    assert code == other_code and code in (0, 1)
+    if argv[0] == "verify":
+        # a check's worst sample may be another draw whose deviation ties within the bound
+        native, other = without_worst_samples(native), without_worst_samples(other)
+    numbers = load_script("diff_cli_bytes")
+    assert numbers.NUMBER.sub(b"#", native) == numbers.NUMBER.sub(b"#", other)
+    assert numbers.max_number_difference(native, other) <= DISPATCH_BOUND
 
 
 def test_reproduce_figures_writes_the_figure_commands_bytes(tmp_path, capsys, monkeypatch):

@@ -103,7 +103,7 @@ def used_names(path: Path) -> set[str]:
 
 def test_only_the_wrapper_module_names_a_wrapper():
     wrappers = wrapper_names()
-    assert len(wrappers) == 17  # the fifteen wrappers and two constants of one of them
+    assert len(wrappers) == 19  # the seventeen wrappers and two constants of one of them
     stray = [
         (path.name, name)
         for path in sorted(TESTS.glob("*.py")) if path.name != WRAPPER_MODULE

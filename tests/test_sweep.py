@@ -12,12 +12,12 @@ from gravcat_coding import (
     AxisSpec,
     DEFAULT_AXES,
     FIGURES,
+    GravcatParams,
     InvalidParameterError,
     InvalidStateError,
     OutOfRangeError,
     SweepGrid,
     __version__,
-    cell_capacity,
     chi_numeric,
     evaluate_sweep,
     figure_config,
@@ -25,6 +25,8 @@ from gravcat_coding import (
     render_csv,
     render_json,
 )
+from gravcat_coding.closed_form import closed_form_engine
+from gravcat_coding.coding import engine_report
 from gravcat_coding.numeric import numeric_engine
 from conftest import broadcast_numeric_engine
 
@@ -53,6 +55,32 @@ def test_axis_parse_roundtrip():
 def test_axis_parse_rejects_malformed(text):
     with pytest.raises(InvalidParameterError):
         AxisSpec.parse(text)
+
+
+@pytest.mark.parametrize("count", [3.0, 2.5, "3"])
+def test_axis_count_must_be_an_integer(count):
+    with pytest.raises(InvalidParameterError, match="count must be an integer"):
+        AxisSpec("T", 0.1, 1.0, count)
+
+
+def test_numpy_scalar_axes_and_fixed_values_give_the_float_grid(tmp_path):
+    # numpy scalars are stored as Python numbers: the same grid, the same
+    # bytes in every format, and JSON can serialize them
+    plain = evaluate_sweep(AxisSpec("T", 0.25, 1.0, 3), AxisSpec("p", 0.0, 0.5, 2),
+                           {"omega": 1.0, "gamma": 0.5})
+    typed = evaluate_sweep(
+        AxisSpec("T", np.float32(0.25), np.float64(1.0), np.int64(3)),
+        AxisSpec("p", np.float16(0.0), 0.5, np.int32(2)),
+        {"omega": np.float32(1.0), "gamma": np.float32(0.5)},
+    )
+    assert [type(v) for v in (typed.x_axis.start, typed.x_axis.stop, typed.x_axis.count)] == [
+        float, float, int
+    ]
+    assert [type(v) for v in typed.fixed.values()] == [float, float]
+    assert np.array_equal(typed.values, plain.values)
+    for render in (render_csv, render_json):
+        assert render(typed) == render(plain)
+    assert figure_config("5a", typed) == figure_config("5a", plain)
 
 
 def test_axis_domain_validation():
@@ -115,7 +143,8 @@ def test_sweep_cells_match_point_engine():
     grid = evaluate_sweep(x, y, {"T": 0.7})
     for iy, omega in enumerate(y.values()):
         for ix, gamma in enumerate(x.values()):
-            expected = cell_capacity("closed_form", float(omega), float(gamma), 0.7)
+            params = GravcatParams(float(omega), float(gamma), 0.7)
+            expected = engine_report(closed_form_engine, params).chi
             assert grid.values[iy, ix] == expected
 
 
@@ -151,7 +180,8 @@ def test_numeric_grid_does_not_depend_on_chunking():
     whole = evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.8}, engine="numeric")
     rows = np.array([chi_numeric(1.3, 0.8, x.values(), 1.0 - p) for p in y.values()])
     cells = np.array(
-        [[cell_capacity("numeric", 1.3, 0.8, t, p) for t in x.values().tolist()]
+        [[engine_report(numeric_engine, GravcatParams(1.3, 0.8, t), p).chi
+          for t in x.values().tolist()]
          for p in y.values().tolist()]
     )
     assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)

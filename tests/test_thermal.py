@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from gravcat_coding import (
     GravcatParams,
     InvalidParameterError,
     InvalidStateError,
+    MIN_TEMPERATURE,
     OutOfRangeError,
     check_domain,
     coupling_from_geometry,
@@ -106,6 +108,21 @@ def test_params_validation():
     # the pure-coupling limit omega = 0 is in the domain; the three numbers are all there is
     params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0)
     assert astuple(params) == (0.0, 1.0, 1.0)
+
+
+def test_numpy_scalars_are_checked_and_kept_in_double_precision():
+    # the bounds stay float64: cast to float32, the largest double overflows
+    # and 1e-6 rounds down to the float32 just below it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_domain(omega=np.float32(1.0), gamma=np.float16(0.5), temperature=np.float32(2.0))
+        params = GravcatParams(np.float32(1.0), np.float32(1.0), np.float32(1.0))
+    with pytest.raises(InvalidParameterError, match="temperature"):
+        check_domain(temperature=np.float32(MIN_TEMPERATURE))
+    assert [type(value) for value in astuple(params)] == [float] * 3
+    exact = engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0)).chi
+    assert engine_report(closed_form_engine, params).chi == exact
+    assert astuple(GravcatParams(1, np.int64(2), True)) == (1.0, 2.0, 1.0)
 
 
 # --------------------------------------------------- closed form

@@ -9,12 +9,12 @@ import pytest
 import gravcat_coding.verify as verify_module
 from gravcat_coding import (
     CHECKS,
+    GravcatParams,
     InvalidParameterError,
     InvalidStateError,
     OutOfRangeError,
     SplitMix64,
     chi_closed_form,
-    draw_sample,
     draw_samples,
     verification_report,
 )
@@ -62,8 +62,7 @@ def test_only_the_gibbs_states_read_eigenvectors(
 def test_array_draw_rows_equal_single_draws(seed):
     batched, single, uniforms = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
     for row in draw_samples(batched, 9).tolist():
-        params, strength = draw_sample(single)
-        assert row == [params.omega, params.gamma, params.temperature, strength]
+        assert row == draw_samples(single, 1)[0].tolist()
         u1, u2, u3, u4 = (uniforms.next_float() for _ in range(4))  # the documented order
         assert row == [5.0 * (1.0 - u1), 5.0 * u2, 0.05 + (10.0 - 0.05) * u3, 0.99 * u4]
     assert batched.state == single.state == uniforms.state
@@ -90,14 +89,14 @@ def test_worst_sample_reproduces_its_deviation():
     report = verification_report(50, 8)
     entry = report["checks"]["wm_capacity_closed_vs_numeric"]
     sample = entry["worst_sample"]
-    rng = SplitMix64(8)
-    for _ in range(sample["index"] + 1):
-        params, strength = draw_sample(rng)
-    assert (params.omega, params.gamma, params.temperature, strength) == (
+    draws = draw_samples(SplitMix64(8), sample["index"] + 1)
+    omega, gamma, temperature, strength = draws[-1].tolist()
+    assert (omega, gamma, temperature, strength) == (
         sample["omega"], sample["gamma"], sample["temp"], sample["p"]
     )
+    params = GravcatParams(omega, gamma, temperature)
     numeric = state_report(_post_select(gibbs_state(params), 1.0 - strength)[0]).chi
-    closed = chi_closed_form(params.omega, params.gamma, params.temperature, 1.0 - strength)
+    closed = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
     assert abs(closed - numeric) == entry["max_deviation"]
 
 

@@ -1,12 +1,14 @@
 """The general-state wrappers as a subject of their own: their domain and input
 checks, their refusal of complex input, `PostSelectedState`, `matrix_function`
-and `golden_section_maximize`.
+and `golden_section_maximize`; and the scalar wrappers `cell_capacity` and
+`draw_sample` against the API they wrap.
 
 No CLI command runs these wrappers; the benchmark under ``perfbench/`` still
-traces or calls them.  Every other test module reaches the physics through
-the two engines and their kernels, and ``test_import_graph.py`` checks that
-no other module names one of ``WRAPPER_NAMES``.  So retiring the wrappers
-retires this module with them.
+traces or calls them (README, "Wrappers kept for the benchmark").  Every
+other test module reaches the physics through the two engines and their
+kernels, and ``test_import_graph.py`` checks that no other module names one
+of ``WRAPPER_NAMES``.  So retiring the wrappers retires this module with
+them.
 """
 
 import math
@@ -19,22 +21,26 @@ from gravcat_coding import (
     Advantage,
     GravcatParams,
     InvalidParameterError,
-    NonFiniteResultError,
     OutOfRangeError,
+    SplitMix64,
     apply_qwm,
     capacity_numeric,
+    cell_capacity,
+    draw_samples,
     gibbs_numeric,
-    golden_section_maximize,
-    matrix_function,
-    thermal_closed_form,
-    wm_state_closed_form,
 )
+from gravcat_coding.coding import engine_report
+from gravcat_coding.linalg import NonFiniteResultError, matrix_function
 from gravcat_coding.numeric import _EXCHANGE, _SPLITTING
+from gravcat_coding.sweep import ENGINES
+from gravcat_coding.thermal import thermal_closed_form
+from gravcat_coding.verify import draw_sample
+from gravcat_coding.weak_measurement import golden_section_maximize, wm_state_closed_form
 from conftest import (
     DOMAIN_CASES, VALID_POINT, basis_projector, hermitian_matrices, maximally_mixed,
 )
 
-# the fifteen wrappers, with the two constants of golden_section_maximize
+# the seventeen wrappers, with the two constants of golden_section_maximize
 WRAPPER_NAMES = (
     "capacity_numeric", "ensemble_average", "ensemble_average_via_marginal",
     "apply_qwm", "PostSelectedState",
@@ -43,6 +49,7 @@ WRAPPER_NAMES = (
     "thermal_closed_form", "assemble_thermal_state", "wm_state_closed_form",
     "golden_section_maximize", "_INV_PHI", "_INV_PHI_SQ",
     "capacity_closed_form", "capacity_wm_closed_form",
+    "cell_capacity", "draw_sample",
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -180,3 +187,26 @@ def test_golden_section_finds_parabola_peak():
     assert abs(x - 0.37) < 5e-9
     assert abs(fx) < 1e-16
     assert golden_section_maximize(peak, 0.0, 1.0, tol=1e-9) == (x, fx)
+
+
+# ------------------------------------------------------ scalar wrappers
+
+@pytest.mark.parametrize("engine", ["closed_form", "numeric"])
+def test_cell_capacity_is_the_engine_report(engine):
+    draws = draw_samples(SplitMix64(2026), 50).tolist()
+    for omega, gamma, temperature, p in draws:
+        params = GravcatParams(omega, gamma, temperature)
+        for strength in (None, p):
+            want = engine_report(ENGINES[engine], params, strength).chi
+            got = cell_capacity(engine, omega, gamma, temperature, strength)
+            assert got == want, (omega, gamma, temperature, strength)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 123456789])
+def test_draw_sample_is_a_row_of_draw_samples(seed):
+    batched, single = SplitMix64(seed), SplitMix64(seed)
+    for row in draw_samples(batched, 9).tolist():
+        params, strength = draw_sample(single)
+        assert type(params) is GravcatParams
+        assert row == [params.omega, params.gamma, params.temperature, strength]
+    assert batched.state == single.state
