@@ -17,7 +17,9 @@ longer than one block), an exit-2 command for each rule of the parameter
 domain, ``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
 and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 ``optimize`` at a peak about 1e-9 wide and at two narrow peaks at small
-``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``capacity`` (both engines) and
+``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``optimize`` at twelve points of
+the benchmark's optimizer box where each of the three candidate strengths
+wins at least twice, ``capacity`` (both engines) and
 ``optimize`` at subnormal ``omega`` and ``gamma``, and ``verify`` at its
 default 1000 samples and seed 42.
 Each command that differs is printed with what differs; where a differing
@@ -47,6 +49,25 @@ POINTS = (
     ("1e308", "1e307", "1e308"),
 )
 NUMERIC_5A = ("--engine", "numeric", "--x", "T:0.01:2:24", "--y", "p:0:0.99:24")
+# points of the benchmark's optimizer box: omega in (0, 3], gamma in [0, 3),
+# T log-uniform on [0.01, 10]; grouped by the candidate that wins
+OPTIMIZE_BOX = (
+    # the corner-balance strength
+    ("2.357030396285227", "2.591490733508084", "0.08497232265965221"),
+    ("2.071643907354925", "2.306149509493184", "0.04977358619973068"),
+    ("0.012593703403599665", "2.0042279331724675", "0.030617662563298974"),
+    ("2.457528558909436", "0.8192651093419749", "0.3824294527420022"),
+    # the largest strength below 1
+    ("0.9725059860561546", "0.5951169613746335", "3.3736031297178433"),
+    ("0.6016017096755005", "2.2078220785992246", "1.886557694253016"),
+    ("2.5733045541598445", "2.781769748147668", "1.3042092690082228"),
+    ("2.763823398714003", "1.6370085860747978", "2.1165219316757513"),
+    ("2", "0", "0.5"),
+    ("1.5", "0", "1"),
+    # no measurement, at gamma = 0
+    ("0.3", "0", "0.01"),
+    ("0.25", "0", "0.012"),
+)
 
 COMMANDS: tuple[tuple[str, ...], ...] = (
     ("--version",),
@@ -115,6 +136,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("sweep", "--x", "p:0:1:9", "--y", "gamma:0:3:7", "--omega", "1.3", "--temp", "0.05",
      "--engine", "numeric"),
     *(("optimize", "--omega", w, "--gamma", g, "--temp", t) for w, g, t in POINTS),
+    *(("optimize", "--omega", w, "--gamma", g, "--temp", t) for w, g, t in OPTIMIZE_BOX),
     # a chi(p) peak about 1e-9 wide at low T
     ("optimize", "--omega", "2.43629677990019", "--gamma", "0.00691859790353444",
      "--temp", "0.01"),

@@ -10,8 +10,11 @@ eigenvalue from the block determinant (Vieta).
 Every eigenvalue is a product or sum of positive terms, so each keeps full
 relative precision even after division by a tiny success probability.
 
-Each entropy is formed from the terms p = v log2 v, three ufunc calls each,
-as S(rho) = 0.0 - p1 - p2 - p3 - p4 and S(rho_bar) = 1.0 - (p_nu + p_mu).
+The four eigenvalues and the averaged halves nu, mu are written as the rows
+of one stack and divided by the kept weight together; the terms p = v log2 v
+of all six come from one pass of three ufunc calls over that stack, and the
+entropies are S(rho) = 0.0 - p1 - p2 - p3 - p4 and
+S(rho_bar) = 1.0 - (p_nu + p_mu).
 IEEE 754 defines x - y as x + (-y), so these have the bits of the sum of
 -v log2 v started at 0, signed zeros included: that running sum starts at
 +0.0 and never becomes -0.0.  The negated sum -(p1 + p2 + p3 + p4) does
@@ -62,15 +65,15 @@ class ThermalTerms(NamedTuple):
 
 
 class ClosedFormTerms(NamedTuple):
-    """Success probability, post-selected spectrum and averaged halves.
+    """Success probability and the post-selected values, as one stack.
 
-    The Pauli-averaged state is diag(nu, mu, nu, mu) / 2.
+    ``stack`` has a leading axis of six: rows 0-3 are the spectrum of the
+    state, in no fixed order, and rows 4-5 are nu and mu, the halves of the
+    Pauli-averaged state diag(nu, mu, nu, mu) / 2.
     """
 
     success: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    nu: np.ndarray
-    mu: np.ndarray
+    stack: np.ndarray
 
 
 def x_state(thermal: ThermalTerms, q=1.0) -> np.ndarray:
@@ -138,42 +141,52 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     # the measurement keeps alpha_minus and scales kappa, beta, eta by q and
     # alpha_plus by q^2; the corner block is [[a, c], [c, b]]
     a, b, c = alpha_minus, alpha_plus * q * q, kappa * q
-    success = kept = a + 2.0 * beta * q + b  # kept divides the spectrum
-    vanishing = np.asarray(success < MIN_SUCCESS_PROBABILITY)
-    if vanishing.any():
+    success = kept = a + 2.0 * beta * q + b  # kept divides the stack
+    # one reduction on every call; NaN takes this branch and leaves it unchanged
+    if not success.min(initial=np.inf) >= MIN_SUCCESS_PROBABILITY:
         # at q = 0 the kept state is |00><00| at every finite T, however small
         # its weight alpha_minus: weight 1 stands in for it there, and any
         # other vanishing weight still raises
-        projective = vanishing & (np.asarray(q) == 0.0)
+        projective = (success < MIN_SUCCESS_PROBABILITY) & (np.asarray(q) == 0.0)
         check_success(np.where(projective, 1.0, success))
         a = np.where(projective, 1.0, a)
         kept = np.where(projective, 1.0, success)
-    corner_hi = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+    # rows are written as stack[i, ...], a view also where the stack is 1-D
+    stack = np.empty((6,) + np.shape(success))
+    np.hypot(0.5 * (a - b), c, out=stack[0, ...])
+    stack[0, ...] += 0.5 * (a + b)  # corner_hi; x + y has the bits of y + x
     # Vieta: the block determinant q^2 (alpha_minus alpha_plus - kappa^2) is q^2 ex2 / z^2
-    corner_lo = (q * q * ex2 / (z * z)) / corner_hi
-    middle = (exy * q / z, exy * ey2 * q / z)  # (beta + eta) q and (beta - eta) q
-    spectrum = tuple(v / kept for v in (corner_hi, corner_lo, *middle))
-    nu = (a + beta * q) / kept
-    mu = (b + beta * q) / kept
-    return ClosedFormTerms(success, spectrum, nu, mu)
+    np.divide(q * q * ex2 / (z * z), stack[0, ...], out=stack[1, ...])  # corner_lo
+    np.divide(exy * q, z, out=stack[2, ...])  # (beta + eta) q
+    np.divide(exy * ey2 * q, z, out=stack[3, ...])  # (beta - eta) q
+    beta_q = beta * q
+    np.add(a, beta_q, out=stack[4, ...])  # nu
+    np.add(b, beta_q, out=stack[5, ...])  # mu
+    stack /= kept
+    return ClosedFormTerms(success, stack)
 
 
-def _v_log2_v(v):
-    """v log2 v in three ufunc calls; a NaN propagates.
+def closed_form_entropies(terms: ClosedFormTerms):
+    """(S(rho), S(rho_bar)) in bits; chi is S(rho_bar) - S(rho).
 
+    The terms v log2 v come from one pass over the stack; a NaN propagates.
     The floor at the least subnormal changes only an exact 0, which gives
     0 * log2(5e-324) = -0.0, as long as v is not negative.  No eigenvalue is
     inside the domain; outside it (q < 0) a negative v gives a finite term,
     not the NaN of log2.
     """
-    return v * np.log2(np.maximum(v, 5e-324))
-
-
-def closed_form_entropies(terms: ClosedFormTerms):
-    """(S(rho), S(rho_bar)) in bits; chi is S(rho_bar) - S(rho)."""
-    v1, v2, v3, v4 = terms.spectrum  # one term at a time: each is freed once subtracted
-    entropy_state = 0.0 - _v_log2_v(v1) - _v_log2_v(v2) - _v_log2_v(v3) - _v_log2_v(v4)
-    return entropy_state, 1.0 - (_v_log2_v(terms.nu) + _v_log2_v(terms.mu))
+    stack = terms.stack
+    t = np.maximum(stack, 5e-324)
+    np.log2(t, out=t)
+    t *= stack
+    # in place, in the order of 0.0 - p1 - p2 - p3 - p4, so that few
+    # stack-row temporaries are live at once
+    entropy_average = 1.0 - (t[4] + t[5])
+    entropy_state = 0.0 - t[0]
+    entropy_state -= t[1]
+    entropy_state -= t[2]
+    entropy_state -= t[3]
+    return entropy_state, entropy_average
 
 
 def _chi_from_terms(terms: ClosedFormTerms):
@@ -185,15 +198,16 @@ def _chi_from_terms(terms: ClosedFormTerms):
 def closed_form_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) over broadcast arrays, with q = 1 - p.
 
-    ``spectrum`` holds the four eigenvalues of the state, one array each, in
-    no fixed order.  An unvalidated kernel: NaN propagates and no domain rule
-    is checked, so callers run ``thermal.check_domain`` first.  Outside the
-    domain the numbers are not physical and not NaN: where q < 0 makes an
-    eigenvalue negative, its entropy term is taken at the least subnormal
-    inside the log, so both entropies stay finite.
+    ``spectrum`` is one array whose leading axis holds the four eigenvalues
+    of the state, in no fixed order, as ``numeric_engine`` returns it.  An
+    unvalidated kernel: NaN propagates and no domain rule is checked, so
+    callers run ``thermal.check_domain`` first.  Outside the domain the
+    numbers are not physical and not NaN: where q < 0 makes an eigenvalue
+    negative, its entropy term is taken at the least subnormal inside the
+    log, so both entropies stay finite.
     """
     terms = _post_selected_terms(_thermal_terms(omega, gamma, temperature), q)
-    return (terms.spectrum, *closed_form_entropies(terms), terms.success)
+    return (terms.stack[:4], *closed_form_entropies(terms), terms.success)
 
 
 def chi_closed_form(omega, gamma, temperature, q=1.0):

@@ -31,7 +31,8 @@ AXIS_NAMES = ("omega", "gamma", "T", "p")
 
 class _EngineTable(dict):
     """Engine name -> array function (omega, gamma, T, q) -> (spectrum, S(rho), S(rho_bar),
-    success); an unknown name raises ``InvalidParameterError``."""
+    success), where ``spectrum`` is one array whose leading axis holds the four
+    eigenvalues; an unknown name raises ``InvalidParameterError``."""
 
     def __missing__(self, engine: str):
         raise InvalidParameterError(

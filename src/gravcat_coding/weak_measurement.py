@@ -124,7 +124,7 @@ def optimize_strength_many(omega, gamma, temperature):
     candidate strengths of each point are evaluated in one closed-form pass
     over a leading candidate axis, so the work per point is fixed and a
     point's result has the same bits alone or in any batch.  The memory is
-    linear in the batch, about 450 bytes per point.  ``check_domain``
+    linear in the batch, about 400 bytes per point.  ``check_domain``
     checks the inputs.
     """
     check_domain(omega=omega, gamma=gamma, temperature=temperature)
@@ -140,10 +140,14 @@ def _optimize_many(omega, gamma, temperature):
     column = (3,) + (1,) * np.ndim(p_eq)  # the candidates lead, so ey2 may lack the omega axes
     p = np.minimum(np.maximum(p_eq, _CANDIDATE_FLOOR.reshape(column)),
                    _CANDIDATE_CEIL.reshape(column))
-    chi = _chi_from_terms(_post_selected_terms(thermal, 1.0 - p))
+    terms = _post_selected_terms(thermal, 1.0 - p)
+    del thermal  # freed before the entropies take a second stack of terms' size
+    chi = _chi_from_terms(terms)
     # the candidates run in increasing p, so the first maximum is the smaller p on ties
-    p_star = np.take_along_axis(p, chi.argmax(axis=0)[np.newaxis], axis=0)[0]
-    return p_star, chi.max(axis=0)
+    best = chi.argmax(axis=0)
+    if chi.ndim == 1:  # one point: indexing takes about 1 us, take_along_axis and max 9 us
+        return p[best], chi[best]
+    return np.take_along_axis(p, best[np.newaxis], axis=0)[0], chi.max(axis=0)
 
 
 def optimize_strength(params: GravcatParams) -> tuple[float, float]:

@@ -144,8 +144,9 @@ def summed_entropy_bits(*values):
 
 
 def summed_entropies(terms):
-    """(S(rho), S(rho_bar)) of closed-form terms by `summed_entropy_bits`."""
-    return summed_entropy_bits(*terms.spectrum), 1.0 + summed_entropy_bits(terms.nu, terms.mu)
+    """(S(rho), S(rho_bar)) of closed-form terms by `summed_entropy_bits`: rows 0-3
+    of the stack are the spectrum, rows 4-5 nu and mu."""
+    return summed_entropy_bits(*terms.stack[:4]), 1.0 + summed_entropy_bits(*terms.stack[4:])
 
 
 # the numeric engine kept verbatim from before it dropped its up-front

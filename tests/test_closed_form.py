@@ -272,7 +272,7 @@ def test_projective_endpoint_with_underflowed_weight_is_one_bit():
     assert np.array_equal(chi_closed_form(1.0, 0.0, temperature, 0.0), np.ones((2, 2)))
     terms = _post_selected_terms(_thermal_terms(1.0, 0.0, temperature), 0.0)
     assert terms.success[0, 1] == 0.0 and terms.success[0, 0] > 0.0
-    assert [float(v[0, 1]) for v in terms.spectrum] == [1.0, 0.0, 0.0, 0.0]
+    assert terms.stack[:4, 0, 1].tolist() == [1.0, 0.0, 0.0, 0.0]
     q = np.array([[0.0], [1e-200]])
     with pytest.raises(ZeroSuccessProbabilityError) as info:
         chi_closed_form(1.0, 0.0, temperature, q)
@@ -309,13 +309,40 @@ def test_engine_entropies_equal_the_summed_form_bit_for_bit():
         want_state, want_average = summed_entropies(terms)
         assert_same_bits(entropy_state, want_state)
         assert_same_bits(entropy_average, want_average)
-        spectrum = np.stack(spectrum)
         seen_zero |= (spectrum == 0.0).any()
         seen_subnormal |= ((0.0 < spectrum) & (spectrum < np.finfo(float).tiny)).any()
         seen_pure |= (entropy_state == 0.0).any()
         if seed == 0:
             assert np.isnan(entropy_state[-4:]).all() and np.isnan(entropy_average[-4:]).all()
     assert seen_zero and seen_subnormal and seen_pure
+
+
+def test_scalar_inputs_have_the_bits_of_the_batch():
+    # Python floats give the stack the shape (6,), whose rows are written
+    # through views: every output has the bits of the batch element, over
+    # the box with its q = 1 and q = 0, at q = 0 where the kept weight
+    # underflows, and with one NaN in each input
+    nan_rows = np.full((4, 4), 0.5)
+    np.fill_diagonal(nan_rows, math.nan)
+    underflowed = np.array([[1.0], [0.0], [1e-3], [0.0]])
+    columns = np.concatenate([np.array(log_uniform_box(2_000, 4)), underflowed, nan_rows], axis=1)
+    spectrum, *entropies_and_success = closed_form_engine(*columns)
+    assert entropies_and_success[2][-5] == 0.0 and spectrum[:, -5].tolist() == [1.0, 0.0, 0.0, 0.0]
+    for i, point in enumerate(columns.T.tolist()):
+        got_spectrum, *got = closed_form_engine(*point)
+        assert got_spectrum.shape == (4,)
+        assert_same_bits(got_spectrum, spectrum[:, i])
+        for value, batch in zip(got, entropies_and_success, strict=True):
+            assert np.ndim(value) == 0
+            assert_same_bits(value, batch[i])
+
+
+def test_both_engines_give_the_spectrum_one_layout():
+    # the leading axis holds the four eigenvalues, at a point and on a grid block
+    omega, temperature = np.linspace(0.1, 3.0, 5)[:, np.newaxis], np.linspace(0.05, 2.0, 7)
+    for args, shape in (((1.0, 0.5, 0.8, 0.7), ()), ((omega, 0.5, temperature, 0.7), (5, 7))):
+        for engine in (closed_form_engine, numeric_engine):
+            assert np.shape(engine(*args)[0]) == (4,) + shape
 
 
 def test_entropy_kernel_on_every_tuple_of_special_values():
@@ -325,11 +352,12 @@ def test_entropy_kernel_on_every_tuple_of_special_values():
         [0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 0.25, 0.5, 1.0, np.inf, math.nan]
     )
     grid = np.stack(np.meshgrid(*[special] * 4, indexing="ij")).reshape(4, -1)
-    terms = ClosedFormTerms(None, tuple(grid), grid[0], grid[1])
+    terms = ClosedFormTerms(None, np.concatenate([grid, grid[:2]]))  # nu, mu = rows 0, 1
     for got, want in zip(closed_form_entropies(terms), summed_entropies(terms)):
         assert_same_bits(got, want)
-    # a pure state: a running sum from +0.0 never turns into -0.0
-    pure = ClosedFormTerms(None, (1.0, 0.0, 0.0, 0.0), 1.0, 0.0)
+    # a pure state, as a stack of shape (6,): a running sum from +0.0 never
+    # turns into -0.0
+    pure = ClosedFormTerms(None, np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
     assert [str(v) for v in closed_form_entropies(pure)] == ["0.0", "1.0"]
 
 

@@ -231,22 +231,25 @@ NARROW_PEAK = (2.43629677990019, 0.00691859790353444, 0.01)
 
 
 def test_batched_optimizer_equals_per_point_bit_for_bit():
-    omega, gamma, temperature = seeded_points((8, 8), 2012, cold=8)
-    p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
-    assert p_star.shape == chi_star.shape == (8, 8)
-    for index in np.ndindex(8, 8):
-        params = GravcatParams(omega[index], gamma[index], temperature[index])
-        assert optimize_strength(params) == (p_star[index], chi_star[index]), index
-    order = np.random.default_rng(3).permutation(64)
-    for args, want in (
-        ((omega.ravel()[order], gamma.ravel()[order], temperature.ravel()[order]),
-         (p_star.ravel()[order], chi_star.ravel()[order])),
-        ((omega.reshape(2, 32), gamma.reshape(2, 32), temperature.reshape(2, 32)),
-         (p_star.reshape(2, 32), chi_star.reshape(2, 32))),
-        ((omega.T, gamma.T, temperature.T), (p_star.T, chi_star.T)),
-    ):
-        got = optimize_strength_many(*args)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # a single point picks its candidate by direct indexing and a batch by
+    # take_along_axis: both agree on 64 points of each box
+    for box in three_boxes(64, 2012):
+        omega, gamma, temperature = (x.reshape(8, 8) for x in box)
+        p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
+        assert p_star.shape == chi_star.shape == (8, 8)
+        for index in np.ndindex(8, 8):
+            params = GravcatParams(omega[index], gamma[index], temperature[index])
+            assert optimize_strength(params) == (p_star[index], chi_star[index]), index
+        order = np.random.default_rng(3).permutation(64)
+        for args, want in (
+            ((omega.ravel()[order], gamma.ravel()[order], temperature.ravel()[order]),
+             (p_star.ravel()[order], chi_star.ravel()[order])),
+            ((omega.reshape(2, 32), gamma.reshape(2, 32), temperature.reshape(2, 32)),
+             (p_star.reshape(2, 32), chi_star.reshape(2, 32))),
+            ((omega.T, gamma.T, temperature.T), (p_star.T, chi_star.T)),
+        ):
+            got = optimize_strength_many(*args)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_thermal_terms_lacking_the_omega_axes_broadcast():
@@ -364,8 +367,8 @@ def _peak_bytes(points: int) -> int:
 
 
 def test_optimizer_memory_is_linear_in_the_batch():
-    # three candidates per point need no blocks: about 450 bytes per point
-    # (17.7 MB traced at 40,000 points), plus a few kB whatever the batch
+    # three candidates per point need no blocks: about 400 bytes per point
+    # (16.0 MB traced at 40,000 points), plus a few kB whatever the batch
     for points in (1, 256, 20_000):
         assert _peak_bytes(points) <= 512 * points + 65_536, points
 
