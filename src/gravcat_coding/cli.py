@@ -192,6 +192,3 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error(MemoryError(str(exc)))
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

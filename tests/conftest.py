@@ -214,11 +214,12 @@ def per_sample_route(samples: int, seed: int) -> dict:
         wm_success = _post_selected_terms(thermal, q).success
         wm_cf = x_state(thermal, q) / wm_success
         wm_kraus, kraus_success = _post_select(rho_cf, q)
+        plain_num, _ = _post_select(rho_num, 1.0)  # the numeric engine's p = 0 state
         wm_num, _ = _post_select(rho_num, q)
         found = {
             "thermal_state_closed_vs_numeric": [_max_abs(rho_cf, rho_num)],
             "capacity_closed_vs_numeric": [
-                abs(chi_closed_form(omega, gamma, temperature) - state_report(rho_num).chi)
+                abs(chi_closed_form(omega, gamma, temperature) - state_report(plain_num).chi)
             ],
             "wm_state_closed_vs_kraus": [
                 _max_abs(wm_cf, wm_kraus), abs(float(wm_success) - float(kraus_success)),
@@ -227,7 +228,7 @@ def per_sample_route(samples: int, seed: int) -> dict:
                 abs(chi_closed_form(omega, gamma, temperature, q) - state_report(wm_num).chi)
             ],
             "twirl_vs_marginal_identity": [
-                _max_abs(_twirl(rho), _marginal_replacement(rho)) for rho in (rho_num, wm_num)
+                _max_abs(_twirl(rho), _marginal_replacement(rho)) for rho in (plain_num, wm_num)
             ],
         }
         for name, values in found.items():

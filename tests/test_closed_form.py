@@ -106,6 +106,22 @@ def test_plain_capacity_exponent_without_cancellation():
     assert abs(chi_closed_form(0.0873, 172.5, 5.6e-6) - 1.8642785666605935973) < 1e-13
 
 
+# in-domain points outside the golden box, where the smallest energy gap
+# omega^2 / (theta + gamma) falls below what eigh resolves (about eps theta):
+# chi_numeric is 1.0, 0.058 and 4.5e-6 bits off here, so only mpmath
+# (`make_golden_chi.golden_chi`, 60 and 100 digits agreeing to 1e-45) pins them
+@pytest.mark.parametrize(
+    "omega, gamma, temperature, want",
+    [
+        (1e4, 1e12, 1e-6, 1.999999999999999927851057),
+        (1e3, 1e11, 1e-6, 1.942033085847533721915707),
+        (1.0, 1e8, 1e-6, 1.000004508407913980263684),
+    ],
+)
+def test_closed_form_where_the_numeric_engine_is_no_oracle(omega, gamma, temperature, want):
+    assert abs(chi_closed_form(omega, gamma, temperature) - want) <= GOLDEN_TOL
+
+
 def test_optimizer_agrees_with_numeric_route_at_a_cold_point():
     params = GravcatParams(2.9423374852881232, 9.993036120958809e-05, 0.011439857518148635)
     p_star, chi_star = optimize_strength(params)

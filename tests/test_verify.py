@@ -9,7 +9,6 @@ import pytest
 import gravcat_coding.verify as verify_module
 from gravcat_coding import (
     CHECKS,
-    GravcatParams,
     InvalidParameterError,
     InvalidStateError,
     OutOfRangeError,
@@ -19,8 +18,10 @@ from gravcat_coding import (
     verification_report,
 )
 from gravcat_coding.linalg import check_density
-from gravcat_coding.numeric import _post_select
-from conftest import gibbs_state, per_sample_route, state_report
+from gravcat_coding.numeric import chi_numeric
+from conftest import assert_same_bits, per_sample_route
+
+CAPACITY_CHECKS = ("capacity_closed_vs_numeric", "wm_capacity_closed_vs_numeric")
 
 
 @pytest.mark.parametrize("seed", [42, 20240117])
@@ -48,10 +49,11 @@ def test_only_the_gibbs_states_read_eigenvectors(
 ):
     # per chunk one eigh call, the Gibbs states; every other matrix, the
     # closed-form state's positivity check and the four spectra per sample of
-    # the two capacities, is solved for its eigenvalues alone
+    # the two capacities, is solved for its eigenvalues alone, the capacities'
+    # states in one call and their twirls in another
     monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
     assert verification_report(50, 1)["all_passed"]
-    assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [5 * chunks, 5 * 50]}
+    assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [3 * chunks, 5 * 50]}
     # symmetry is scanned twice per chunk, in the closed-form state's density
     # check and in the Hamiltonians' eigh; every other stack is symmetric by
     # construction
@@ -87,17 +89,37 @@ def test_every_draw_of_a_chunk_is_domain_checked(monkeypatch, column, value, err
 
 def test_worst_sample_reproduces_its_deviation():
     report = verification_report(50, 8)
-    entry = report["checks"]["wm_capacity_closed_vs_numeric"]
-    sample = entry["worst_sample"]
-    draws = draw_samples(SplitMix64(8), sample["index"] + 1)
-    omega, gamma, temperature, strength = draws[-1].tolist()
-    assert (omega, gamma, temperature, strength) == (
-        sample["omega"], sample["gamma"], sample["temp"], sample["p"]
-    )
-    params = GravcatParams(omega, gamma, temperature)
-    numeric = state_report(_post_select(gibbs_state(params), 1.0 - strength)[0]).chi
-    closed = chi_closed_form(omega, gamma, temperature, 1.0 - strength)
-    assert abs(closed - numeric) == entry["max_deviation"]
+    for check, measured in zip(CAPACITY_CHECKS, (False, True)):
+        entry = report["checks"][check]
+        sample = entry["worst_sample"]
+        draws = draw_samples(SplitMix64(8), sample["index"] + 1)
+        omega, gamma, temperature, strength = draws[-1].tolist()
+        assert (omega, gamma, temperature, strength) == (
+            sample["omega"], sample["gamma"], sample["temp"], sample["p"]
+        )
+        q = 1.0 - strength if measured else 1.0
+        closed = chi_closed_form(omega, gamma, temperature, q)
+        assert abs(closed - chi_numeric(omega, gamma, temperature, q)) == entry["max_deviation"]
+
+
+def test_capacity_deviations_are_the_engines_own_at_every_draw(monkeypatch):
+    found = []
+    original = verify_module._deviations
+
+    def recording(*columns):
+        deviations = original(*columns)
+        found.append([deviations[name][0] for name in CAPACITY_CHECKS])
+        return deviations
+
+    monkeypatch.setattr(verify_module, "_deviations", recording)
+    monkeypatch.setattr(verify_module, "CHUNK_SIZE", 16)
+    verification_report(40, 21)
+    assert len(found) == 3
+    plain, measured = np.concatenate(found, axis=-1)
+    for i, (omega, gamma, temperature, strength) in enumerate(draw_samples(SplitMix64(21), 40)):
+        for got, q in ((plain[i], 1.0), (measured[i], 1.0 - strength)):
+            closed = chi_closed_form(omega, gamma, temperature, q)
+            assert_same_bits(got, abs(closed - chi_numeric(omega, gamma, temperature, q)))
 
 
 def test_kernel_error_names_the_sample(monkeypatch):
