@@ -21,8 +21,8 @@ and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 the benchmark's optimizer box where each of the three candidate strengths
 wins at least twice, ``capacity`` (both engines) and
 ``optimize`` at subnormal ``omega`` and ``gamma``, and ``verify`` at its
-default 1000 samples and seed 42 and at 5000 samples, two chunks of
-4,096 and 904.
+default 1000 samples and seed 42, at 5000 samples, two chunks of 4,096 and
+904, and at 1 and 4097 samples, which end in a one-sample chunk.
 Each command that differs is printed with what differs; where a differing
 output holds as many numbers in both trees, the largest absolute difference
 between corresponding numbers is printed with it.  The last line gives the
@@ -156,6 +156,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("optimize", "--omega", "5e-324", "--gamma", "5e-324", "--temp", "1e-6"),
     ("verify", "--samples", "1000", "--seed", "42"),
     ("verify", "--samples", "5000", "--seed", "3"),  # 4,096 + 904: across a chunk boundary
+    # chunks of one sample, where every per-sample axis has length 1
+    ("verify", "--samples", "1", "--seed", "5"),
+    ("verify", "--samples", "4097", "--seed", "99"),  # 4,096 + 1
     ("verify", "--samples", "50", "--seed", "7", "--output", "verify.json"),
 )
 

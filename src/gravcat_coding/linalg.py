@@ -5,10 +5,14 @@ Every kernel here but `matrix_function` works on stacks: the matrices are
 the last two axes, anything before them indexes the stack; `matrix_function`
 takes one matrix.  The eigensolvers are LAPACK's ``dsyevd``, which treats
 each matrix of a stack on its own, so a matrix gets the same bits alone or
-inside any stack.  Only two routes read eigenvectors, through `eigh`: the
-Gibbs state (``numeric._gibbs``) and `matrix_function`.  Every other solve
-(entropies, positivity checks) reads the spectrum alone, through the
-eigenvalue-only `_eigenvalues`.
+inside any stack.  Only two routes read eigenvectors: the Gibbs state
+(``numeric._gibbs``), through the unguarded `_eigenpairs`, and
+`matrix_function`, through `eigh`.  Every other solve (entropies, positivity
+checks) reads the spectrum alone, through the unguarded, eigenvalue-only
+`_eigenvalues`.  The symmetry scan `require_hermitian` runs where input
+from outside the package enters: in `eigh`, `matrix_function` and
+`check_density`, and in ``thermal.gibbs_numeric``; the stacks the engines
+build are symmetric by construction and skip it.
 """
 
 from __future__ import annotations
@@ -89,7 +93,16 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     of the last two axes separately, with LAPACK's ``dsyevd``; the order is
     reversed to descending.
     """
-    values, vectors = np.linalg.eigh(require_hermitian(m))
+    return _eigenpairs(require_hermitian(m))
+
+
+def _eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eigh` of a float64 symmetric matrix or stack, without the symmetry scan.
+
+    Checks nothing: every caller's stack passed `require_hermitian` or is
+    symmetric by construction.
+    """
+    values, vectors = np.linalg.eigh(m)
     return values[..., ::-1], vectors[..., ::-1]
 
 
@@ -97,8 +110,8 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a float64 symmetric matrix or stack, as `eigh` orders them.
 
     ``np.linalg.eigvalsh`` runs ``dsyevd`` without eigenvectors (``jobz = 'N'``)
-    and checks nothing: every caller's stack passed `require_hermitian` or is
-    symmetric by construction.
+    and, like `_eigenpairs`, checks nothing: every caller's stack passed
+    `require_hermitian` or is symmetric by construction.
     """
     return np.linalg.eigvalsh(m)[..., ::-1]
 
@@ -154,13 +167,13 @@ def entropy_bits(eigenvalues):
     stack of spectra gives an array over the leading axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    InvalidStateError.raise_first(
-        lam < EIG_ERROR_FLOOR, lam, f"eigenvalue {{:.6e}} is below the {EIG_ERROR_FLOOR:.0e} floor"
-    )
-    noisy = lam < EIG_CLAMP_FLOOR
-    if noisy.any():
+    if lam.min(initial=np.inf) < EIG_CLAMP_FLOOR:  # one reduction; NaN raises nothing
+        InvalidStateError.raise_first(
+            lam < EIG_ERROR_FLOOR, lam,
+            f"eigenvalue {{:.6e}} is below the {EIG_ERROR_FLOOR:.0e} floor",
+        )
         warnings.warn(
-            f"clamping noisy eigenvalue {lam[noisy][0]:.3e} to zero",
+            f"clamping noisy eigenvalue {lam[lam < EIG_CLAMP_FLOOR][0]:.3e} to zero",
             NumericalNoiseWarning,
             stacklevel=2,
         )
@@ -177,5 +190,6 @@ def two_qubit_matrix(rho) -> np.ndarray:
 
 
 def _partial_trace_first(rho) -> np.ndarray:
-    """Trace out the first qubit over a stack of two-qubit states."""
-    return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+    """Trace out the first qubit over a stack of two-qubit states: the sum of the two
+    diagonal 2x2 blocks."""
+    return rho[..., :2, :2] + rho[..., 2:, 2:]

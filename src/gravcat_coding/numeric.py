@@ -12,7 +12,7 @@ import numpy as np
 
 from .closed_form import check_success
 from .linalg import (
-    _PAULI_I, _PAULI_X, _PAULI_Z, _eigenvalues, _partial_trace_first, _symmetrized, eigh,
+    _PAULI_I, _PAULI_X, _PAULI_Z, _eigenpairs, _eigenvalues, _partial_trace_first, _symmetrized,
     entropy_bits, from_spectrum,
 )
 
@@ -30,20 +30,23 @@ def _hamiltonian(omega, gamma) -> np.ndarray:
 def _gibbs(hamiltonian, temperature) -> np.ndarray:
     """Stack of thermal states exp(-H/T)/Z from one eigendecomposition per Hamiltonian.
 
-    ``eigh`` solves the stack of ``hamiltonian`` alone; the weights broadcast
-    over ``temperature``.  They are taken relative to the ground energy, so
-    they lie in [0, 1] and nothing overflows at any valid temperature.
-    Energy gaps reach 2 sqrt(2) times the largest entry of H, so a matrix
-    whose largest entry reaches 2^1021 is scaled down with its temperature
-    by an exact 2^-4 (the state depends only on H/T).
+    ``_eigenpairs`` solves the float64 stack of ``hamiltonian`` alone, with no
+    symmetry scan: the engines build it symmetric and ``thermal.gibbs_numeric``
+    scans outside input first.  The weights broadcast over ``temperature``.
+    They are taken relative to the ground energy, so they lie in [0, 1] and
+    nothing overflows at any valid temperature.  Energy gaps reach 2 sqrt(2)
+    times the largest entry of H, so a matrix whose largest entry reaches
+    2^1021 is scaled down with its temperature by an exact 2^-4 (the state
+    depends only on H/T).
     """
     temperature = np.asarray(temperature)
-    huge = np.abs(hamiltonian).max(axis=(-2, -1)) >= 2.0**1021
-    if huge.any():
+    magnitude = np.abs(hamiltonian)
+    if not magnitude.max(initial=0.0) < 2.0**1021:  # one reduction; NaN takes the branch
+        huge = magnitude.max(axis=(-2, -1)) >= 2.0**1021
         scale = np.where(huge, 2.0**-4, 1.0)
         hamiltonian = hamiltonian * scale[..., np.newaxis, np.newaxis]
         temperature = temperature * scale
-    energies, vectors = eigh(hamiltonian)
+    energies, vectors = _eigenpairs(hamiltonian)
     ground = energies[..., -1:]  # eigenvalues are descending
     with np.errstate(over="ignore"):  # a gap/T past the double range is a weight of exactly 0
         exponents = (ground - energies) / temperature[..., np.newaxis]
@@ -60,7 +63,10 @@ def _post_select(rho, q):
     by k_i k_j.
     """
     s = np.sqrt(np.asarray(q, dtype=float))
-    k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)
+    k = np.empty(s.shape + (4,))
+    k[..., 0] = 1.0
+    k[..., 1] = k[..., 2] = s
+    k[..., 3] = s * s
     kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])
     success = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
     check_success(success)
@@ -100,13 +106,14 @@ def _entropies(rho, average):
     where ``spectrum[i]`` is the i-th largest eigenvalue of ``rho`` over the stack."""
     spectrum = _eigenvalues(rho)
     entropy_state = entropy_bits(spectrum)
-    return np.moveaxis(spectrum, -1, 0), entropy_state, entropy_bits(_eigenvalues(average))
+    leading = spectrum.transpose(-1, *range(spectrum.ndim - 1))
+    return leading, entropy_state, entropy_bits(_eigenvalues(average))
 
 
 def numeric_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) through the matrix route, with q = 1 - p.
 
-    Each stage runs on the shape of its own inputs: ``eigh`` on
+    Each stage runs on the shape of its own inputs: the eigenpairs on
     ``(omega, gamma)``, the weights on ``(omega, gamma, T)``, post-selection,
     twirl and spectra on the broadcast block; no closed form enters.  An
     unvalidated kernel: callers run ``thermal.check_domain`` first.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numeric
 from .closed_form import ThermalTerms, _thermal_terms, x_state
-from .linalg import LocatedError, check_density
+from .linalg import LocatedError, check_density, require_hermitian
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
@@ -139,6 +139,7 @@ def assemble_thermal_state(cf: ThermalTerms) -> np.ndarray:
 
 
 def gibbs_numeric(hamiltonian, temperature: float) -> np.ndarray:
-    """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`)."""
+    """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`), once
+    ``hamiltonian`` passed the symmetry scan `require_hermitian`."""
     check_domain(temperature=temperature)
-    return numeric._gibbs(hamiltonian, temperature)
+    return numeric._gibbs(require_hermitian(hamiltonian), temperature)

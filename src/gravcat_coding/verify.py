@@ -21,6 +21,7 @@ q = 1 and divided by its trace, as `capacity --engine numeric` prints it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,7 +82,9 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarray, ...]]:
     """Per check, the deviations of each sample, one array per compared quantity."""
-    q = np.stack(np.broadcast_arrays(1.0, 1.0 - strength))  # rows: p = 0, drawn p
+    q = np.empty((2, *strength.shape))  # rows: p = 0, drawn p
+    q[0] = 1.0
+    np.subtract(1.0, strength, out=q[1])
     thermal = _thermal_terms(omega, gamma, temperature)
     terms = _post_selected_terms(thermal, q)
     rho_cf = check_density(x_state(thermal))
@@ -125,7 +128,7 @@ def verification_report(samples: int, seed: int) -> dict:
             sample = start + exc.index[0]
             raise type(exc)(f"verify sample {sample}: {exc}", (sample,)) from exc
         for name, quantities in deviations.items():
-            per_sample = np.stack(quantities, axis=-1).max(axis=-1)  # NaN if any is NaN
+            per_sample = functools.reduce(np.maximum, quantities)  # NaN if any is NaN
             i = int(per_sample.argmax())  # the first NaN, else the first maximum
             deviation, held = float(per_sample[i]), worst[name][0]
             if deviation > held or (math.isnan(deviation) and not math.isnan(held)):

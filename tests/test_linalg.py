@@ -24,6 +24,7 @@ from gravcat_coding.linalg import (
 from gravcat_coding.numeric import _EXCHANGE, _SPLITTING
 from conftest import (
     SIGNALS,
+    assert_same_bits,
     basis_projector,
     bell_state,
     density_matrices,
@@ -89,6 +90,18 @@ def test_complex_input_is_refused(route):
     rho[1, 2], rho[2, 1] = 0.1j, -0.1j
     with pytest.raises(TypeError, match="dtype complex128"):
         route(rho)
+
+
+@pytest.mark.parametrize("route", [eigh, check_density], ids=["eigh", "check_density"])
+def test_asymmetric_input_is_refused(route, symmetry_scans):
+    # the engines' own stacks skip the scan; input from outside the package
+    # is scanned once and refused
+    rho = maximally_mixed(4)
+    rho[1, 2] += 1e-6
+    with pytest.raises(NotHermitianError) as info:
+        route(rho)
+    assert info.value.index == ()
+    assert symmetry_scans == [1]
 
 
 def test_eigh_runs_in_float64():
@@ -163,6 +176,33 @@ def test_entropy_policy_over_a_stack_of_spectra():
     with pytest.raises(InvalidStateError) as info:
         entropy_bits(spectra)
     assert info.value.index == (1, 0, 2)
+
+
+def _entropy_with_full_clamp_policy(eigenvalues):
+    """`entropy_bits` with its full clamp policy: both floors tested element-wise
+    on every call, with no whole-stack reduction first."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    InvalidStateError.raise_first(lam < -1e-8, lam, "eigenvalue {:.6e} is below the floor")
+    noisy = lam < -1e-10
+    if noisy.any():
+        warnings.warn(f"clamping noisy eigenvalue {lam[noisy][0]:.3e} to zero",
+                      NumericalNoiseWarning)
+    kept = np.where(lam <= 0.0, 1.0, lam)
+    return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
+
+
+@pytest.mark.parametrize("samples", [1, 9])
+@pytest.mark.parametrize("low", [0.0, -5e-11, -5e-9], ids=["zeros", "silent", "noisy"])
+def test_entropy_one_reduction_guard_keeps_the_bits_of_the_full_policy(samples, low):
+    rng = np.random.default_rng(samples)
+    spectra = rng.dirichlet(np.ones(4), size=samples)
+    spectra[:, 2:] = 0.0  # exact zeros, which take the 1 log 1 stand-in
+    spectra[-1, -1] = low
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, want = entropy_bits(spectra), _entropy_with_full_clamp_policy(spectra)
+    assert_same_bits(got, want)
+    assert [type(w.message) for w in caught] == [NumericalNoiseWarning] * 2 * (low < -1e-10)
 
 
 @given(density_matrices(dim=4))

@@ -10,7 +10,7 @@ import pytest
 import gravcat_coding.linalg as linalg_module
 import gravcat_coding.sweep as sweep_module
 from gravcat_coding import DEFAULT_AXES, FIGURES, AxisSpec, NumericalNoiseWarning, figure_grid
-from gravcat_coding.numeric import numeric_engine
+from gravcat_coding.numeric import _marginal_replacement, _post_select, numeric_engine
 from conftest import assert_same_bits, broadcast_numeric_engine
 
 
@@ -96,3 +96,35 @@ def test_clamp_warnings_are_those_of_the_broadcast_engine(monkeypatch):
         messages.append([str(w.message) for w in caught])
     assert messages[0] == messages[1]
     assert 0 < len(messages[0]) < 2 * omega.shape[0]
+
+
+def seeded_states(samples: int) -> np.ndarray:
+    """``samples`` seeded 4x4 density matrices, exactly symmetric, of unit trace."""
+    g = np.random.default_rng(samples).standard_normal((samples, 4, 4))
+    rho = g @ g.swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+    return 0.5 * (rho + rho.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("samples", [1, 9])
+def test_marginal_replacement_has_the_bits_of_the_einsum_partial_trace(samples):
+    rho = seeded_states(samples)
+    reduced = np.einsum("...abac->...bc", rho.reshape(samples, 2, 2, 2, 2))
+    want = np.zeros_like(rho)
+    want[:, :2, :2] = want[:, 2:, 2:] = 0.5 * reduced
+    assert_same_bits(_marginal_replacement(rho), want)
+
+
+@pytest.mark.parametrize("samples", [1, 9])
+@pytest.mark.parametrize("layout", ["scalar", "per-sample", "two-rows"])
+def test_post_select_has_the_bits_of_the_kraus_formula(samples, layout):
+    rho = seeded_states(samples)
+    shape = {"scalar": (), "per-sample": (samples,), "two-rows": (2, samples)}[layout]
+    q = np.random.default_rng(samples + 1).uniform(0.0, 1.0, shape)  # "two-rows" as in verify
+    state, success = _post_select(rho, q)
+    s = np.sqrt(q)
+    k = np.stack(np.broadcast_arrays(1.0, s, s, s * s), axis=-1)  # diag of Q (x) Q
+    kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])  # outer(k, k) per sample
+    trace = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+    assert_same_bits(success, trace)
+    assert_same_bits(state, kept / trace[..., np.newaxis, np.newaxis])

@@ -205,7 +205,9 @@ def test_numeric_grid_solves_eigenvectors_only_for_the_gibbs_states(
     # solved for eigenvalues alone
     evaluate_sweep(x, y, fixed, engine="numeric")
     assert solve_counts == {"eigh": [1, hamiltonians], "eigvalsh": [2, 60]}
-    assert symmetry_scans == [1]  # the Hamiltonians; the states are symmetric by construction
+    # no symmetry scan: the grid's parameters passed the domain check, and the
+    # Hamiltonians, states and twirls are symmetric by construction
+    assert symmetry_scans == [0]
 
 
 def test_fixed_strength_changes_cells():

@@ -54,10 +54,10 @@ def test_only_the_gibbs_states_read_eigenvectors(
     monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
     assert verification_report(50, 1)["all_passed"]
     assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [3 * chunks, 5 * 50]}
-    # symmetry is scanned twice per chunk, in the closed-form state's density
-    # check and in the Hamiltonians' eigh; every other stack is symmetric by
+    # symmetry is scanned once per chunk, in the closed-form state's density
+    # check; every other stack, the Hamiltonians among them, is symmetric by
     # construction
-    assert symmetry_scans == [2 * chunks]
+    assert symmetry_scans == [chunks]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 123456789])

@@ -21,6 +21,7 @@ from gravcat_coding import (
     Advantage,
     GravcatParams,
     InvalidParameterError,
+    NotHermitianError,
     OutOfRangeError,
     SplitMix64,
     apply_qwm,
@@ -65,8 +66,9 @@ COUPLED = 0.5 * _SPLITTING - _EXCHANGE
         capacity_numeric,
         lambda m: gibbs_numeric(m, 1.0),
         lambda m: apply_qwm(m, 0.5),
+        lambda m: matrix_function(m, math.exp),
     ],
-    ids=["capacity_numeric", "gibbs_numeric", "apply_qwm"],
+    ids=["capacity_numeric", "gibbs_numeric", "apply_qwm", "matrix_function"],
 )
 def test_complex_input_is_refused(route):
     # a valid Hermitian state; dropping its imaginary part would change it silently
@@ -74,6 +76,18 @@ def test_complex_input_is_refused(route):
     rho[1, 2], rho[2, 1] = 0.1j, -0.1j
     with pytest.raises(TypeError, match="dtype complex128"):
         route(rho)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda m: gibbs_numeric(m, 1.0), lambda m: matrix_function(m, math.exp)],
+    ids=["gibbs_numeric", "matrix_function"],
+)
+def test_asymmetric_input_is_refused(route):
+    # the engines' Hamiltonians skip the symmetry scan; a matrix from outside
+    # the package is scanned and refused
+    with pytest.raises(NotHermitianError, match="deviates from Hermitian symmetry"):
+        route(COUPLED + np.triu(np.full((4, 4), 1e-6), 1))
 
 
 # entry point -> (the parameters it takes, a call at one point)
