@@ -12,7 +12,8 @@ checks) reads the spectrum alone, through the unguarded, eigenvalue-only
 `_eigenvalues`.  The symmetry scan `require_hermitian` runs where input
 from outside the package enters: in `eigh`, `matrix_function` and
 `check_density`, and in ``thermal.gibbs_numeric``; the stacks the engines
-build are symmetric by construction and skip it.
+build are symmetric by construction and skip it, save a stack of
+Hamiltonians with a huge or non-finite entry (``numeric._gibbs``).
 """
 
 from __future__ import annotations
@@ -167,16 +168,17 @@ def entropy_bits(eigenvalues):
     stack of spectra gives an array over the leading axes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.min(initial=np.inf) < EIG_CLAMP_FLOOR:  # one reduction; NaN raises nothing
+    if not lam.min(initial=np.inf) >= EIG_CLAMP_FLOOR:  # one reduction; NaN takes the branch
         InvalidStateError.raise_first(
             lam < EIG_ERROR_FLOOR, lam,
             f"eigenvalue {{:.6e}} is below the {EIG_ERROR_FLOOR:.0e} floor",
         )
-        warnings.warn(
-            f"clamping noisy eigenvalue {lam[lam < EIG_CLAMP_FLOOR][0]:.3e} to zero",
-            NumericalNoiseWarning,
-            stacklevel=2,
-        )
+        if (noisy := lam < EIG_CLAMP_FLOOR).any():
+            warnings.warn(
+                f"clamping noisy eigenvalue {lam[noisy][0]:.3e} to zero",
+                NumericalNoiseWarning,
+                stacklevel=2,
+            )
     kept = np.where(lam <= 0.0, 1.0, lam)  # a clamped value adds 1 log 1 = 0; NaN stays
     return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 

@@ -13,7 +13,7 @@ import numpy as np
 from .closed_form import check_success
 from .linalg import (
     _PAULI_I, _PAULI_X, _PAULI_Z, _eigenpairs, _eigenvalues, _partial_trace_first, _symmetrized,
-    entropy_bits, from_spectrum,
+    entropy_bits, from_spectrum, require_hermitian,
 )
 
 _SPLITTING = np.kron(_PAULI_I, _PAULI_Z) + np.kron(_PAULI_Z, _PAULI_I)
@@ -37,11 +37,14 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
     nothing overflows at any valid temperature.  Energy gaps reach 2 sqrt(2)
     times the largest entry of H, so a matrix whose largest entry reaches
     2^1021 is scaled down with its temperature by an exact 2^-4 (the state
-    depends only on H/T).
+    depends only on H/T).  A stack with such an entry, or with an inf or
+    NaN, is scanned first, which refuses a non-finite entry with
+    ``NotHermitianError``.
     """
     temperature = np.asarray(temperature)
     magnitude = np.abs(hamiltonian)
-    if not magnitude.max(initial=0.0) < 2.0**1021:  # one reduction; NaN takes the branch
+    if not magnitude.max(initial=0.0) < 2.0**1021:  # one reduction; NaN and inf take the branch
+        require_hermitian(hamiltonian)  # refuses a non-finite entry before the solver sees it
         huge = magnitude.max(axis=(-2, -1)) >= 2.0**1021
         scale = np.where(huge, 2.0**-4, 1.0)
         hamiltonian = hamiltonian * scale[..., np.newaxis, np.newaxis]

@@ -56,9 +56,10 @@ def test_eigh_coupled_two_block_matrix():
     assert np.allclose(values, [SQRT2, 1.0, -1.0, -SQRT2], atol=1e-12)
 
 
-def test_eigh_rejects_non_hermitian():
+def test_eigh_rejects_non_hermitian(symmetry_scans):
     with pytest.raises(NotHermitianError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert symmetry_scans == [1]  # input from outside the package is scanned once
     with pytest.raises(NotHermitianError):
         eigh(np.full((3, 3), np.nan))
     with pytest.raises(NotHermitianError):
@@ -90,18 +91,6 @@ def test_complex_input_is_refused(route):
     rho[1, 2], rho[2, 1] = 0.1j, -0.1j
     with pytest.raises(TypeError, match="dtype complex128"):
         route(rho)
-
-
-@pytest.mark.parametrize("route", [eigh, check_density], ids=["eigh", "check_density"])
-def test_asymmetric_input_is_refused(route, symmetry_scans):
-    # the engines' own stacks skip the scan; input from outside the package
-    # is scanned once and refused
-    rho = maximally_mixed(4)
-    rho[1, 2] += 1e-6
-    with pytest.raises(NotHermitianError) as info:
-        route(rho)
-    assert info.value.index == ()
-    assert symmetry_scans == [1]
 
 
 def test_eigh_runs_in_float64():
@@ -182,7 +171,7 @@ def _entropy_with_full_clamp_policy(eigenvalues):
     """`entropy_bits` with its full clamp policy: both floors tested element-wise
     on every call, with no whole-stack reduction first."""
     lam = np.asarray(eigenvalues, dtype=float)
-    InvalidStateError.raise_first(lam < -1e-8, lam, "eigenvalue {:.6e} is below the floor")
+    InvalidStateError.raise_first(lam < -1e-8, lam, "eigenvalue {:.6e} is below the -1e-08 floor")
     noisy = lam < -1e-10
     if noisy.any():
         warnings.warn(f"clamping noisy eigenvalue {lam[noisy][0]:.3e} to zero",
@@ -191,18 +180,39 @@ def _entropy_with_full_clamp_policy(eigenvalues):
     return np.maximum(-(kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
+def _entropy_outcome(entropy, spectra):
+    """(entropies or (message, index) of the error, [(category, message)] of the warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = entropy(spectra)
+        except InvalidStateError as exc:
+            result = (str(exc), exc.index)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 @pytest.mark.parametrize("samples", [1, 9])
-@pytest.mark.parametrize("low", [0.0, -5e-11, -5e-9], ids=["zeros", "silent", "noisy"])
-def test_entropy_one_reduction_guard_keeps_the_bits_of_the_full_policy(samples, low):
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize(
+    "low", [0.0, -5e-11, -5e-9, -5e-8], ids=["zeros", "silent", "noisy", "invalid"]
+)
+def test_entropy_one_reduction_guard_keeps_the_bits_of_the_full_policy(samples, nan, low):
     rng = np.random.default_rng(samples)
     spectra = rng.dirichlet(np.ones(4), size=samples)
     spectra[:, 2:] = 0.0  # exact zeros, which take the 1 log 1 stand-in
+    if nan:
+        spectra[0, 0] = np.nan  # below no floor, but must not hide the floors of the others
     spectra[-1, -1] = low
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got, want = entropy_bits(spectra), _entropy_with_full_clamp_policy(spectra)
-    assert_same_bits(got, want)
-    assert [type(w.message) for w in caught] == [NumericalNoiseWarning] * 2 * (low < -1e-10)
+    got, got_warnings = _entropy_outcome(entropy_bits, spectra)
+    want, want_warnings = _entropy_outcome(_entropy_with_full_clamp_policy, spectra)
+    assert got_warnings == want_warnings
+    assert len(got_warnings) == (-1e-8 <= low < -1e-10)
+    if low < -1e-8:
+        assert got == want
+        assert got[1] == (samples - 1, 3)
+    else:
+        assert_same_bits(got, want)
+        assert np.isnan(got[0]) == nan
 
 
 @given(density_matrices(dim=4))
@@ -301,10 +311,11 @@ def test_check_density_rejects_negative():
         (np.triu(np.full((4, 4), 0.25)), "Hermitian"),
     ],
 )
-def test_stacked_state_check_names_the_bad_matrix(bad, message):
+def test_stacked_state_check_names_the_bad_matrix(bad, message, symmetry_scans):
     stack = np.broadcast_to(maximally_mixed(4), (3, 5, 4, 4)).copy()
     stack[2, 1] = bad
     with pytest.raises((InvalidStateError, NotHermitianError), match=message) as info:
         check_density(stack)
     assert info.value.index == (2, 1)
+    assert symmetry_scans == [1]  # input from outside the package is scanned once
     assert np.array_equal(check_density(stack[:2]), stack[:2])

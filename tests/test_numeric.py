@@ -9,7 +9,9 @@ import pytest
 
 import gravcat_coding.linalg as linalg_module
 import gravcat_coding.sweep as sweep_module
-from gravcat_coding import DEFAULT_AXES, FIGURES, AxisSpec, NumericalNoiseWarning, figure_grid
+from gravcat_coding import (
+    DEFAULT_AXES, FIGURES, AxisSpec, NotHermitianError, NumericalNoiseWarning, figure_grid,
+)
 from gravcat_coding.numeric import _marginal_replacement, _post_select, numeric_engine
 from conftest import assert_same_bits, broadcast_numeric_engine
 
@@ -128,3 +130,16 @@ def test_post_select_has_the_bits_of_the_kraus_formula(samples, layout):
     trace = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
     assert_same_bits(success, trace)
     assert_same_bits(state, kept / trace[..., np.newaxis, np.newaxis])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["omega", "gamma"])
+def test_non_finite_hamiltonian_is_refused_before_the_solver(name, bad, solve_counts):
+    # the engines' Hamiltonians skip the symmetry scan unless an entry is
+    # huge or not finite; the scan then names the first such matrix
+    inputs = {"omega": np.array([0.5, 1.0, 2.0]), "gamma": np.array([[1.0], [3.0]])}
+    inputs[name][-1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NotHermitianError, match="by nan") as info:
+        numeric_engine(inputs["omega"], inputs["gamma"], 1.0, 0.5)
+    assert info.value.index == {"omega": (0, 2), "gamma": (1, 0)}[name]
+    assert solve_counts["eigh"] == [0, 0]
