@@ -8,7 +8,10 @@ Each command of ``COMMANDS`` runs once per tree in a fresh
 an empty working directory, so a relative ``--output`` lands there.  The
 exit code, the stdout bytes and every file the command writes are compared.
 Of stderr only the ``error`` class of the JSON error object is compared, on
-a command that exits 2; the rest of stderr can carry paths.  The list covers
+a command that exits 2; the rest of stderr can carry paths.  An argparse
+usage error, which exits 2 with no JSON object and names no path, has its
+whole stderr compared.  The list covers the parser's text (``--version``,
+``--help`` and each subcommand's ``--help``, and an invalid choice),
 every subcommand, both engines, CSV and JSON output, all ten figure presets,
 numeric grids whose cells share a Hamiltonian per row or per column,
 grids whose cells print in scientific notation or as exact values such as
@@ -70,8 +73,13 @@ OPTIMIZE_BOX = (
     ("0.25", "0", "0.012"),
 )
 
+SUBCOMMANDS = ("capacity", "sweep", "figure", "optimize", "verify")
+
 COMMANDS: tuple[tuple[str, ...], ...] = (
     ("--version",),
+    ("--help",),
+    *((sub, "--help") for sub in SUBCOMMANDS),
+    ("capacity", "--engine", "bogus"),
     *(
         ("capacity", "--omega", w, "--gamma", g, "--temp", t, *extra, "--engine", engine)
         for w, g, t in POINTS
@@ -189,9 +197,12 @@ def error_class(stderr: bytes) -> str | None:
         return None  # no JSON error object, such as an argparse usage error
 
 
-def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes], str | None]:
-    """(exit code, stdout, written files by name, error class on exit 2) of one
-    fresh CLI process."""
+def run(
+    tree: Path, argv: tuple[str, ...]
+) -> tuple[int, bytes, dict[str, bytes], str | bytes | None]:
+    """(exit code, stdout, written files by name, compared stderr) of one fresh
+    CLI process; stderr is compared on exit 2 only, as the error class of the
+    JSON error object or, for a usage error, as its bytes."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     with tempfile.TemporaryDirectory() as workdir:
         proc = subprocess.run(
@@ -199,7 +210,7 @@ def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, dict[str, bytes]
             cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False,
         )
         files = {p.name: p.read_bytes() for p in sorted(Path(workdir).iterdir())}
-    error = error_class(proc.stderr) if proc.returncode == 2 else None
+    error = (error_class(proc.stderr) or proc.stderr) if proc.returncode == 2 else None
     return proc.returncode, proc.stdout, files, error
 
 
@@ -211,7 +222,8 @@ def differences(base, head) -> list[str]:
     if base_code != head_code:
         found.append(f"exit {base_code} != {head_code}")
     if base_error != head_error:
-        found.append(f"error {base_error} != {head_error}")
+        classes = isinstance(base_error, str) and isinstance(head_error, str)
+        found.append(f"error {base_error} != {head_error}" if classes else "stderr")
     if base_out != head_out:
         found.append(_described("stdout", base_out, head_out))
     for name in sorted(base_files.keys() | head_files.keys()):

@@ -6,6 +6,11 @@ strength), ``verify`` (cross-engine report).  Exit codes are stable: 0 on
 success, 1 when verification finds a deviation over threshold, 2 on bad
 usage, invalid parameters, a grid too large to allocate or an unwritable
 output path (with a JSON error object on stderr).
+
+At module level this imports only the standard library and ``version``:
+the parser takes its choices from ``presets``, which imports no numpy, and
+each handler imports the modules it runs.  So ``--version`` and ``--help``
+load no numpy, and ``capacity`` and ``verify`` skip the sweep layer.
 """
 
 from __future__ import annotations
@@ -15,23 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .closed_form import chi_closed_form
-from .coding import engine_report
-from .sweep import (
-    ENGINES,
-    AxisSpec,
-    FIGURES,
-    SweepGrid,
-    evaluate_sweep,
-    figure_config,
-    figure_grid,
-    render_csv,
-    render_json,
-)
-from .thermal import GravcatParams, InvalidParameterError
-from .verify import verification_report
 from .version import __version__
-from .weak_measurement import optimize_strength
 
 
 def _write_output(text: str, output: str | Path | None) -> None:
@@ -46,7 +35,10 @@ def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
-def _params_from_args(args: argparse.Namespace) -> GravcatParams:
+def _params_from_args(args: argparse.Namespace):
+    """The ``GravcatParams`` of the point flags."""
+    from .thermal import GravcatParams, InvalidParameterError
+
     for name, flag in (("omega", "--omega"), ("gamma", "--gamma"), ("temp", "--temp")):
         if getattr(args, name) is None:
             raise InvalidParameterError(f"{flag} is required")
@@ -54,6 +46,8 @@ def _params_from_args(args: argparse.Namespace) -> GravcatParams:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .coding import ENGINES, engine_report
+
     report = engine_report(ENGINES[args.engine], _params_from_args(args), args.p)
     payload = {"schema_version": 1, "engine": args.engine, **report.to_dict()}
     _write_output(json.dumps(payload, indent=2) + "\n", args.output)
@@ -65,11 +59,15 @@ def _fixed_from_args(args: argparse.Namespace) -> dict[str, float]:
     return {name: value for name, value in supplied.items() if value is not None}
 
 
-def _write_grid(grid: SweepGrid, args: argparse.Namespace) -> None:
+def _write_grid(grid, args: argparse.Namespace) -> None:
+    from .sweep import render_csv, render_json
+
     _write_output(render_csv(grid) if args.format == "csv" else render_json(grid), args.output)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import AxisSpec, evaluate_sweep
+
     x_axis = AxisSpec.parse(args.x)
     y_axis = AxisSpec.parse(args.y)
     fixed = _fixed_from_args(args)
@@ -78,6 +76,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .sweep import AxisSpec, figure_config, figure_grid
+
     x_axis = AxisSpec.parse(args.x) if args.x else None
     y_axis = AxisSpec.parse(args.y) if args.y else None
     grid = figure_grid(args.id, engine=args.engine, x_axis=x_axis, y_axis=y_axis)
@@ -90,6 +90,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .closed_form import chi_closed_form
+    from .weak_measurement import optimize_strength
+
     params = _params_from_args(args)
     p_star, chi_star = optimize_strength(params)
     chi_at_zero = float(chi_closed_form(params.omega, params.gamma, params.temperature))
@@ -105,6 +108,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verification_report
+
     report = verification_report(args.samples, args.seed)
     _write_output(json.dumps(report, indent=2) + "\n", args.output)
     return 0 if report["all_passed"] else 1
@@ -123,8 +128,10 @@ def _add_output_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    from .presets import ENGINE_NAMES
+
     parser.add_argument(
-        "--engine", choices=tuple(ENGINES), default="closed_form",
+        "--engine", choices=ENGINE_NAMES, default="closed_form",
         help="evaluation engine (default: closed_form)",
     )
 
@@ -137,6 +144,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .presets import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="gravcat-coding",
         description="Dense-coding capacity of two-gravcat thermal states.",

@@ -4,8 +4,9 @@ The capacity chi = S(rho_bar) - S(rho) measures, in bits, how much classical
 information one transmitted qubit of the shared pair can carry; rho_bar is
 the average over the four Pauli signal encodings applied to the sender's
 qubit (the first tensor factor).  chi > 1 beats the classical single-qubit
-limit and chi = 2 is the optimum.  `engine_report` turns the output of
-either engine, ``closed_form`` or ``numeric``, into a `CapacityReport`.  No
+limit and chi = 2 is the optimum.  `ENGINES` maps the engine names,
+``closed_form`` and ``numeric``, to their functions, and `engine_report`
+turns the output of either into a `CapacityReport`.  No
 command runs the wrappers `ensemble_average`, `ensemble_average_via_marginal`
 and `capacity_numeric` over ``numeric`` for any real two-qubit state, or
 `capacity_closed_form`; the README's "Wrappers kept for the benchmark" says
@@ -19,10 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from . import numeric
 from .closed_form import closed_form_engine
 from .linalg import two_qubit_matrix
-from .thermal import GravcatParams, check_domain
+from .numeric import _entropies, _marginal_replacement, _twirl, numeric_engine
+from .presets import ENGINE_NAMES
+from .thermal import GravcatParams, InvalidParameterError, check_domain
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
 
@@ -79,12 +81,12 @@ def ensemble_average(rho) -> np.ndarray:
     equals (I/2) (x) tr_A(rho), which `ensemble_average_via_marginal`
     computes directly.
     """
-    return numeric._twirl(two_qubit_matrix(rho))
+    return _twirl(two_qubit_matrix(rho))
 
 
 def ensemble_average_via_marginal(rho) -> np.ndarray:
     """Identity route: the twirl replaces the sender's qubit with I/2."""
-    return numeric._marginal_replacement(two_qubit_matrix(rho))
+    return _marginal_replacement(two_qubit_matrix(rho))
 
 
 def capacity_report(
@@ -106,7 +108,21 @@ def capacity_report(
 def capacity_numeric(rho) -> CapacityReport:
     """chi = S(ensemble_average(rho)) - S(rho) on any real two-qubit state."""
     rho = two_qubit_matrix(rho)
-    return capacity_report(*numeric._entropies(rho, numeric._twirl(rho)))
+    return capacity_report(*_entropies(rho, _twirl(rho)))
+
+
+class _EngineTable(dict):
+    """Engine name -> array function (omega, gamma, T, q) -> (spectrum, S(rho), S(rho_bar),
+    success), where ``spectrum`` is one array whose leading axis holds the four
+    eigenvalues; an unknown name raises ``InvalidParameterError``."""
+
+    def __missing__(self, engine: str):
+        raise InvalidParameterError(
+            f"unknown engine {engine!r}; expected one of {', '.join(self)}"
+        )
+
+
+ENGINES = _EngineTable(zip(ENGINE_NAMES, (closed_form_engine, numeric_engine)))
 
 
 def engine_report(engine, params: GravcatParams, strength: float | None = None) -> CapacityReport:

@@ -2,15 +2,16 @@
 
 Hamiltonian, Gibbs state, Kraus post-selection, Pauli twirl of the sender's
 qubit and von Neumann entropies on stacks of real 4x4 matrices.  No closed
-form enters: only the success floor `check_success` is shared with
-``closed_form``, so each engine is the other's oracle.
+form enters: only the success floor (`MIN_SUCCESS_PROBABILITY` and
+`check_success`) is shared with ``closed_form``, so each engine is the
+other's oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .closed_form import check_success
+from .closed_form import MIN_SUCCESS_PROBABILITY, check_success
 from .linalg import (
     _PAULI_I, _PAULI_X, _PAULI_Z, _eigenpairs, _eigenvalues, _partial_trace_first, _symmetrized,
     entropy_bits, from_spectrum, require_hermitian,
@@ -18,6 +19,7 @@ from .linalg import (
 
 _SPLITTING = np.kron(_PAULI_I, _PAULI_Z) + np.kron(_PAULI_Z, _PAULI_I)
 _EXCHANGE = np.kron(_PAULI_X, _PAULI_X)
+_KET_00_PROJECTOR = np.diag([1.0, 0.0, 0.0, 0.0])
 
 
 def _hamiltonian(omega, gamma) -> np.ndarray:
@@ -57,13 +59,17 @@ def _gibbs(hamiltonian, temperature) -> np.ndarray:
     return from_spectrum(vectors, weights / weights.sum(axis=-1, keepdims=True))
 
 
-def _post_select(rho, q):
+def _post_select(rho, q, *, full_support=False):
     """(Q(x)Q) rho (Q(x)Q)^dagger / P_s and P_s over a stack, with Q = diag(1, sqrt(q)).
 
     Q leaves |0> untouched and damps |1>: q = 1 (p = 0) is the identity and
     q = 0 (p = 1) the projector onto |0>.  Q(x)Q is diagonal with
     k = (1, s, s, s^2), s = sqrt(q), so the conjugation scales entry (i, j)
-    by k_i k_j.
+    by k_i k_j.  A vanishing P_s raises ``ZeroSuccessProbabilityError``,
+    except at q = 0 for ``full_support`` states, such as a Gibbs state at
+    finite T: Q(x)Q then projects onto |00>, so the kept state is |00><00|
+    however small rho_00,00 is, and |00><00| with weight 1 stands in for it
+    where that weight underflows.
     """
     s = np.sqrt(np.asarray(q, dtype=float))
     k = np.empty(s.shape + (4,))
@@ -71,9 +77,14 @@ def _post_select(rho, q):
     k[..., 1] = k[..., 2] = s
     k[..., 3] = s * s
     kept = rho * (k[..., :, np.newaxis] * k[..., np.newaxis, :])
-    success = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
-    check_success(success)
-    return kept / success[..., np.newaxis, np.newaxis], success
+    success = weight = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
+    # one reduction on every call; NaN takes this branch and leaves it unchanged
+    if not success.min(initial=np.inf) >= MIN_SUCCESS_PROBABILITY:
+        projective = (success < MIN_SUCCESS_PROBABILITY) & (s == 0.0) & full_support
+        check_success(np.where(projective, 1.0, success))
+        kept = np.where(projective[..., np.newaxis, np.newaxis], _KET_00_PROJECTOR, kept)
+        weight = np.where(projective, 1.0, success)
+    return kept / weight[..., np.newaxis, np.newaxis], success
 
 
 # I, X, XZ and Z on the sender's qubit are signed permutations of the basis
@@ -121,7 +132,8 @@ def numeric_engine(omega, gamma, temperature, q):
     twirl and spectra on the broadcast block; no closed form enters.  An
     unvalidated kernel: callers run ``thermal.check_domain`` first.
     """
-    state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
+    thermal = _gibbs(_hamiltonian(omega, gamma), temperature)
+    state, success = _post_select(thermal, q, full_support=True)
     return (*_entropies(state, _twirl(state)), success)
 
 

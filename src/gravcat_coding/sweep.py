@@ -3,7 +3,7 @@
 A sweep evaluates chi on a uniform inclusive 2-D grid; any two of
 {omega, gamma, T, p} form the axes and the rest are fixed.  Each engine is
 one array function of (omega, gamma, T, q) with q = 1 - p, listed in
-``ENGINES``; a grid on either engine is evaluated in blocks of whole rows,
+``coding.ENGINES``; a grid on either engine is evaluated in blocks of whole rows,
 one call each, and a cell has the same bits in a grid, a block, a row,
 alone, or in the ``capacity`` command.  Output is deterministic
 byte-for-byte for identical invocations: formatting is ordered, floats are
@@ -19,28 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import closed_form_engine
-from .coding import engine_report
+from .coding import ENGINES, engine_report
 from .linalg import InvalidStateError, LocatedError
-from .numeric import numeric_engine
+from .presets import FIGURES, FigurePreset  # noqa: F401  (re-exported)
 from .thermal import GravcatParams, InvalidParameterError, check_domain
 from .version import STAMP, TOOL_NAME, __version__
 
 AXIS_NAMES = ("omega", "gamma", "T", "p")
 
-
-class _EngineTable(dict):
-    """Engine name -> array function (omega, gamma, T, q) -> (spectrum, S(rho), S(rho_bar),
-    success), where ``spectrum`` is one array whose leading axis holds the four
-    eigenvalues; an unknown name raises ``InvalidParameterError``."""
-
-    def __missing__(self, engine: str):
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; expected one of {', '.join(self)}"
-        )
-
-
-ENGINES = _EngineTable(closed_form=closed_form_engine, numeric=numeric_engine)
 
 DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
     "omega": (0.01, 3.0, 200),
@@ -273,29 +259,6 @@ def render_json(grid: SweepGrid) -> str:
         for row in block.splitlines()
     ]
     return text[: -len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
-
-
-@dataclass(frozen=True)
-class FigurePreset:
-    """Axes and fixed values of one built-in figure grid."""
-
-    x: str
-    y: str
-    fixed: dict[str, float]
-
-
-FIGURES: dict[str, FigurePreset] = {
-    "2a": FigurePreset(x="gamma", y="omega", fixed={"T": 0.01}),
-    "2b": FigurePreset(x="gamma", y="omega", fixed={"T": 1.0}),
-    "3a": FigurePreset(x="T", y="omega", fixed={"gamma": 1.0}),
-    "3b": FigurePreset(x="T", y="omega", fixed={"gamma": 3.0}),
-    "4a": FigurePreset(x="T", y="gamma", fixed={"omega": 1.0}),
-    "4b": FigurePreset(x="T", y="gamma", fixed={"omega": 2.0}),
-    "5a": FigurePreset(x="T", y="p", fixed={"omega": 1.0, "gamma": 1.0}),
-    "5b": FigurePreset(x="T", y="p", fixed={"omega": 3.0, "gamma": 3.0}),
-    "6a": FigurePreset(x="gamma", y="p", fixed={"T": 0.01, "omega": 1.0}),
-    "6b": FigurePreset(x="omega", y="p", fixed={"T": 0.01, "gamma": 1.0}),
-}
 
 
 def figure_grid(

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric
 from .closed_form import ThermalTerms, _thermal_terms, x_state
 from .linalg import LocatedError, check_density, require_hermitian
+from .numeric import _gibbs, _hamiltonian
 
 MIN_TEMPERATURE = 1e-6  # the Gibbs form is singular at T = 0
 
@@ -125,7 +125,7 @@ def coupling_from_geometry(geom: GravcatGeometry) -> float:
 
 def build_hamiltonian(params: GravcatParams) -> np.ndarray:
     """4x4 Hamiltonian: (omega/2)(I(x)sz + sz(x)I) - gamma sx(x)sx."""
-    return numeric._hamiltonian(params.omega, params.gamma)
+    return _hamiltonian(params.omega, params.gamma)
 
 
 def thermal_closed_form(params: GravcatParams) -> ThermalTerms:
@@ -142,4 +142,4 @@ def gibbs_numeric(hamiltonian, temperature: float) -> np.ndarray:
     """Thermal state exp(-H/T)/Z via the spectral decomposition (see `_gibbs`), once
     ``hamiltonian`` passed the symmetry scan `require_hermitian`."""
     check_domain(temperature=temperature)
-    return numeric._gibbs(require_hermitian(hamiltonian), temperature)
+    return _gibbs(require_hermitian(hamiltonian), temperature)

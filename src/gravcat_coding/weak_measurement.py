@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric
 from .closed_form import (
     ThermalTerms, _chi_from_terms, _post_selected_terms, _thermal_terms, closed_form_engine,
     x_state,
 )
 from .coding import CapacityReport, engine_report
 from .linalg import two_qubit_matrix
+from .numeric import _post_select
 from .thermal import GravcatParams, check_domain
 
 
@@ -41,7 +41,7 @@ def apply_qwm(rho, strength: float) -> PostSelectedState:
     allowed as long as the surviving branch has nonzero probability.
     """
     check_domain(strength=strength)
-    state, success = numeric._post_select(two_qubit_matrix(rho), 1.0 - strength)
+    state, success = _post_select(two_qubit_matrix(rho), 1.0 - strength)
     return PostSelectedState(state=state, success_probability=float(success))
 
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,18 @@ def symmetry_scans(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "require_hermitian", counting)
     return calls
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports the
+    package from this checkout; a nonzero exit fails with its stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def bell_state() -> np.ndarray:

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-import gravcat_coding.cli as cli_module
+import gravcat_coding.sweep as sweep_module
 import gravcat_coding.verify as verify_module
 from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, chi_closed_form, evaluate_sweep
 from gravcat_coding.coding import engine_report
 from gravcat_coding.sweep import ENGINES
 from gravcat_coding.cli import build_parser, main
+from conftest import fresh_python
 
 
 def load_script(name: str):
@@ -129,16 +130,17 @@ def test_capacity_at_projective_endpoint(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["chi"] == 1.0 and payload["strength"] == 1.0
-    # the kept |00> weight underflows to 0 here: the closed form still reports
-    # one bit, and the numeric engine, which divides by it, refuses
+    # the kept |00> weight underflows to 0 here: the kept state is still
+    # |00><00|, so both engines report one bit with success probability 0.0
     vanishing = ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1")
-    code, out, _ = run_cli(capsys, *vanishing)
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["chi"] == 1.0 and payload["success_probability"] == 0.0
-    code, _, err = run_cli(capsys, *vanishing, "--engine", "numeric")
-    assert code == 2
-    assert json.loads(err)["error"] == "ZeroSuccessProbabilityError"
+    payloads = []
+    for engine in ("closed_form", "numeric"):
+        code, out, err = run_cli(capsys, *vanishing, "--engine", engine)
+        assert code == 0 and err == ""
+        payloads.append(json.loads(out))
+        assert payloads[-1]["chi"] == 1.0 and payloads[-1]["success_probability"] == 0.0
+        assert payloads[-1]["state_spectrum"] == [1.0, 0.0, 0.0, 0.0]
+    assert {**payloads[0], "engine": "numeric"} == payloads[1]
 
 
 def test_sweep_reaching_projective_endpoint(capsys):
@@ -362,7 +364,7 @@ def test_grid_too_large_to_allocate_exits_two(capsys, monkeypatch, error):
     def unallocatable(*args, **kwargs):
         raise error("Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000)")
 
-    monkeypatch.setattr(cli_module, "evaluate_sweep", unallocatable)
+    monkeypatch.setattr(sweep_module, "evaluate_sweep", unallocatable)
     code, out, err = run_cli(
         capsys, "sweep", "--x", "gamma:0:3:100000000", "--y", "omega:0.01:3:100000000",
         "--temp", "1",
@@ -374,17 +376,70 @@ def test_grid_too_large_to_allocate_exits_two(capsys, monkeypatch, error):
 
 
 def test_cli_import_loads_no_process_pool():
+    # the import loads no package module but the CLI's own and `version`, and
+    # no numpy; `--version` then builds the parser and still loads no numpy
     probe = (
-        "import sys, gravcat_coding.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "import sys, gravcat_coding.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gravcat_coding.')\n"
+        "             or m in ('numpy', 'multiprocessing', 'concurrent.futures')))\n"
+        "try:\n"
+        "    gravcat_coding.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    imported, _, numpy_after_version = fresh_python(probe).splitlines()
+    assert imported == "['gravcat_coding.cli', 'gravcat_coding.version']"
+    assert numpy_after_version == "False"
+
+
+# the package modules each command loads, beyond `cli`, `presets` and `version`:
+# `capacity` runs no sweep, `verify` neither sweep nor the report layer
+ENGINE_MODULES = ["closed_form", "coding", "linalg", "numeric", "thermal"]
+COMMAND_MODULES = {
+    "--version": ([], ["--version"]),
+    "--help": ([], ["--help"]),
+    "capacity": (ENGINE_MODULES, ["capacity", "--omega", "1", "--gamma", "1", "--temp", "1"]),
+    "capacity-numeric": (
+        ENGINE_MODULES,
+        ["capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--engine", "numeric"],
+    ),
+    "sweep": (
+        [*ENGINE_MODULES, "float_text", "sweep"],
+        ["sweep", "--x", "omega:0.5:1:3", "--y", "T:0.1:2:3", "--gamma", "1"],
+    ),
+    "figure": (
+        [*ENGINE_MODULES, "float_text", "sweep"],
+        ["figure", "2a", "--x", "gamma:0:3:5", "--y", "omega:0.01:3:4"],
+    ),
+    "optimize": (
+        [*ENGINE_MODULES, "weak_measurement"],
+        ["optimize", "--omega", "1", "--gamma", "1", "--temp", "1"],
+    ),
+    "verify": (
+        ["closed_form", "linalg", "numeric", "rng", "thermal", "verify"],
+        ["verify", "--samples", "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_imports_only_its_own_modules(command):
+    modules, argv = COMMAND_MODULES[command]
+    probe = (
+        "import contextlib, io, sys, gravcat_coding.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        gravcat_coding.cli.main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(sorted(m.partition('.')[2] for m in sys.modules\n"
+        "             if m.startswith('gravcat_coding.')))\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded, numpy_loaded = fresh_python(probe).splitlines()
+    assert loaded == repr(sorted(["cli", "presets", "version", *modules]))
+    assert numpy_loaded == repr(bool(modules))
 
 
 @pytest.mark.parametrize("command", ["capacity", "optimize"])
@@ -521,6 +576,19 @@ def test_diff_cli_bytes_reports_only_real_differences(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "DIFFERS (error InvalidParameterError != OutOfRangeError): "
         "capacity --omega 1 --gamma 1 --temp 0\n1 of 1 commands differ\n"
+    )
+    # the parser's text is compared whole: its help on stdout, and the
+    # stderr of a usage error, which carries no JSON error object
+    cli = tmp_path / "src" / "gravcat_coding" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    renamed = source.replace('"--engine", choices=', '"--engine", metavar="ENGINE", choices=')
+    assert renamed != source
+    cli.write_text(renamed, encoding="utf-8")
+    parser_text = (("capacity", "--help"), ("capacity", "--engine", "bogus"), ("verify", "--help"))
+    assert module.main([str(root), str(tmp_path)], commands=parser_text) == 1
+    assert capsys.readouterr().out == (
+        "DIFFERS (stdout max |number difference| 0): capacity --help\n"
+        "DIFFERS (stderr): capacity --engine bogus\n2 of 3 commands differ\n"
     )
 
 

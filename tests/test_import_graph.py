@@ -5,13 +5,17 @@ closed form stands on ``linalg`` alone, the numeric engine on ``linalg`` and
 the shared success floor, and every module takes the matrix route from
 ``numeric`` itself.  They also read the test suite's sources: only
 ``test_wrapper_api.py`` names a general-state wrapper, so the wrappers can
-go with that one module.
+go with that one module.  Two rules keep the package's lazy API load whole:
+no module imports a sibling as ``from . import x``, and the first read of a
+name the package lacks loads every module whose functions a tracer wraps.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gravcat_coding"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
@@ -50,13 +54,37 @@ def defined_names(module: str) -> set[str]:
     return names
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_sibling_through_the_package(module):
+    # `from . import x` reads the package attribute first, which in a
+    # half-loaded package runs its `__getattr__` in the middle of the load
+    assert [source for source, name in package_imports(module) if name is None] == []
+
+
+def test_package_read_after_the_cli_import_loads_the_whole_api():
+    # the order of a traced CLI run: the CLI's import, then the package's,
+    # then a submodule read from it
+    probe = (
+        "import sys\n"
+        "import gravcat_coding.cli\n"
+        "import gravcat_coding\n"
+        "from gravcat_coding import thermal\n"
+        "print(sorted(m.partition('.')[2] for m in sys.modules "
+        "if m.startswith('gravcat_coding.')))\n"
+    )
+    loaded = set(ast.literal_eval(fresh_python(probe)))
+    assert {"linalg", "thermal", "coding", "weak_measurement", "sweep", "verify"} <= loaded
+
+
 def test_closed_form_imports_only_linalg():
     assert {module for module, _ in package_imports("closed_form")} == {"linalg"}
 
 
 def test_numeric_imports_only_linalg_and_the_success_floor():
     imports = package_imports("numeric")
-    assert [item for item in imports if item[0] != "linalg"] == [("closed_form", "check_success")]
+    assert [item for item in imports if item[0] != "linalg"] == [
+        ("closed_form", "MIN_SUCCESS_PROBABILITY"), ("closed_form", "check_success"),
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravcat_coding.float_text as float_text
+import gravcat_coding.numeric as numeric_module
 import gravcat_coding.sweep as sweep_module
 from gravcat_coding import (
     AxisSpec,
@@ -223,16 +224,27 @@ VANISHING_AT_P1 = (
 )
 
 
-def test_cell_failures_abort_with_context():
-    # at gamma = 0 and omega/T = 1000 the |00> branch kept at p = 1 has
-    # vanishing probability; the numeric engine divides by it, so its sweep
-    # aborts naming the first such cell (row-major) instead of emitting rows
+@pytest.fixture
+def refusing_numeric_engine(monkeypatch):
+    """The numeric engine with the post-selection of a general state, which
+    refuses a vanishing kept weight at p = 1 where the engine's own Gibbs
+    states keep |00><00|: a cell that fails, for the sweep to report."""
+    general = numeric_module._post_select
+    monkeypatch.setattr(numeric_module, "_post_select", lambda rho, q, **_: general(rho, q))
+
+
+def test_cell_failures_abort_with_context(refusing_numeric_engine):
+    # the |00> branch kept at p = 1 has vanishing probability and the engine
+    # refuses it, so the sweep aborts naming the first such cell (row-major)
+    # instead of emitting rows
     first_bad = r"sweep cell \(T=0\.001, gamma=0, omega=1, p=1\) failed"
     with pytest.raises(RuntimeError, match=first_bad):
         evaluate_sweep(*VANISHING_AT_P1, engine="numeric")
 
 
-def test_failing_cell_and_index_are_those_of_the_broadcast_engine(monkeypatch):
+def test_failing_cell_and_index_are_those_of_the_broadcast_engine(
+    monkeypatch, refusing_numeric_engine
+):
     # the engine solves one Hamiltonian here; the error still comes from the
     # whole block and locates the same cell
     errors = []
@@ -245,7 +257,9 @@ def test_failing_cell_and_index_are_those_of_the_broadcast_engine(monkeypatch):
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
-def test_failure_in_a_later_block_names_its_cell(monkeypatch, block_rows):
+def test_failure_in_a_later_block_names_its_cell(
+    monkeypatch, refusing_numeric_engine, block_rows
+):
     # the failing cells are in the last row (p = 1): with blocks of one or
     # two rows the error comes from a later block and names the same cell
     monkeypatch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", 2 * block_rows)
@@ -358,10 +372,12 @@ def test_render_memory_is_that_of_one_chunk():
 
 
 def test_projective_cells_with_vanishing_weight_are_one_bit():
-    # the closed form reports the kept |00><00| state there: exactly one bit
-    grid = evaluate_sweep(*VANISHING_AT_P1)
-    assert np.array_equal(grid.values[:, 2], [1.0, 1.0])
-    assert render_csv(grid).endswith(",1.0\n")
+    # at gamma = 0 and omega/T = 1000 the |00> weight kept at p = 1 underflows;
+    # both engines report the kept |00><00| state there: exactly one bit
+    for engine in ("closed_form", "numeric"):
+        grid = evaluate_sweep(*VANISHING_AT_P1, engine=engine)
+        assert np.array_equal(grid.values[:, 2], [1.0, 1.0])
+        assert render_csv(grid).endswith(",1.0\n")
 
 
 def test_unknown_engine_rejected():

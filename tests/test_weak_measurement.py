@@ -132,15 +132,13 @@ def test_capacity_at_projective_endpoint_is_exactly_one_bit():
 
 def test_projective_endpoint_with_vanishing_branch_is_one_bit():
     # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0;
-    # the kept state is still |00><00|, so the closed form reports it with
-    # the float success probability, while the numeric engine, which divides
-    # by that probability, still refuses
+    # the kept state is still |00><00|, so both engines report it with the
+    # float success probability
     params = GravcatParams(1.0, 0.0, 1e-3)
-    report = engine_report(closed_form_engine, params, 1.0)
-    assert report.chi == 1.0 and report.success_probability == 0.0
-    assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ZeroSuccessProbabilityError):
-        numeric_engine(params.omega, params.gamma, params.temperature, 0.0)
+    for engine in (closed_form_engine, numeric_engine):
+        report = engine_report(engine, params, 1.0)
+        assert report.chi == 1.0 and report.success_probability == 0.0
+        assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_capacity_near_projective_limit_is_one_bit():
