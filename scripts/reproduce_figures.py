@@ -16,14 +16,14 @@ import time
 from pathlib import Path
 
 from gravcat_coding import FIGURES, cli
-from gravcat_coding.sweep import ENGINES
+from gravcat_coding.presets import ENGINE_NAMES
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="figures", help="output directory (default: figures)")
     parser.add_argument(
-        "--engine", choices=ENGINES, default="closed_form",
+        "--engine", choices=ENGINE_NAMES, default="closed_form",
         help="evaluation engine (default: closed_form; numeric is the matrix cross-check)",
     )
     parser.add_argument(

@@ -23,7 +23,6 @@ import numpy as np
 from .closed_form import closed_form_engine
 from .linalg import two_qubit_matrix
 from .numeric import _entropies, _marginal_replacement, _twirl, numeric_engine
-from .presets import ENGINE_NAMES
 from .thermal import GravcatParams, InvalidParameterError, check_domain
 
 ADVANTAGE_EPSILON = 1e-3  # chi within this of 2 counts as optimal
@@ -122,7 +121,7 @@ class _EngineTable(dict):
         )
 
 
-ENGINES = _EngineTable(zip(ENGINE_NAMES, (closed_form_engine, numeric_engine)))
+ENGINES = _EngineTable(closed_form=closed_form_engine, numeric=numeric_engine)
 
 
 def engine_report(engine, params: GravcatParams, strength: float | None = None) -> CapacityReport:

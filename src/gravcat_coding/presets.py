@@ -3,7 +3,7 @@
 This module imports no numpy, so the CLI builds its parser (and answers
 ``--version`` and ``--help``) without loading the numerical modules.
 ``coding.ENGINES`` maps these engine names to their functions, and
-``sweep`` re-exports the figure presets.
+``sweep.figure_grid`` evaluates a figure preset.
 """
 
 from __future__ import annotations

@@ -21,12 +21,9 @@ import numpy as np
 
 from .coding import ENGINES, engine_report
 from .linalg import InvalidStateError, LocatedError
-from .presets import FIGURES, FigurePreset  # noqa: F401  (re-exported)
+from .presets import FIGURES
 from .thermal import GravcatParams, InvalidParameterError, check_domain
 from .version import STAMP, TOOL_NAME, __version__
-
-AXIS_NAMES = ("omega", "gamma", "T", "p")
-
 
 DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
     "omega": (0.01, 3.0, 200),
@@ -34,6 +31,7 @@ DEFAULT_AXES: dict[str, tuple[float, float, int]] = {
     "T": (0.01, 2.0, 200),
     "p": (0.0, 0.999, 200),
 }
+AXIS_NAMES = tuple(DEFAULT_AXES)
 
 CHI_MIN = -1e-10
 CHI_MAX = 2.0 + 1e-10

@@ -12,8 +12,7 @@ import pytest
 import gravcat_coding.sweep as sweep_module
 import gravcat_coding.verify as verify_module
 from gravcat_coding import AxisSpec, GravcatParams, SplitMix64, chi_closed_form, evaluate_sweep
-from gravcat_coding.coding import engine_report
-from gravcat_coding.sweep import ENGINES
+from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.cli import build_parser, main
 from conftest import fresh_python
 

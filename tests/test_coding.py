@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -15,9 +16,10 @@ from gravcat_coding import (
     entropy_bits,
 )
 from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_state
-from gravcat_coding.coding import engine_report
+from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.linalg import _partial_trace_first, _symmetrized, check_density
 from gravcat_coding.numeric import _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl
+from gravcat_coding.presets import ENGINE_NAMES
 from conftest import (
     SIGNALS,
     basis_projector,
@@ -211,6 +213,17 @@ def test_no_advantage_without_coupling():
     for omega in (0.1, 0.7, 2.0, 5.0):
         for temperature in (0.05, 0.5, 2.0, 10.0):
             assert chi_closed_form(omega, 0.0, temperature) <= 1.0 + 1e-12
+
+
+# ------------------------------------------------------ engine table
+
+def test_engine_table_maps_each_parser_choice_to_its_own_engine():
+    # the parser offers presets.ENGINE_NAMES; the table is keyed by name, so
+    # reordering either module cannot swap the engines
+    assert tuple(ENGINES) == ENGINE_NAMES
+    for name in ENGINE_NAMES:
+        module = importlib.import_module(f"gravcat_coding.{name}")
+        assert ENGINES[name] is getattr(module, f"{name}_engine")
 
 
 # ------------------------------------------------------ classification

@@ -8,6 +8,10 @@ the shared success floor, and every module takes the matrix route from
 go with that one module.  Two rules keep the package's lazy API load whole:
 no module imports a sibling as ``from . import x``, and the first read of a
 name the package lacks loads every module whose functions a tracer wraps.
+One rule keeps each name's home plain: every ``from .<m> import n`` and
+``from gravcat_coding.<m> import n`` in the package, the tests and the
+scripts names something that ``<m>`` defines at its top level, and the
+package's ``_API`` table lists each exported name once, under its definer.
 """
 
 import ast
@@ -15,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import gravcat_coding as gc
 from conftest import fresh_python
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gravcat_coding"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gravcat_coding"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 TESTS = Path(__file__).resolve().parent
 WRAPPER_MODULE = "test_wrapper_api.py"
@@ -51,7 +57,26 @@ def defined_names(module: str) -> set[str]:
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
     return names
+
+
+def definer_imports(path: Path) -> list[tuple[str, str]]:
+    """(package module, name) of each ``from .<module> import name`` and
+    ``from gravcat_coding.<module> import name`` in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("gravcat_coding."):
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        found.extend((module, alias.name) for alias in node.names)
+    return found
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -74,6 +99,55 @@ def test_package_read_after_the_cli_import_loads_the_whole_api():
     )
     loaded = set(ast.literal_eval(fresh_python(probe)))
     assert {"linalg", "thermal", "coding", "weak_measurement", "sweep", "verify"} <= loaded
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    # a name read through a module that only imports it breaks when that
+    # module stops needing it
+    sources = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    stray = [
+        (str(path.relative_to(ROOT)), module, name)
+        for path in sorted(sources)
+        for module, name in definer_imports(path)
+        if name not in defined_names(module)
+    ]
+    assert stray == []
+
+
+def test_api_table_lists_each_name_once_under_its_definer():
+    listed = [name for names in gc._API.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert gc.__all__ == sorted(set(gc.__all__)) == sorted(["TOOL_NAME", "__version__", *listed])
+    stray = [(module, name) for module, names in gc._API.items()
+             for name in names if name not in defined_names(module)]
+    assert stray == []
+
+
+def test_bare_import_binds_no_api_name():
+    probe = (
+        "import gravcat_coding as gc\n"
+        "print([n for names in gc._API.values() for n in names if n in vars(gc)])\n"
+    )
+    assert fresh_python(probe) == "[]\n"
+
+
+def test_star_import_binds_exactly_all():
+    probe = (
+        "names = {}\n"
+        "exec('from gravcat_coding import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}))\n"
+    )
+    assert ast.literal_eval(fresh_python(probe)) == sorted(gc.__all__)
+
+
+def test_each_package_name_is_the_object_its_module_defines():
+    probe = (
+        "from importlib import import_module\n"
+        "import gravcat_coding as gc\n"
+        "print([(m, n) for m, names in gc._API.items() for n in names\n"
+        "       if getattr(gc, n) is not getattr(import_module(f'gravcat_coding.{m}'), n)])\n"
+    )
+    assert fresh_python(probe) == "[]\n"
 
 
 def test_closed_form_imports_only_linalg():

@@ -30,10 +30,9 @@ from gravcat_coding import (
     draw_samples,
     gibbs_numeric,
 )
-from gravcat_coding.coding import engine_report
+from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.linalg import NonFiniteResultError, matrix_function
 from gravcat_coding.numeric import _EXCHANGE, _SPLITTING
-from gravcat_coding.sweep import ENGINES
 from gravcat_coding.thermal import thermal_closed_form
 from gravcat_coding.verify import draw_sample
 from gravcat_coding.weak_measurement import golden_section_maximize, wm_state_closed_form
