@@ -17,7 +17,9 @@ numeric grids whose cells share a Hamiltonian per row or per column,
 grids whose cells print in scientific notation or as exact values such as
 1.0, grids that take several engine calls (a short last block, and rows
 longer than one block), an exit-2 command for each rule of the parameter
-domain, ``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
+domain, the kept ``|00><00|`` at ``p = 1`` where its weight underflows, on
+``capacity`` (both engines) and a numeric ``sweep`` over ``p`` and ``T``,
+``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
 and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 ``optimize`` at a peak about 1e-9 wide and at two narrow peaks at small
 ``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``optimize`` at twelve points of
@@ -86,7 +88,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         for extra in ((), ("--p", "0.35"))
         for engine in ("closed_form", "numeric")
     ),
+    # p = 1 where the kept |00> weight underflows: both engines keep |00><00|
     ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1"),
+    ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1",
+     "--engine", "numeric"),
+    ("sweep", "--x", "p:0:1:3", "--y", "T:1e-3:1:2", "--omega", "1", "--gamma", "0",
+     "--engine", "numeric"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0"),
     # one command per domain rule, each exiting 2
     *(

@@ -38,11 +38,18 @@ class ZeroSuccessProbabilityError(LocatedError):
     """Post-selection branch has vanishing probability; ``index`` locates the first such element."""
 
 
-def check_success(success) -> None:
-    """Raise ``ZeroSuccessProbabilityError`` where the kept branch has vanishing probability."""
-    success = np.asarray(success)
+def kept_weight(success, projector):
+    """(weight, projective): the weight dividing each kept state, and where |00><00| is kept.
+
+    Where ``projector`` holds (q = 0 on a state of full support, such as a
+    Gibbs state at finite T), weight 1 stands in below the floor; any other
+    vanishing weight raises ``ZeroSuccessProbabilityError`` at the first.
+    """
+    projective = (success < MIN_SUCCESS_PROBABILITY) & projector
+    weight = np.where(projective, 1.0, success)
     message = "post-selection success probability {:.3e} vanishes"
-    ZeroSuccessProbabilityError.raise_first(success < MIN_SUCCESS_PROBABILITY, success, message)
+    ZeroSuccessProbabilityError.raise_first(weight < MIN_SUCCESS_PROBABILITY, weight, message)
+    return weight, projective
 
 
 class ThermalTerms(NamedTuple):
@@ -144,13 +151,9 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     success = kept = a + 2.0 * beta * q + b  # kept divides the stack
     # one reduction on every call; NaN takes this branch and leaves it unchanged
     if not success.min(initial=np.inf) >= MIN_SUCCESS_PROBABILITY:
-        # at q = 0 the kept state is |00><00| at every finite T, however small
-        # its weight alpha_minus: weight 1 stands in for it there, and any
-        # other vanishing weight still raises
-        projective = (success < MIN_SUCCESS_PROBABILITY) & (np.asarray(q) == 0.0)
-        check_success(np.where(projective, 1.0, success))
+        # q = 0 projects a full-support thermal state onto |00>: a = 1 over weight 1
+        kept, projective = kept_weight(success, np.asarray(q) == 0.0)
         a = np.where(projective, 1.0, a)
-        kept = np.where(projective, 1.0, success)
     # rows are written as stack[i, ...], a view also where the stack is 1-D
     stack = np.empty((6,) + np.shape(success))
     np.hypot(0.5 * (a - b), c, out=stack[0, ...])

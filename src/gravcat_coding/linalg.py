@@ -1,9 +1,8 @@
 """Dense real-symmetric kernel for the 2x2 / 4x4 problems in this package.
 
 Every matrix of the model is real symmetric, so the kernels run in float64.
-Every kernel here but `matrix_function` works on stacks: the matrices are
-the last two axes, anything before them indexes the stack; `matrix_function`
-takes one matrix.  The eigensolvers are LAPACK's ``dsyevd``, which treats
+Every kernel here but `matrix_function` works on stacks, whose matrices are
+the last two axes.  The eigensolvers are LAPACK's ``dsyevd``, which treats
 each matrix of a stack on its own, so a matrix gets the same bits alone or
 inside any stack.  Only two routes read eigenvectors: the Gibbs state
 (``numeric._gibbs``), through the unguarded `_eigenpairs`, and
@@ -12,8 +11,9 @@ checks) reads the spectrum alone, through the unguarded, eigenvalue-only
 `_eigenvalues`.  The symmetry scan `require_hermitian` runs where input
 from outside the package enters: in `eigh`, `matrix_function` and
 `check_density`, and in ``thermal.gibbs_numeric``; the stacks the engines
-build are symmetric by construction and skip it, save a stack of
-Hamiltonians with a huge or non-finite entry (``numeric._gibbs``).
+build skip it, save a stack of Hamiltonians with a huge or non-finite entry
+(``numeric._gibbs``).  They are exactly symmetric: only `from_spectrum` and
+`check_density` re-symmetrize, and the post-selection and twirl keep that.
 """
 
 from __future__ import annotations

@@ -2,19 +2,19 @@
 
 Hamiltonian, Gibbs state, Kraus post-selection, Pauli twirl of the sender's
 qubit and von Neumann entropies on stacks of real 4x4 matrices.  No closed
-form enters: only the success floor (`MIN_SUCCESS_PROBABILITY` and
-`check_success`) is shared with ``closed_form``, so each engine is the
-other's oracle.
+form enters, so each engine is the other's oracle: only the success floor
+`MIN_SUCCESS_PROBABILITY` and its kept-branch rule `kept_weight` are shared
+with ``closed_form``, and both read q, not the model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .closed_form import MIN_SUCCESS_PROBABILITY, check_success
+from .closed_form import MIN_SUCCESS_PROBABILITY, kept_weight
 from .linalg import (
-    _PAULI_I, _PAULI_X, _PAULI_Z, _eigenpairs, _eigenvalues, _partial_trace_first, _symmetrized,
-    entropy_bits, from_spectrum, require_hermitian,
+    _PAULI_I, _PAULI_X, _PAULI_Z, _eigenpairs, _eigenvalues, _partial_trace_first, entropy_bits,
+    from_spectrum, require_hermitian,
 )
 
 _SPLITTING = np.kron(_PAULI_I, _PAULI_Z) + np.kron(_PAULI_Z, _PAULI_I)
@@ -65,11 +65,9 @@ def _post_select(rho, q, *, full_support=False):
     Q leaves |0> untouched and damps |1>: q = 1 (p = 0) is the identity and
     q = 0 (p = 1) the projector onto |0>.  Q(x)Q is diagonal with
     k = (1, s, s, s^2), s = sqrt(q), so the conjugation scales entry (i, j)
-    by k_i k_j.  A vanishing P_s raises ``ZeroSuccessProbabilityError``,
-    except at q = 0 for ``full_support`` states, such as a Gibbs state at
-    finite T: Q(x)Q then projects onto |00>, so the kept state is |00><00|
-    however small rho_00,00 is, and |00><00| with weight 1 stands in for it
-    where that weight underflows.
+    by k_i k_j, so a symmetric rho stays symmetric.  A vanishing P_s raises
+    ``ZeroSuccessProbabilityError``, except at q = 0 for ``full_support``
+    states, where |00><00| is kept (`kept_weight`).
     """
     s = np.sqrt(np.asarray(q, dtype=float))
     k = np.empty(s.shape + (4,))
@@ -80,10 +78,8 @@ def _post_select(rho, q, *, full_support=False):
     success = weight = kept.diagonal(axis1=-2, axis2=-1).sum(axis=-1)
     # one reduction on every call; NaN takes this branch and leaves it unchanged
     if not success.min(initial=np.inf) >= MIN_SUCCESS_PROBABILITY:
-        projective = (success < MIN_SUCCESS_PROBABILITY) & (s == 0.0) & full_support
-        check_success(np.where(projective, 1.0, success))
+        weight, projective = kept_weight(success, (s == 0.0) & full_support)
         kept = np.where(projective[..., np.newaxis, np.newaxis], _KET_00_PROJECTOR, kept)
-        weight = np.where(projective, 1.0, success)
     return kept / weight[..., np.newaxis, np.newaxis], success
 
 
@@ -95,7 +91,7 @@ _HALF_SIGNS = np.outer([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0])
 
 
 def _twirl(rho) -> np.ndarray:
-    """Pauli twirl of the sender's qubit over a stack of states, re-symmetrized.
+    """Pauli twirl of the sender's qubit over a stack of states.
 
     The four terms are u rho u^dagger for u = s (x) I with s = I, X, Y, Z, in
     that order.  Since sigma_y = i sigma_x sigma_z, the Y term equals
@@ -103,9 +99,11 @@ def _twirl(rho) -> np.ndarray:
     permutation and each term is ``rho`` with its rows and columns permuted
     and its entries sign-flipped.  Each entry of a term is one entry of
     ``rho`` times +-1, exactly what the product ``u @ rho @ u.T`` gives.
+    An exactly symmetric ``rho``, as every caller's is, gives an exactly
+    symmetric twirl: entries (i, j) and (j, i) sum mirrored operands in one order.
     """
     swapped = rho[..., _SWAP_HALVES[:, np.newaxis], _SWAP_HALVES]
-    return _symmetrized(0.25 * (rho + swapped + swapped * _HALF_SIGNS + rho * _HALF_SIGNS))
+    return 0.25 * (rho + swapped + swapped * _HALF_SIGNS + rho * _HALF_SIGNS)
 
 
 def _marginal_replacement(rho) -> np.ndarray:

@@ -222,9 +222,8 @@ def render_csv(grid: SweepGrid) -> str:
     Line 1 is ``# <tool> v<version> engine=<e> fixed=<k=v,...>``, line 2 the
     header ``y\\x,<x values>``, then one row per y value.
     """
-    # the cell kernel is imported on first render: a process that runs without
-    # a bytecode cache compiles each module it imports, and most commands
-    # render no grid
+    # the cell kernel is imported on first render: every CLI command that imports
+    # this module renders, so that spares 1-2 ms only to callers that never do
     from .float_text import text_rows
 
     values = _checked_values(grid)

@@ -90,7 +90,7 @@ def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarr
     rho_cf = check_density(x_state(thermal))
     rho_num = _gibbs(_hamiltonian(omega, gamma), temperature)
     wm_cf = x_state(thermal, q[1]) / terms.success[1, :, np.newaxis, np.newaxis]
-    wm_kraus, kraus_success = _post_select(rho_cf, q[1])
+    wm_kraus, kraus_success = _post_select(rho_cf, q[1], full_support=True)
     states, _ = _post_select(rho_num, q, full_support=True)  # as `numeric_engine` does
     averages = _twirl(states)  # each row feeds a capacity and the identity
     _, entropy_state, entropy_average = _entropies(states, averages)

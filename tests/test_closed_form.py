@@ -281,6 +281,21 @@ def test_vanishing_success_names_the_first_element():
     assert info.value.index == (0, 1)
 
 
+@pytest.mark.parametrize("engine", [closed_form_engine, numeric_engine])
+def test_both_engines_keep_the_one_kept_branch_rule(engine):
+    # `kept_weight` decides for both: a vanishing weight at q > 0 is refused
+    # with the same message and index, and q = 0 keeps |00><00| with weight 1
+    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
+    with pytest.raises(ZeroSuccessProbabilityError) as info:
+        engine(1.0, 0.0, temperature, 1e-200)
+    assert info.value.index == (0, 1)
+    assert str(info.value) == "post-selection success probability 0.000e+00 vanishes"
+    spectrum, entropy_state, entropy_average, success = engine(1.0, 0.0, 1e-3, 0.0)
+    assert np.asarray(spectrum).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert entropy_average - entropy_state == 1.0
+    assert success == 0.0
+
+
 def test_projective_endpoint_with_underflowed_weight_is_one_bit():
     # at q = 0 the kept state is |00><00| however small its weight; a grid
     # mixing underflowed and ordinary weights still raises where q > 0

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gravcat_coding.numeric as numeric_module
+import gravcat_coding.verify as verify_module
 from gravcat_coding import (
     Advantage,
     GravcatParams,
@@ -17,14 +20,19 @@ from gravcat_coding import (
 )
 from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_state
 from gravcat_coding.coding import ENGINES, engine_report
-from gravcat_coding.linalg import _partial_trace_first, _symmetrized, check_density
-from gravcat_coding.numeric import _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl
+from gravcat_coding.linalg import (
+    _partial_trace_first, _symmetrized, check_density, two_qubit_matrix,
+)
+from gravcat_coding.numeric import (
+    _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl, numeric_engine,
+)
 from gravcat_coding.presets import ENGINE_NAMES
 from conftest import (
     SIGNALS,
     basis_projector,
     bell_state,
     density_matrices,
+    finite_floats,
     gibbs_state,
     gravcat_params,
     maximally_mixed,
@@ -84,6 +92,62 @@ def test_twirl_has_the_bits_of_the_matrix_products(shape):
     rho = g + g.swapaxes(-1, -2)
     want = _symmetrized(0.25 * sum(u @ rho @ u.T for u in SIGNALS))
     assert np.array_equal(_twirl(rho), want)
+
+
+def assert_exactly_symmetric(x) -> None:
+    assert np.array_equal(x, x.swapaxes(-1, -2))
+
+
+def recorded_twirls(monkeypatch, module) -> list:
+    """(input, output) of every `_twirl` call that ``module`` makes."""
+    calls = []
+
+    def recording(rho):
+        calls.append((rho, _twirl(rho)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, "_twirl", recording)
+    return calls
+
+
+# the twirl does not re-symmetrize: each stack it is handed is exactly
+# symmetric, and so is what it returns
+
+def test_numeric_engine_twirls_exactly_symmetric_states(monkeypatch):
+    # gamma = 0 at T = 1e-3 underflows the |00> weight, so q = 0 keeps |00><00|
+    calls = recorded_twirls(monkeypatch, numeric_module)
+    gamma = np.array([0.0, 0.7])[:, np.newaxis, np.newaxis]
+    temperature = np.array([1e-3, 0.05, 1.0])[:, np.newaxis]
+    q = np.array([0.0, 0.3, 1.0])
+    success = numeric_engine(1.0, gamma, temperature, q)[3]
+    assert success[0, 0, 0] == 0.0
+    assert len(calls) == 1
+    for x in calls[0]:
+        assert x.shape == (2, 3, 3, 4, 4)
+        assert_exactly_symmetric(x)
+
+
+def test_verify_twirls_exactly_symmetric_states(monkeypatch):
+    calls = recorded_twirls(monkeypatch, verify_module)
+    verify_module.verification_report(samples=300, seed=11)
+    assert len(calls) == 1
+    for x in calls[0]:
+        assert x.shape == (2, 300, 4, 4)
+        assert_exactly_symmetric(x)
+
+
+@given(
+    density_matrices(dim=4),
+    st.lists(finite_floats(-1e-9, 1e-9), min_size=16, max_size=16),
+)
+@settings(max_examples=60)
+def test_checked_states_and_their_twirls_are_exactly_symmetric(rho, noise):
+    # off-diagonal noise below HERMITIAN_TOL leaves the trace as it was
+    noise = np.array(noise).reshape(4, 4)
+    np.fill_diagonal(noise, 0.0)
+    a = two_qubit_matrix(rho + noise)
+    assert_exactly_symmetric(a)
+    assert_exactly_symmetric(_twirl(a))
 
 
 @pytest.mark.parametrize("shape", [(), (3,)])

@@ -157,7 +157,7 @@ def test_closed_form_imports_only_linalg():
 def test_numeric_imports_only_linalg_and_the_success_floor():
     imports = package_imports("numeric")
     assert [item for item in imports if item[0] != "linalg"] == [
-        ("closed_form", "MIN_SUCCESS_PROBABILITY"), ("closed_form", "check_success"),
+        ("closed_form", "MIN_SUCCESS_PROBABILITY"), ("closed_form", "kept_weight"),
     ]
 
 
