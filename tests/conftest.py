@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import gravcat_coding.linalg as linalg_module
 from gravcat_coding import (
     CHECKS, GravcatParams, InvalidParameterError, OutOfRangeError, SplitMix64, chi_closed_form,
-    draw_samples,
+    chi_numeric, draw_samples,
 )
 from gravcat_coding.closed_form import _post_selected_terms, _thermal_terms, x_state
 from gravcat_coding.coding import CapacityReport, capacity_report
@@ -173,6 +173,21 @@ def broadcast_numeric_engine(omega, gamma, temperature, q):
     omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
     state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
     return (*_entropies(state, _twirl(state)), success)
+
+
+def log_uniform_box(n, seed):
+    """The golden table's box, the optimizer's wide box in its first three arrays:
+    omega 10^U(-3,3); gamma 10^U(-6,3) or 0; T 10^U(-6,3); q 10^U(-9,0), 1 or 0."""
+    rng = np.random.default_rng(seed)
+    omega = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    gamma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, n))
+    temperature = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    q = 10.0 ** rng.uniform(-9.0, 0.0, n)
+    q[::10], q[5::50] = 1.0, 0.0
+    return omega, gamma, temperature, q
+
+
+CHI = {"closed_form": chi_closed_form, "numeric": chi_numeric}  # keyed as `coding.ENGINES`
 
 
 def assert_same_bits(got, want) -> None:

@@ -1,3 +1,6 @@
+"""The command line.  Its share of the suite-wide contracts (p = 1, a domain error,
+byte-identical output) is one parametrized test each."""
+
 import importlib.util
 import json
 import os
@@ -91,8 +94,12 @@ def test_capacity_numeric_bits_equal_sweep_cells(capsys):
             assert chi == cell == grid.values[0, 0], (w, g, t, extra)
 
 
-def test_capacity_invalid_temperature(capsys):
-    code, out, err = run_cli(capsys, "capacity", "--omega", "1", "--gamma", "0", "--temp", "0")
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--omega", "1", "--gamma", "0", "--temp", "0"),
+    ("optimize", "--omega", "1", "--gamma", "1", "--temp", "0"),
+], ids=["capacity", "optimize"])
+def test_invalid_temperature_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     error = json.loads(err)
@@ -122,32 +129,38 @@ def test_zero_omega_opt_in_is_gone(capsys):
         GravcatParams(0.0, 1.0, 1.0, allow_zero_omega=True)
 
 
-def test_capacity_at_projective_endpoint(capsys):
-    code, out, _ = run_cli(
-        capsys, "capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--p", "1"
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["chi"] == 1.0 and payload["strength"] == 1.0
+VANISHING = ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1")
+KEPT_PROJECTOR = {"chi": 1.0, "success_probability": 0.0, "state_spectrum": [1.0, 0.0, 0.0, 0.0]}
+# command -> (argv reaching p = 1, the JSON fields it prints or the last CSV row)
+PROJECTIVE_COMMANDS = {
+    "capacity": (
+        ("capacity", "--omega", "1", "--gamma", "1", "--temp", "1", "--p", "1"),
+        {"chi": 1.0, "strength": 1.0},
+    ),
     # the kept |00> weight underflows to 0 here: the kept state is still
     # |00><00|, so both engines report one bit with success probability 0.0
-    vanishing = ("capacity", "--omega", "1", "--gamma", "0", "--temp", "1e-3", "--p", "1")
-    payloads = []
-    for engine in ("closed_form", "numeric"):
-        code, out, err = run_cli(capsys, *vanishing, "--engine", engine)
-        assert code == 0 and err == ""
-        payloads.append(json.loads(out))
-        assert payloads[-1]["chi"] == 1.0 and payloads[-1]["success_probability"] == 0.0
-        assert payloads[-1]["state_spectrum"] == [1.0, 0.0, 0.0, 0.0]
-    assert {**payloads[0], "engine": "numeric"} == payloads[1]
+    "vanishing-closed_form": ((*VANISHING, "--engine", "closed_form"), KEPT_PROJECTOR),
+    "vanishing-numeric": ((*VANISHING, "--engine", "numeric"), KEPT_PROJECTOR),
+    "sweep": (
+        ("sweep", "--x", "T:0.1:1:3", "--y", "p:0:1:3", "--omega", "1", "--gamma", "1"),
+        "1.0,1.0,1.0,1.0",
+    ),
+}
 
 
-def test_sweep_reaching_projective_endpoint(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "--x", "T:0.1:1:3", "--y", "p:0:1:3", "--omega", "1", "--gamma", "1"
-    )
-    assert code == 0
-    assert out.splitlines()[-1] == "1.0,1.0,1.0,1.0"
+@pytest.mark.parametrize("command", list(PROJECTIVE_COMMANDS))
+def test_projective_endpoint_is_one_bit(capsys, command):
+    argv, want = PROJECTIVE_COMMANDS[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if isinstance(want, str):
+        assert out.splitlines()[-1] == want
+        return
+    payload = json.loads(out)
+    assert {key: payload[key] for key in want} == want
+    # the closed form's payload (the last --engine wins) differs only in the engine
+    _, closed, _ = run_cli(capsys, *argv, "--engine", "closed_form")
+    assert {**json.loads(closed), "engine": payload["engine"]} == payload
 
 
 def test_capacity_missing_flag(capsys):
@@ -170,15 +183,15 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_sweep_is_byte_deterministic(tmp_path, capsys):
-    args = (
-        "sweep", "--x", "gamma:0:2:5", "--y", "T:0.1:1:4",
-        "--omega", "1.2", "--p", "0.4",
-    )
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    assert run_cli(capsys, *args, "--output", str(first))[0] == 0
-    assert run_cli(capsys, *args, "--output", str(second))[0] == 0
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--x", "gamma:0:2:5", "--y", "T:0.1:1:4", "--omega", "1.2", "--p", "0.4"),
+    ("verify", "--samples", "50", "--seed", "11"),
+], ids=["sweep", "verify"])
+def test_output_is_byte_deterministic(tmp_path, capsys, argv):
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    for target in (first, second):
+        assert run_cli(capsys, *argv, "--output", str(target))[0] == 0
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -283,12 +296,6 @@ def test_optimize_plateau_case(capsys):
     assert payload["gain"] < 0.1
 
 
-def test_optimize_invalid_temperature(capsys):
-    code, _, err = run_cli(capsys, "optimize", "--omega", "1", "--gamma", "1", "--temp", "0")
-    assert code == 2
-    assert "temperature must be positive" in json.loads(err)["message"]
-
-
 def test_verify_small_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--samples", "25", "--seed", "3")
     payload = json.loads(out)
@@ -313,14 +320,6 @@ def test_verify_single_sample_schema(capsys):
     assert code == 0
     assert payload["samples"] == 1
     assert len(payload["checks"]) == 5
-
-
-def test_verify_is_byte_deterministic(tmp_path, capsys):
-    first = tmp_path / "r1.json"
-    second = tmp_path / "r2.json"
-    run_cli(capsys, "verify", "--samples", "50", "--seed", "11", "--output", str(first))
-    run_cli(capsys, "verify", "--samples", "50", "--seed", "11", "--output", str(second))
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_verify_rejects_bad_samples(capsys):

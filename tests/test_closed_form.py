@@ -1,10 +1,12 @@
 """The closed-form engine: a committed high-precision table, regressions, and
-properties that need no oracle.
+properties that need no oracle.  The endpoint p = 1 of both engines, with the
+one kept-branch rule, is `test_projective_endpoint_is_exactly_one_bit`.
 
 ``tests/data/golden_chi.json`` is written by ``scripts/make_golden_chi.py``
 (mpmath, 60 and 100 digits, no closed-form spectrum); this suite only reads it.
 """
 
+import itertools
 import json
 import math
 import warnings
@@ -14,25 +16,21 @@ import numpy as np
 import pytest
 
 from gravcat_coding import (
-    AxisSpec,
     GravcatParams,
     OutOfRangeError,
-    SweepGrid,
     ZeroSuccessProbabilityError,
     chi_closed_form,
     chi_numeric,
-    evaluate_sweep,
     optimize_strength,
     optimize_strength_many,
-    render_csv,
 )
 from gravcat_coding.closed_form import (
     ClosedFormTerms, _post_selected_terms, _thermal_terms, closed_form_engine,
     closed_form_entropies,
 )
-from gravcat_coding.coding import engine_report
+from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.numeric import numeric_engine
-from conftest import assert_same_bits, summed_entropies
+from conftest import CHI, assert_same_bits, log_uniform_box, summed_entropies
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
 GOLDEN_TOL = 1e-12
@@ -177,39 +175,6 @@ def test_numeric_engine_at_huge_points_matches_the_scaled_points():
     assert abs(single - 0.16530151997838383) <= 1e-12
 
 
-def test_sweep_cells_equal_scalar_reports_bit_for_bit():
-    x = AxisSpec("T", 0.003, 2.0, 7)
-    y = AxisSpec("p", 0.0, 1.0, 6)
-    grid = evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.4})
-    for iy, strength in enumerate(y.values().tolist()):
-        for ix, temperature in enumerate(x.values().tolist()):
-            params = GravcatParams(1.3, 0.4, temperature)
-            assert grid.values[iy, ix] == engine_report(closed_form_engine, params, strength).chi
-
-
-def test_grid_bytes_do_not_depend_on_chunking():
-    x = AxisSpec("gamma", 0.0, 3.0, 37)
-    y = AxisSpec("omega", 0.01, 3.0, 23)
-    whole = evaluate_sweep(x, y, {"T": 0.01, "p": 0.7})
-    rows = np.array(
-        [chi_closed_form(omega, x.values(), 0.01, 1.0 - 0.7) for omega in y.values()]
-    )
-    cells = np.array(
-        [[chi_closed_form(omega, gamma, 0.01, 1.0 - 0.7) for gamma in x.values()]
-         for omega in y.values()]
-    )
-    assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
-    by_rows = SweepGrid(x_axis=x, y_axis=y, fixed=whole.fixed, values=rows, engine=whole.engine)
-    assert render_csv(by_rows) == render_csv(whole)
-
-
-def test_projective_endpoint_is_exactly_one_bit():
-    omega = np.array([0.1, 1.0, 3.0, 700.0])
-    gamma = np.array([0.0, 1.0, 0.2, 1e-6])
-    temperature = np.array([0.5, 1.0, 0.01, 30.0])
-    assert np.array_equal(chi_closed_form(omega, gamma, temperature, 0.0), np.ones(4))
-
-
 def test_plain_capacity_equals_zero_strength_bit_for_bit(golden):
     points, _ = golden
     for omega, gamma, temperature, _ in points[::10].tolist():
@@ -273,55 +238,52 @@ def test_outside_the_domain_the_kernel_is_finite_not_nan():
         engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0), 1.5)
 
 
-def test_vanishing_success_names_the_first_element():
-    # at q = 1e-200 every kept weight underflows where omega/T = 1000
-    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
-    with pytest.raises(ZeroSuccessProbabilityError) as info:
-        chi_closed_form(1.0, 0.0, temperature, 1e-200)
-    assert info.value.index == (0, 1)
+# points at p = 1 (q = 0) as (omega, gamma, T), and the strengths q > 0 at
+# which their vanishing kept weight is refused, with the index of the first;
+# at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0
+PROJECTIVE_POINTS = {
+    "ordinary": (np.array([[0.1, 1.0, 3.0, 700.0], [0.0, 1.0, 0.2, 1e-6],
+                           [0.5, 1.0, 0.01, 30.0]]), []),
+    "reports": (np.array([[1.0, 2.0, 0.5], [1.0, 0.0, 3.0], [1.0, 0.3, 5.0]]), []),
+    "underflowed": ((1.0, 0.0, 1e-3), []),
+    "mixed": ((1.0, 0.0, np.array([[1.0, 1e-3], [1e-3, 1.0]])),
+              [(1e-200, (0, 1)), (np.array([[0.0], [1e-200]]), (1, 0))]),
+}
 
 
-@pytest.mark.parametrize("engine", [closed_form_engine, numeric_engine])
-def test_both_engines_keep_the_one_kept_branch_rule(engine):
-    # `kept_weight` decides for both: a vanishing weight at q > 0 is refused
-    # with the same message and index, and q = 0 keeps |00><00| with weight 1
-    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
-    with pytest.raises(ZeroSuccessProbabilityError) as info:
-        engine(1.0, 0.0, temperature, 1e-200)
-    assert info.value.index == (0, 1)
-    assert str(info.value) == "post-selection success probability 0.000e+00 vanishes"
-    spectrum, entropy_state, entropy_average, success = engine(1.0, 0.0, 1e-3, 0.0)
-    assert np.asarray(spectrum).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert entropy_average - entropy_state == 1.0
-    assert success == 0.0
-
-
-def test_projective_endpoint_with_underflowed_weight_is_one_bit():
-    # at q = 0 the kept state is |00><00| however small its weight; a grid
-    # mixing underflowed and ordinary weights still raises where q > 0
-    temperature = np.array([[1.0, 1e-3], [1e-3, 1.0]])
-    assert np.array_equal(chi_closed_form(1.0, 0.0, temperature, 0.0), np.ones((2, 2)))
-    terms = _post_selected_terms(_thermal_terms(1.0, 0.0, temperature), 0.0)
-    assert terms.success[0, 1] == 0.0 and terms.success[0, 0] > 0.0
-    assert terms.stack[:4, 0, 1].tolist() == [1.0, 0.0, 0.0, 0.0]
-    q = np.array([[0.0], [1e-200]])
-    with pytest.raises(ZeroSuccessProbabilityError) as info:
-        chi_closed_form(1.0, 0.0, temperature, q)
-    assert info.value.index == (1, 0)
+@pytest.mark.parametrize("points", list(PROJECTIVE_POINTS))
+@pytest.mark.parametrize("name", list(CHI))
+def test_projective_endpoint_is_exactly_one_bit(name, points):
+    # `kept_weight` decides for both engines: q = 0 keeps |00><00| with weight
+    # 1 however small its weight, so chi is exactly one bit, and a vanishing
+    # weight at q > 0 is refused with the same message and index
+    engine = ENGINES[name]
+    (omega, gamma, temperature), refusals = PROJECTIVE_POINTS[points]
+    point_arrays = np.broadcast_arrays(omega, gamma, temperature)
+    underflowed = (point_arrays[1] == 0.0) & (point_arrays[0] / point_arrays[2] >= 1000.0)
+    spectrum, entropy_state, entropy_average, success = engine(omega, gamma, temperature, 0.0)
+    ones = np.ones(underflowed.shape)
+    kept_projector = ones[..., np.newaxis] * [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(np.moveaxis(spectrum, 0, -1), kept_projector)
+    assert np.array_equal(entropy_average - entropy_state, ones)
+    assert np.array_equal(success == 0.0, underflowed)
+    assert np.array_equal(success > 0.0, ~underflowed)
+    assert np.array_equal(CHI[name](omega, gamma, temperature, 0.0), ones)
+    for index in np.ndindex(ones.shape):
+        params = GravcatParams(*(float(x[index]) for x in point_arrays))
+        report = engine_report(engine, params, 1.0)
+        assert report.chi == 1.0 and report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
+        assert report.success_probability == np.broadcast_to(success, ones.shape)[index]
+        with pytest.raises(OutOfRangeError):
+            engine_report(engine, params, 1.0 + 1e-12)
+    for (q, index), function in itertools.product(refusals, (engine, CHI[name])):
+        with pytest.raises(ZeroSuccessProbabilityError) as info:
+            function(omega, gamma, temperature, q)
+        assert info.value.index == index
+        assert str(info.value) == "post-selection success probability 0.000e+00 vanishes"
 
 
 # ------------------------------------------- the entropy kernel's bits
-
-def log_uniform_box(n, seed):
-    """omega 10^U(-3,3); gamma 10^U(-6,3) or 0; T 10^U(-6,3); q 10^U(-9,0), 1 or 0."""
-    rng = np.random.default_rng(seed)
-    omega = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    gamma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, n))
-    temperature = 10.0 ** rng.uniform(-6.0, 3.0, n)
-    q = 10.0 ** rng.uniform(-9.0, 0.0, n)
-    q[::10], q[5::50] = 1.0, 0.0
-    return omega, gamma, temperature, q
-
 
 def test_engine_entropies_equal_the_summed_form_bit_for_bit():
     # 300,000 points over the whole accepted box, plus one NaN in each input

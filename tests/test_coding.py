@@ -1,3 +1,6 @@
+"""The capacity layer: the twirl, the reports and the engine table.  The engines'
+agreement at a point is one parametrized test, `test_engines_agree`."""
+
 import importlib
 import math
 
@@ -14,6 +17,7 @@ from gravcat_coding import (
     InvalidStateError,
     NumericalNoiseWarning,
     chi_closed_form,
+    chi_numeric,
     classify_advantage,
     eigh,
     entropy_bits,
@@ -237,19 +241,43 @@ def test_closed_form_hot_limit_has_no_capacity():
     assert report.advantage is Advantage.NONE
 
 
-def test_closed_form_matches_numeric_at_reference_point():
-    closed = engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0))
-    numeric = state_report(check_density(x_state(_thermal_terms(1.0, 1.0, 1.0))))
-    assert abs(closed.chi - numeric.chi) < 1e-10
+def _x_state_route(params, strength):
+    # the closed-form report, and the numeric capacity of the closed-form X
+    # state, post-selected by the numeric route where a strength is given
+    closed = engine_report(closed_form_engine, params, strength)
+    rho = check_density(x_state(_thermal_terms(params.omega, params.gamma, params.temperature)))
+    numeric = state_report(rho if strength is None else _post_select(rho, 1.0 - strength)[0])
     assert np.abs(np.array(closed.state_spectrum) - np.array(numeric.state_spectrum)).max() < 1e-10
+    assert closed.strength == strength
+    assert strength is None or closed.success_probability is not None
+    return closed.chi, numeric.chi
 
 
-@given(gravcat_params())
+def _engine_route(params, strength):
+    # chi_closed_form, and the capacity of the numeric engine's Gibbs state or chi_numeric
+    point = (params.omega, params.gamma, params.temperature)
+    if strength is None:
+        return chi_closed_form(*point), state_report(gibbs_state(params)).chi
+    return chi_closed_form(*point, 1.0 - strength), chi_numeric(*point, 1.0 - strength)
+
+
+REFERENCE = st.just(GravcatParams(1.0, 1.0, 1.0))
+# case -> (points, strengths (None: no measurement), the two routes to chi, tolerance)
+AGREEMENT_CASES = {
+    "reference": (REFERENCE, st.none(), _x_state_route, 1e-10),
+    "reference-p=0.3": (REFERENCE, st.just(0.3), _x_state_route, 1e-9),
+    "box": (gravcat_params(), st.none(), _engine_route, 1e-9),
+    "box-measured": (gravcat_params(), finite_floats(0.0, 0.99), _engine_route, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+@given(data=st.data())
 @settings(max_examples=60)
-def test_closed_form_matches_numeric_everywhere(params):
-    closed = chi_closed_form(params.omega, params.gamma, params.temperature)
-    numeric = state_report(gibbs_state(params))
-    assert abs(closed - numeric.chi) < 1e-9
+def test_engines_agree(case, data):
+    points, strengths, routes, tolerance = AGREEMENT_CASES[case]
+    closed, numeric = routes(data.draw(points), data.draw(strengths))
+    assert abs(closed - numeric) < tolerance
 
 
 def test_bright_region_reaches_strong_advantage():

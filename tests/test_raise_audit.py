@@ -7,7 +7,9 @@ the golden table's box, a wide box, the projective endpoint p = 1 (q = 0),
 the smallest q = 1 - p above it (2^-53), and energies near the top of the
 double range.  With every warning an error, both engines and
 `optimize_strength_many` must return, and every capacity must lie in [0, 2];
-the optimizer's capacity still overshoots 2 by one ulp on some points.
+the optimizer's capacity still overshoots 2 by one ulp on some points.  Each
+engine's kept weight is at least alpha_plus q^2 with alpha_plus >= 1/8, so
+no strength p in [0, 1] leaves either engine a vanishing weight to refuse.
 """
 
 import warnings
@@ -15,9 +17,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gravcat_coding import (
-    SplitMix64, check_domain, chi_closed_form, chi_numeric, optimize_strength_many,
-)
+from gravcat_coding import SplitMix64, check_domain, optimize_strength_many
+from gravcat_coding.closed_form import _thermal_terms, closed_form_engine
+from gravcat_coding.numeric import numeric_engine
 
 POINTS = 300
 
@@ -73,11 +75,16 @@ def test_no_valid_input_raises_or_warns(box):
     omega, gamma, temperature, q = _draw(box)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        capacities = [chi_closed_form(omega, gamma, temperature, q),
-                      chi_numeric(omega, gamma, temperature, q)]
+        outputs = [engine(omega, gamma, temperature, q)
+                   for engine in (closed_form_engine, numeric_engine)]
+        alpha_plus = _thermal_terms(omega, gamma, temperature).alpha_plus
         p_star, chi_star = optimize_strength_many(omega, gamma, temperature)
-    for chi in capacities:
+    # the kept weight is at least alpha_plus q^2, and alpha_plus >= 1/8
+    assert (alpha_plus >= 1.0 / 8.0).all()
+    for _, entropy_state, entropy_average, success in outputs:
+        chi = entropy_average - entropy_state  # chi_closed_form and chi_numeric
         assert ((chi >= 0.0) & (chi <= 2.0)).all()  # NaN fails
+        assert (success >= q * q / 8.0).all()
     assert ((p_star >= 0.0) & (p_star <= 1.0)).all()
     assert (chi_star >= 0.0).all()
 

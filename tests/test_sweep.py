@@ -1,5 +1,10 @@
+"""The sweep layer: axes, grids, rendering and figures.  A cell's bits by every
+route and the engines' agreement on a grid are one parametrized test each."""
+
 import json
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,20 +21,17 @@ from gravcat_coding import (
     GravcatParams,
     InvalidParameterError,
     InvalidStateError,
-    OutOfRangeError,
     SweepGrid,
     __version__,
-    chi_numeric,
     evaluate_sweep,
     figure_config,
     figure_grid,
     render_csv,
     render_json,
 )
-from gravcat_coding.closed_form import closed_form_engine
-from gravcat_coding.coding import engine_report
+from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.numeric import numeric_engine
-from conftest import broadcast_numeric_engine
+from conftest import CHI, broadcast_numeric_engine
 
 
 # ----------------------------------------------------------- AxisSpec
@@ -84,33 +86,6 @@ def test_numpy_scalar_axes_and_fixed_values_give_the_float_grid(tmp_path):
     assert figure_config("5a", typed) == figure_config("5a", plain)
 
 
-def test_axis_domain_validation():
-    with pytest.raises(InvalidParameterError, match="temperature"):
-        evaluate_sweep(
-            AxisSpec("T", 0.0, 2.0, 3), AxisSpec("omega", 0.1, 1.0, 3), {"gamma": 1.0}
-        )
-    with pytest.raises(InvalidParameterError, match="omega"):
-        evaluate_sweep(
-            AxisSpec("omega", -1.0, 2.0, 3), AxisSpec("T", 0.1, 1.0, 3), {"gamma": 1.0}
-        )
-    with pytest.raises(InvalidParameterError, match="strength"):
-        evaluate_sweep(
-            AxisSpec("p", 0.0, 1.2, 3), AxisSpec("T", 0.1, 1.0, 3), {"omega": 1.0, "gamma": 1.0}
-        )
-    # the strength rule of the scalar reports, for an axis or a fixed p
-    for x_axis, fixed in (
-        (AxisSpec("p", -0.5, 0.5, 3), {"omega": 1.0, "gamma": 1.0}),
-        (AxisSpec("omega", 0.5, 1.0, 3), {"gamma": 1.0, "p": float("nan")}),
-    ):
-        with pytest.raises(OutOfRangeError, match=r"must lie in \[0, 1\], got"):
-            evaluate_sweep(x_axis, AxisSpec("T", 0.1, 1.0, 3), fixed)
-    # omega = 0, the pure-coupling limit, is in the domain
-    grid = evaluate_sweep(
-        AxisSpec("omega", 0.0, 1.0, 2), AxisSpec("T", 0.5, 1.0, 2), {"gamma": 1.0}
-    )
-    assert grid.values.shape == (2, 2)
-
-
 def test_default_axes_table():
     assert DEFAULT_AXES == {
         "omega": (0.01, 3.0, 200),
@@ -138,30 +113,17 @@ def test_sweep_requires_exact_fixed_cover():
         evaluate_sweep(x, y, {"T": 1.0, "gamma": 0.5})
 
 
-def test_sweep_cells_match_point_engine():
-    x = AxisSpec("gamma", 0.0, 1.0, 3)
-    y = AxisSpec("omega", 0.5, 1.5, 2)
-    grid = evaluate_sweep(x, y, {"T": 0.7})
-    for iy, omega in enumerate(y.values()):
-        for ix, gamma in enumerate(x.values()):
-            params = GravcatParams(float(omega), float(gamma), 0.7)
-            expected = engine_report(closed_form_engine, params).chi
-            assert grid.values[iy, ix] == expected
-
-
-def test_engines_agree_on_subgrid():
-    x = AxisSpec("gamma", 0.0, 3.0, 20)
-    y = AxisSpec("omega", 0.1, 3.0, 20)
-    closed = evaluate_sweep(x, y, {"T": 0.9}, engine="closed_form")
-    numeric = evaluate_sweep(x, y, {"T": 0.9}, engine="numeric")
-    assert np.abs(closed.values - numeric.values).max() < 1e-9
-
-
-def test_engines_agree_with_measurement_axis():
-    x = AxisSpec("T", 0.1, 2.0, 5)
-    y = AxisSpec("p", 0.0, 0.9, 5)
-    closed = evaluate_sweep(x, y, {"omega": 1.0, "gamma": 1.0}, engine="closed_form")
-    numeric = evaluate_sweep(x, y, {"omega": 1.0, "gamma": 1.0}, engine="numeric")
+@pytest.mark.parametrize(
+    "x, y, fixed",
+    [
+        (AxisSpec("gamma", 0.0, 3.0, 20), AxisSpec("omega", 0.1, 3.0, 20), {"T": 0.9}),
+        (AxisSpec("T", 0.1, 2.0, 5), AxisSpec("p", 0.0, 0.9, 5), {"omega": 1.0, "gamma": 1.0}),
+    ],
+    ids=["gamma-omega", "T-p"],
+)
+def test_engines_agree_on_a_grid(x, y, fixed):
+    closed = evaluate_sweep(x, y, fixed, engine="closed_form")
+    numeric = evaluate_sweep(x, y, fixed, engine="numeric")
     assert np.abs(closed.values - numeric.values).max() < 1e-9
 
 
@@ -171,21 +133,6 @@ def test_capacity_decays_with_temperature_at_every_splitting():
     )
     # chi at the hottest column stays below the coldest one for every omega row
     assert (grid.values[:, -1] < grid.values[:, 0]).all()
-
-
-def test_numeric_grid_does_not_depend_on_chunking():
-    # the numeric engine evaluates the grid as one stack of 4x4 matrices; a
-    # cell gets the same bits in the whole grid, in its row and alone
-    x = AxisSpec("T", 0.05, 2.0, 6)
-    y = AxisSpec("p", 0.0, 0.95, 5)
-    whole = evaluate_sweep(x, y, {"omega": 1.3, "gamma": 0.8}, engine="numeric")
-    rows = np.array([chi_numeric(1.3, 0.8, x.values(), 1.0 - p) for p in y.values()])
-    cells = np.array(
-        [[engine_report(numeric_engine, GravcatParams(1.3, 0.8, t), p).chi
-          for t in x.values().tolist()]
-         for p in y.values().tolist()]
-    )
-    assert np.array_equal(whole.values, rows) and np.array_equal(whole.values, cells)
 
 
 @pytest.mark.parametrize(
@@ -269,21 +216,100 @@ def test_failure_in_a_later_block_names_its_cell(
         evaluate_sweep(t_axis, p_axis, fixed, engine="numeric")
 
 
-BLOCKED_GRIDS = (
-    (AxisSpec("gamma", 0.0, 3.0, 9), AxisSpec("omega", 0.01, 3.0, 23), {"T": 0.05, "p": 0.6}),
-    (AxisSpec("T", 0.01, 2.0, 9), AxisSpec("p", 0.0, 1.0, 23), {"omega": 1.3, "gamma": 0.8}),
-)
+# ------------------------------------------ a cell's bits, by every route
+
+def _cell(grid, x_value, y_value):
+    """The parameters of a cell, or of a row where ``x_value`` is the x axis."""
+    return {**grid.fixed, grid.x_axis.name: x_value, grid.y_axis.name: y_value}
 
 
-@pytest.mark.parametrize("engine", ["closed_form", "numeric"])
-@pytest.mark.parametrize("x, y, fixed", BLOCKED_GRIDS)
-def test_grid_bits_do_not_depend_on_the_row_block(monkeypatch, engine, x, y, fixed):
+def _chi(engine, point):
+    q = (1.0 - point["p"],) if "p" in point else ()
+    return CHI[engine](point["omega"], point["gamma"], point["T"], *q)
+
+
+def _by_reports(make, grid, _):
+    # engine_report at each cell, on Python floats
+    x, y = grid.x_axis.values().tolist(), grid.y_axis.values().tolist()
+    chi = [
+        engine_report(ENGINES[grid.engine], GravcatParams(pt["omega"], pt["gamma"], pt["T"]),
+                      pt.get("p")).chi
+        for pt in (_cell(grid, u, v) for v in y for u in x)
+    ]
+    return [("reports", np.reshape(chi, grid.values.shape))]
+
+
+def _by_rows_and_cells(make, grid, _):
+    # the engine's chi function on a row at a time and on a cell at a time,
+    # on numpy scalars of the axes
+    x, y = grid.x_axis.values(), grid.y_axis.values()
+    rows = [_chi(grid.engine, _cell(grid, x, v)) for v in y]
+    cells = [[_chi(grid.engine, _cell(grid, u, v)) for u in x] for v in y]
+    return [("rows", np.array(rows)), ("cells", np.array(cells))]
+
+
+def _by_blocks(make, grid, sizes):
+    # the grid again at each SWEEP_BLOCK_CELLS in ``sizes``
+    grids = []
+    for cells in sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", cells)
+            grids.append((f"blocks of {cells} cells", make().values))
+    return grids
+
+
+BLOCKED_GRIDS = {
+    "gamma-omega": (
+        AxisSpec("gamma", 0.0, 3.0, 9), AxisSpec("omega", 0.01, 3.0, 23), {"T": 0.05, "p": 0.6}
+    ),
+    "T-p": (AxisSpec("T", 0.01, 2.0, 9), AxisSpec("p", 0.0, 1.0, 23), {"omega": 1.3, "gamma": 0.8}),
+}
+# case -> (a grid: its axes and fixed values, or a figure id; the engine;
+# the routes that must give each cell its bits, with their argument)
+ROUTE_CASES = {
+    "reports-gamma-omega": ((AxisSpec("gamma", 0.0, 1.0, 3), AxisSpec("omega", 0.5, 1.5, 2),
+                             {"T": 0.7}), "closed_form", {_by_reports: None}),
+    "reports-T-p": ((AxisSpec("T", 0.003, 2.0, 7), AxisSpec("p", 0.0, 1.0, 6),
+                     {"omega": 1.3, "gamma": 0.4}), "closed_form", {_by_reports: None}),
+    "rows-cells-gamma-omega": ((AxisSpec("gamma", 0.0, 3.0, 37), AxisSpec("omega", 0.01, 3.0, 23),
+                                {"T": 0.01, "p": 0.7}), "closed_form", {_by_rows_and_cells: None}),
+    # the numeric engine evaluates a grid as one stack of 4x4 matrices
+    "rows-reports-T-p-numeric": (
+        (AxisSpec("T", 0.05, 2.0, 6), AxisSpec("p", 0.0, 0.95, 5), {"omega": 1.3, "gamma": 0.8}),
+        "numeric", {_by_rows_and_cells: None, _by_reports: None},
+    ),
     # blocks of 1 row, of 7 rows (the last one short) and the whole grid
-    results = []
-    for cells in (1, 7 * x.count, x.count * y.count):
-        monkeypatch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", cells)
-        results.append(evaluate_sweep(x, y, fixed, engine=engine).values.view(np.uint64))
-    assert all(np.array_equal(results[0], other) for other in results[1:])
+    **{
+        f"blocks-{name}-{engine}": (
+            (x, y, fixed), engine, {_by_blocks: (1, 7 * x.count, x.count * y.count)}
+        )
+        for name, (x, y, fixed) in BLOCKED_GRIDS.items()
+        for engine in ("closed_form", "numeric")
+    },
+    # the default block size against the whole 200x200 grid in one call
+    **{
+        f"figure-{figure_id}-{engine}": (figure_id, engine, {_by_blocks: (40_000,)})
+        for engine, figure_ids in (("closed_form", sorted(FIGURES)), ("numeric", ["5a"]))
+        for figure_id in figure_ids
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES))
+def test_cell_bits_do_not_depend_on_the_route(case):
+    # a cell has the bits of the whole grid in its row, alone, through
+    # engine_report and at any block size, and the grid renders the same bytes
+    grid_args, engine, routes = ROUTE_CASES[case]
+    if isinstance(grid_args, str):
+        make = partial(figure_grid, grid_args, engine=engine)
+    else:
+        make = partial(evaluate_sweep, *grid_args, engine=engine)
+    grid = make()
+    for route, argument in routes.items():
+        for name, values in route(make, grid, argument):
+            assert np.array_equal(values, grid.values), name
+            assert np.array_equal(values.view(np.uint64), grid.values.view(np.uint64)), name
+            assert render_csv(replace(grid, values=values)) == render_csv(grid), name
 
 
 ENGINE_ARGUMENT = {"omega": 0, "gamma": 1, "T": 2, "p": 3}
@@ -326,19 +352,6 @@ def test_grids_go_to_the_engine_in_whole_consecutive_rows(monkeypatch):
         assert covered == y.count
         if (x, y, fixed) in small:
             assert len(calls) == 1
-
-
-@pytest.mark.parametrize(
-    "engine, figure_ids", [("closed_form", sorted(FIGURES)), ("numeric", ["5a"])]
-)
-def test_default_figures_equal_their_one_call_grids(monkeypatch, engine, figure_ids):
-    # the default block size against the whole 200x200 grid in one call
-    for figure_id in figure_ids:
-        blocked = figure_grid(figure_id, engine=engine).values
-        with monkeypatch.context() as patch:
-            patch.setattr(sweep_module, "SWEEP_BLOCK_CELLS", 40_000)
-            whole = figure_grid(figure_id, engine=engine).values
-        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64)), figure_id
 
 
 def test_large_grid_memory_is_that_of_one_block():

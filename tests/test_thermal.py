@@ -1,3 +1,6 @@
+"""The thermal state and the domain, whose every rule one parametrized test checks
+at every entry point; the spectrum law and deep-cold hygiene are criteria 4 and 8."""
+
 import math
 import warnings
 from dataclasses import astuple
@@ -89,26 +92,6 @@ def test_degenerate_geometry_rejected():
 
 
 # -------------------------------------------------- parameter checks
-
-def test_params_validation():
-    with pytest.raises(InvalidParameterError, match="temperature must be positive"):
-        GravcatParams(omega=1.0, gamma=0.0, temperature=0.0)
-    with pytest.raises(InvalidParameterError, match="temperature must be positive"):
-        GravcatParams(omega=1.0, gamma=0.0, temperature=1e-7)
-    with pytest.raises(InvalidParameterError):
-        GravcatParams(omega=-math.ulp(0.0), gamma=1.0, temperature=1.0)
-    with pytest.raises(InvalidParameterError):
-        GravcatParams(omega=-1.0, gamma=1.0, temperature=1.0)
-    with pytest.raises(InvalidParameterError):
-        GravcatParams(omega=1.0, gamma=-0.5, temperature=1.0)
-    with pytest.raises(InvalidParameterError):
-        GravcatParams(omega=math.nan, gamma=0.0, temperature=1.0)
-    with pytest.raises(TypeError):  # None is no number, not a parameter left unchecked
-        GravcatParams(omega=1.0, gamma=None, temperature=1.0)
-    # the pure-coupling limit omega = 0 is in the domain; the three numbers are all there is
-    params = GravcatParams(omega=0.0, gamma=1.0, temperature=1.0)
-    assert astuple(params) == (0.0, 1.0, 1.0)
-
 
 def test_numpy_scalars_are_checked_and_kept_in_double_precision():
     # the bounds stay float64: cast to float32, the largest double overflows
@@ -241,24 +224,77 @@ ENTRY_POINTS = {
     "optimize_strength_many": ({"omega", "gamma", "T"}, lambda pt, mp: optimize_strength_many(
         pt["omega"], pt["gamma"], pt["T"])),
     "verify chunk": ({"omega", "gamma", "T", "p"}, _verify_with_row),
+    "sweep axes": (set(), lambda axes, mp: evaluate_sweep(*axes)),
+}
+# parameter -> its rule's error class and message; a gamma of None is no number
+DOMAIN_RULES = {
+    "omega": (InvalidParameterError, "omega must be finite and nonnegative"),
+    "gamma": (InvalidParameterError, "gamma must be finite and nonnegative"),
+    "T": (InvalidParameterError, "temperature must be positive"),
+    "p": (OutOfRangeError, r"strength must lie in \[0, 1\], got"),
+    None: (TypeError, None),
+}
+T_AXIS = AxisSpec("T", 0.1, 1.0, 3)
+# (entry, an input that breaks the rule of one parameter, the parameter)
+INPUT_CASES = [
+    *(("GravcatParams", dict(zip(("omega", "gamma", "T"), point)), name) for point, name in [
+        ((1.0, 0.0, 0.0), "T"), ((1.0, 0.0, 1e-7), "T"), ((-math.ulp(0.0), 1.0, 1.0), "omega"),
+        ((-1.0, 1.0, 1.0), "omega"), ((1.0, -0.5, 1.0), "gamma"), ((math.nan, 0.0, 1.0), "omega"),
+        ((1.0, None, 1.0), None),
+    ]),
+    *(("sweep axes", axes, name) for axes, name in [
+        ((AxisSpec("T", 0.0, 2.0, 3), AxisSpec("omega", 0.1, 1.0, 3), {"gamma": 1.0}), "T"),
+        ((AxisSpec("omega", -1.0, 2.0, 3), T_AXIS, {"gamma": 1.0}), "omega"),
+        ((AxisSpec("p", 0.0, 1.2, 3), T_AXIS, {"omega": 1.0, "gamma": 1.0}), "p"),
+        ((AxisSpec("p", -0.5, 0.5, 3), T_AXIS, {"omega": 1.0, "gamma": 1.0}), "p"),
+        ((AxisSpec("omega", 0.5, 1.0, 3), T_AXIS, {"gamma": 1.0, "p": math.nan}), "p"),
+    ]),
+]
+# entry -> the valid input it then takes, and a check of what it gives there:
+# omega = 0, the pure-coupling limit, is in the domain on a point and on an axis
+ZERO_OMEGA = {
+    "GravcatParams": (
+        {"omega": 0.0, "gamma": 1.0, "T": 1.0}, lambda params: astuple(params) == (0.0, 1.0, 1.0)
+    ),
+    "sweep axes": (
+        (AxisSpec("omega", 0.0, 1.0, 2), AxisSpec("T", 0.5, 1.0, 2), {"gamma": 1.0}),
+        lambda grid: grid.values.shape == (2, 2),
+    ),
 }
 
 
+def _input_id(entry, bad):
+    if entry == "GravcatParams":
+        return f"GravcatParams({bad['omega']}, {bad['gamma']}, {bad['T']})"
+    x, _, fixed = bad
+    fixed_text = ",".join(f"{k}={v}" for k, v in fixed.items())
+    return f"sweep axes-x={x.name}:{x.start}:{x.stop},{fixed_text}"
+
+
 @pytest.mark.parametrize(
-    "entry, name, value, error",
+    "entry, bad, name, error, good, accepted",
     [
-        pytest.param(entry, name, value, error, id=f"{entry}-{name}={value}")
+        pytest.param(entry, {**VALID_POINT, name: value}, name, error, VALID_POINT, None,
+                     id=f"{entry}-{name}={value}")
         for entry, (takes, _) in ENTRY_POINTS.items()
         for name, value, error in DOMAIN_CASES
         if name in takes
+    ] + [
+        pytest.param(entry, bad, name, DOMAIN_RULES[name][0], *ZERO_OMEGA[entry],
+                     id=_input_id(entry, bad))
+        for entry, bad, name in INPUT_CASES
     ],
 )
-def test_every_entry_point_applies_every_domain_rule(monkeypatch, entry, name, value, error):
+def test_every_entry_point_applies_every_domain_rule(
+    monkeypatch, entry, bad, name, error, good, accepted
+):
+    # the rule's own error class and message; a valid point or grid then passes
     call = ENTRY_POINTS[entry][1]
-    with pytest.raises(InvalidParameterError) as info:
-        call({**VALID_POINT, name: value}, monkeypatch)
+    with pytest.raises(error, match=DOMAIN_RULES[name][1]) as info:
+        call(bad, monkeypatch)
     assert type(info.value) is error
-    call(VALID_POINT, monkeypatch)  # the valid point passes
+    result = call(good, monkeypatch)
+    assert accepted is None or accepted(result)
 
 
 def test_domain_error_locates_the_first_bad_element():
@@ -307,14 +343,6 @@ def test_gibbs_rejects_bad_temperature():
     assert GravcatParams(1.0, 1.0, 1e-6).temperature == 1e-6
 
 
-@given(gravcat_params())
-@settings(max_examples=40)
-def test_thermal_spectrum_law(params):
-    rho = check_density(x_state(_thermal_terms(params.omega, params.gamma, params.temperature)))
-    expected = boltzmann_weights(params.omega, params.gamma, params.temperature)
-    assert np.abs(eigh(rho)[0] - expected).max() < 1e-10
-
-
 def test_thermal_entropy_matches_boltzmann_oracle():
     rho = check_density(x_state(_thermal_terms(1.0, 1.0, 1.0)))
     weights = boltzmann_weights(1.0, 1.0, 1.0)
@@ -330,17 +358,6 @@ def test_partial_trace_of_thermal_state():
 
 
 # ------------------------------------------------------ deep cold
-
-def test_deep_cold_entries_stay_finite():
-    for omega, gamma in ((1.0, 1.0), (5.0, 5.0), (0.3, 2.0)):
-        theta = math.hypot(omega, gamma)
-        cf = _thermal_terms(omega, gamma, theta / 700.0)
-        entries = (cf.alpha_minus, cf.alpha_plus, cf.beta, cf.kappa, cf.eta)
-        assert all(math.isfinite(v) for v in entries)
-        assert abs(cf.alpha_minus + cf.alpha_plus + 2.0 * cf.beta - 1.0) < 1e-10
-        rho = check_density(x_state(cf))
-        assert abs(float(np.trace(rho)) - 1.0) < 1e-10
-
 
 def test_minimum_temperature_still_finite():
     cf = _thermal_terms(5.0, 5.0, 1e-6)

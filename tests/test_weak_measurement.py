@@ -1,3 +1,6 @@
+"""The weak measurement and the strength optimizer; p = 1 is pinned in
+`test_closed_form.py`, and the engines' agreement under a measurement in `test_coding.py`."""
+
 import tracemalloc
 
 import numpy as np
@@ -7,10 +10,8 @@ from hypothesis import assume, given, settings
 import gravcat_coding.weak_measurement as wm_module
 from gravcat_coding import (
     GravcatParams,
-    OutOfRangeError,
     ZeroSuccessProbabilityError,
     chi_closed_form,
-    chi_numeric,
     optimize_strength,
     optimize_strength_many,
 )
@@ -19,15 +20,11 @@ from gravcat_coding.closed_form import (
 )
 from gravcat_coding.coding import engine_report
 from gravcat_coding.linalg import check_density
-from gravcat_coding.numeric import _post_select, numeric_engine
+from gravcat_coding.numeric import _post_select
 from conftest import (
-    assert_same_bits, basis_projector, finite_floats, gravcat_params, state_report,
+    assert_same_bits, basis_projector, finite_floats, gravcat_params, log_uniform_box,
     summed_entropies,
 )
-
-
-def thermal_state(omega, gamma, temperature):
-    return check_density(x_state(_thermal_terms(omega, gamma, temperature)))
 
 
 # ------------------------------------------------------- the operator
@@ -54,7 +51,7 @@ def test_operator_intermediate_strength():
 # --------------------------------------------------- state conjugation
 
 def test_zero_strength_is_identity():
-    rho = thermal_state(1.0, 1.0, 1.0)
+    rho = check_density(x_state(_thermal_terms(1.0, 1.0, 1.0)))
     state, success = _post_select(rho, 1.0)
     assert np.abs(state - rho).max() < 1e-14 and state.dtype == np.float64
     assert abs(success - 1.0) < 1e-12
@@ -120,45 +117,9 @@ def test_zero_strength_reduces_to_plain_capacity():
         assert abs(with_wm.chi - plain.chi) < 1e-12
 
 
-def test_capacity_at_projective_endpoint_is_exactly_one_bit():
-    # p = 1 leaves the |00> projector: no limit is needed, chi is exactly 1
-    for omega, gamma, temperature in ((1.0, 1.0, 1.0), (2.0, 0.0, 0.3), (0.5, 3.0, 5.0)):
-        report = engine_report(closed_form_engine, GravcatParams(omega, gamma, temperature), 1.0)
-        assert report.chi == 1.0
-        assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(OutOfRangeError):
-        engine_report(closed_form_engine, GravcatParams(1, 1, 1), 1.0 + 1e-12)
-
-
-def test_projective_endpoint_with_vanishing_branch_is_one_bit():
-    # at gamma = 0 and omega/T = 1000 the kept |00> weight underflows to 0;
-    # the kept state is still |00><00|, so both engines report it with the
-    # float success probability
-    params = GravcatParams(1.0, 0.0, 1e-3)
-    for engine in (closed_form_engine, numeric_engine):
-        report = engine_report(engine, params, 1.0)
-        assert report.chi == 1.0 and report.success_probability == 0.0
-        assert report.state_spectrum == (1.0, 0.0, 0.0, 0.0)
-
-
 def test_capacity_near_projective_limit_is_one_bit():
     strength = 1.0 - 1e-12
     assert abs(chi_closed_form(1.0, 1.0, 1.0, 1.0 - strength) - 1.0) < 1e-9
-
-
-@given(gravcat_params(), finite_floats(0.0, 0.99))
-@settings(max_examples=60)
-def test_capacity_closed_form_matches_numeric(params, strength):
-    point = (params.omega, params.gamma, params.temperature, 1.0 - strength)
-    assert abs(chi_closed_form(*point) - chi_numeric(*point)) < 1e-9
-
-
-def test_reference_point_against_numeric():
-    closed = engine_report(closed_form_engine, GravcatParams(1.0, 1.0, 1.0), 0.3)
-    numeric = state_report(_post_select(thermal_state(1.0, 1.0, 1.0), 1.0 - 0.3)[0])
-    assert abs(closed.chi - numeric.chi) < 1e-9
-    assert closed.strength == 0.3
-    assert closed.success_probability is not None
 
 
 @given(gravcat_params(), finite_floats(0.0, 0.99))
@@ -210,18 +171,11 @@ def seeded_points(shape, seed, cold=0):
     return omega, gamma, temperature
 
 
-def wide_points(n, seed):
-    """The golden table's box: omega 10^U(-3,3), gamma 10^U(-6,3) or 0, T 10^U(-6,3)."""
-    rng = np.random.default_rng(seed)
-    omega = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    gamma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, n))
-    temperature = 10.0 ** rng.uniform(-6.0, 3.0, n)
-    return omega, gamma, temperature
-
-
 def three_boxes(n, seed):
-    """n seeded points each of the default box, of it at T = 0.01 and of the wide box."""
-    return [seeded_points(n, seed), seeded_points(n, seed + 1, cold=n), wide_points(n, seed + 2)]
+    """n seeded points each of the default box, of it at T = 0.01 and of the wide box
+    (the golden table's omega, gamma and T)."""
+    wide = log_uniform_box(n, seed + 2)[:3]
+    return [seeded_points(n, seed), seeded_points(n, seed + 1, cold=n), wide]
 
 
 # a chi(p) peak about 1e-9 wide at low T, far narrower than a 1e-3 scan step
