@@ -246,8 +246,9 @@ PROJECTIVE_POINTS = {
                            [0.5, 1.0, 0.01, 30.0]]), []),
     "reports": (np.array([[1.0, 2.0, 0.5], [1.0, 0.0, 3.0], [1.0, 0.3, 5.0]]), []),
     "underflowed": ((1.0, 0.0, 1e-3), []),
-    "mixed": ((1.0, 0.0, np.array([[1.0, 1e-3], [1e-3, 1.0]])),
-              [(1e-200, (0, 1)), (np.array([[0.0], [1e-200]]), (1, 0))]),
+    "mixed": ((1.0, 0.0, np.array([[1.0, 1e-3], [1e-3, 1.0]])), [(1e-200, (0, 1))]),
+    "mixed-q-column": ((1.0, 0.0, np.array([[1.0, 1e-3], [1e-3, 1.0]])),
+                       [(np.array([[0.0], [1e-200]]), (1, 0))]),
 }
 
 
