@@ -22,9 +22,12 @@ domain, the kept ``|00><00|`` at ``p = 1`` where its weight underflows, on
 ``omega = 0`` on ``capacity`` (both engines), ``sweep``, ``figure``
 and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 ``optimize`` at a peak about 1e-9 wide and at two narrow peaks at small
-``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``optimize`` at twelve points of
-the benchmark's optimizer box where each of the three candidate strengths
-wins at least twice, ``capacity`` (both engines) and
+``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``optimize`` at the worst point
+of its small-``q`` shortfall, where the corner-balance strength ``q_eq`` is
+7.05e-23, ``capacity`` at ``q = 2^-53``, the optimizer's smallest candidate,
+``optimize`` at twelve points of the benchmark's optimizer box where each
+of the three candidate strengths wins at least twice, ``capacity`` (both
+engines) and
 ``optimize`` at subnormal ``omega`` and ``gamma``, and ``verify`` at its
 default 1000 samples and seed 42, at 5000 samples, two chunks of 4,096 and
 904, and at 1 and 4097 samples, which end in a one-sample chunk.
@@ -162,6 +165,11 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
      "--temp", "29.749164530732823"),
     ("optimize", "--omega", "945.5923560605206", "--gamma", "1.2620091565284667e-06",
      "--temp", "8.835663407464747"),
+    # the optimizer's worst small-q shortfall, at q_eq = 7.05e-23, and
+    # q = 1 - p = 2^-53, its smallest candidate strength
+    ("optimize", "--omega", "784163010358.5691", "--gamma", "1.106354213527136e-10",
+     "--temp", "0.0003050889835232434"),
+    ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0.01", "--p", "0.9999999999999999"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
     # subnormal energies, where theta = hypot(omega, gamma) keeps only a few bits
     *(

@@ -11,10 +11,16 @@ Every eigenvalue is a product or sum of positive terms, so each keeps full
 relative precision even after division by a tiny success probability.
 
 The four eigenvalues and the averaged halves nu, mu are written as the rows
-of one stack and divided by the kept weight together; the terms p = v log2 v
-of all six come from one pass of three ufunc calls over that stack, and the
-entropies are S(rho) = 0.0 - p1 - p2 - p3 - p4 and
-S(rho_bar) = 1.0 - (p_nu + p_mu).
+of one stack and divided by the kept weight together.  Each measured row is
+its q-free factor times q: the corner block's off-diagonal kappa q, its
+alpha_plus q^2 and its determinant ex2 / z^2 q^2, and the middle pair
+(exy / z) q and (exy ey2 / z) q.  q enters last, so at q = 1 every such
+product is a multiplication by 1.0 and the unmeasured state has the bits of
+the q-free formulas.  The terms p = v log2 v of all six rows come from one
+pass of three ufunc calls over that stack, and the entropies are
+S(rho) = 0.0 - p1 - p2 - p3 - p4 and S(rho_bar) = 1.0 - (p_nu + p_mu).
+S(rho) is one ``np.subtract.reduce`` from the initial 0.0, which folds left
+to right in that order, not as a pairwise sum.
 IEEE 754 defines x - y as x + (-y), so these have the bits of the sum of
 -v log2 v started at 0, signed zeros included: that running sum starts at
 +0.0 and never becomes -0.0.  The negated sum -(p1 + p2 + p3 + p4) does
@@ -146,8 +152,11 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     """The measurement half of the closed forms: thermal terms and q broadcast together."""
     alpha_minus, alpha_plus, beta, kappa, eta, ex2, exy, ey2, z = thermal
     # the measurement keeps alpha_minus and scales kappa, beta, eta by q and
-    # alpha_plus by q^2; the corner block is [[a, c], [c, b]]
-    a, b, c = alpha_minus, alpha_plus * q * q, kappa * q
+    # alpha_plus by q^2; the corner block is [[a, c], [c, b]].  Each row is
+    # its q-free factor times q or q^2, with q entering last, so at q = 1
+    # every such product is a multiplication by 1.0 and changes no bit
+    q_squared = q * q
+    a, b, c = alpha_minus, alpha_plus * q_squared, kappa * q
     success = kept = a + 2.0 * beta * q + b  # kept divides the stack
     # one reduction on every call; NaN takes this branch and leaves it unchanged
     if not success.min(initial=np.inf) >= MIN_SUCCESS_PROBABILITY:
@@ -158,10 +167,11 @@ def _post_selected_terms(thermal: ThermalTerms, q) -> ClosedFormTerms:
     stack = np.empty((6,) + np.shape(success))
     np.hypot(0.5 * (a - b), c, out=stack[0, ...])
     stack[0, ...] += 0.5 * (a + b)  # corner_hi; x + y has the bits of y + x
-    # Vieta: the block determinant q^2 (alpha_minus alpha_plus - kappa^2) is q^2 ex2 / z^2
-    np.divide(q * q * ex2 / (z * z), stack[0, ...], out=stack[1, ...])  # corner_lo
-    np.divide(exy * q, z, out=stack[2, ...])  # (beta + eta) q
-    np.divide(exy * ey2 * q, z, out=stack[3, ...])  # (beta - eta) q
+    # Vieta: the block determinant q^2 (alpha_minus alpha_plus - kappa^2) is
+    # the q-free ex2 / z^2 times q^2
+    np.divide(ex2 / (z * z) * q_squared, stack[0, ...], out=stack[1, ...])  # corner_lo
+    np.multiply(exy / z, q, out=stack[2, ...])  # (beta + eta) q, beta + eta = exy / z
+    np.multiply(exy * ey2 / z, q, out=stack[3, ...])  # (beta - eta) q, beta - eta = exy ey2 / z
     beta_q = beta * q
     np.add(a, beta_q, out=stack[4, ...])  # nu
     np.add(b, beta_q, out=stack[5, ...])  # mu
@@ -182,13 +192,10 @@ def closed_form_entropies(terms: ClosedFormTerms):
     t = np.maximum(stack, 5e-324)
     np.log2(t, out=t)
     t *= stack
-    # in place, in the order of 0.0 - p1 - p2 - p3 - p4, so that few
-    # stack-row temporaries are live at once
+    # a subtract reduction folds left to right from its initial value: it is
+    # 0.0 - p1 - p2 - p3 - p4 in that order, not a pairwise sum, in one call
+    entropy_state = np.subtract.reduce(t[:4], axis=0, initial=0.0)
     entropy_average = 1.0 - (t[4] + t[5])
-    entropy_state = 0.0 - t[0]
-    entropy_state -= t[1]
-    entropy_state -= t[2]
-    entropy_state -= t[3]
     return entropy_state, entropy_average
 
 

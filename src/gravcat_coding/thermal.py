@@ -118,9 +118,29 @@ class GravcatGeometry:
 
 
 def coupling_from_geometry(geom: GravcatGeometry) -> float:
-    """Gravitational coupling gamma = (G m^2 / 2)(1/d - 1/d_prime)."""
-    d = math.sqrt(geom.d_prime**2 - geom.L**2)
-    return 0.5 * geom.G * geom.mass**2 * (1.0 / d - 1.0 / geom.d_prime)
+    """Gravitational coupling gamma = (G m^2 / 2)(1/d - 1/d_prime).
+
+    Taken as (G m^2 / 2) L^2 / (d d_prime (d + d_prime)) with
+    d = sqrt((d_prime - L)(d_prime + L)), which forms no difference of
+    nearly equal terms.  G, m and L enter as frexp mantissas and the lengths
+    are scaled by the power of two that puts d_prime in [1/2, 1), so no
+    intermediate overflows or underflows; the powers of two are applied once,
+    by ldexp.  gamma is then a few ulp from the true value wherever that is
+    a double, and inf above the double range.
+    """
+    g, g_exp = math.frexp(geom.G)
+    m, m_exp = math.frexp(geom.mass)
+    l, l_exp = math.frexp(geom.L)
+    d_prime, scale = math.frexp(geom.d_prime)  # lengths in units of 2^scale
+    offset = math.ldexp(l, l_exp - scale)
+    d = math.sqrt((d_prime - offset) * (d_prime + offset))
+    # L^2 / (d d_prime (d + d_prime)) scales as 1/length: the 2^-scale below
+    mantissa = 0.5 * g * m * m * (l / d) * (l / d_prime) / (d + d_prime)
+    exponent = g_exp + 2 * m_exp + 2 * l_exp - 3 * scale
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def build_hamiltonian(params: GravcatParams) -> np.ndarray:

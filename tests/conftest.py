@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import subprocess
@@ -149,6 +150,17 @@ def boltzmann_weights(omega: float, gamma: float, temperature: float) -> np.ndar
     weights = np.exp(-(energies - energies.min()) / temperature)
     weights = weights / weights.sum()
     return np.sort(weights)[::-1]
+
+
+def coupling_reference(G: float, mass: float, d_prime: float, L: float) -> float:
+    """gamma = (G m^2 / 2)(1/d - 1/d_prime), d = sqrt(d_prime^2 - L^2), in 60-digit
+    decimal arithmetic with an exponent range past the doubles', rounded once to
+    a double; the cancellation of 1/d - 1/d_prime costs 2 log10(d_prime/L)
+    digits, so 36 stay at L/d_prime = 1e-12."""
+    with decimal.localcontext(decimal.Context(prec=60, Emin=-99_999, Emax=99_999)):
+        G, mass, d_prime, L = (decimal.Decimal(x) for x in (G, mass, d_prime, L))  # exact
+        d = (d_prime * d_prime - L * L).sqrt()
+        return float(G * mass * mass / 2 * (1 / d - 1 / d_prime))
 
 
 # the closed form's entropies as a sum of -v log2 v terms from 0, kept

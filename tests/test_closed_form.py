@@ -31,6 +31,7 @@ from gravcat_coding.closed_form import (
 from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.numeric import numeric_engine
 from conftest import CHI, assert_same_bits, log_uniform_box, summed_entropies
+from test_raise_audit import _draw
 
 GOLDEN = Path(__file__).parent / "data" / "golden_chi.json"
 GOLDEN_TOL = 1e-12
@@ -181,6 +182,25 @@ def test_plain_capacity_equals_zero_strength_bit_for_bit(golden):
         params = GravcatParams(omega, gamma, temperature)
         plain = engine_report(closed_form_engine, params)
         assert plain.chi == engine_report(closed_form_engine, params, 0.0).chi
+
+
+@pytest.mark.parametrize("q_ones", [False, True])
+@pytest.mark.parametrize("box", ["golden", "wide"])
+def test_at_q_one_the_measurement_multiplies_nothing(golden, box, q_ones):
+    # q enters each row last, as a factor 1.0, so every output without a
+    # measurement has the bits of the q-free formulas: q as the float 1.0
+    # and as an array of ones
+    omega, gamma, temperature = golden[0].T[:3] if box == "golden" else _draw(box)[:3]
+    thermal = _thermal_terms(omega, gamma, temperature)
+    terms = _post_selected_terms(thermal, np.ones_like(omega) if q_ones else 1.0)
+    alpha_minus, alpha_plus, beta, kappa, _, ex2, exy, ey2, z = thermal
+    success = alpha_minus + 2.0 * beta + alpha_plus
+    corner_hi = np.hypot(0.5 * (alpha_minus - alpha_plus), kappa) + 0.5 * (alpha_minus + alpha_plus)
+    rows = (corner_hi, ex2 / (z * z) / corner_hi, exy / z, exy * ey2 / z,
+            alpha_minus + beta, alpha_plus + beta)
+    assert_same_bits(terms.success, success)
+    for got, want in zip(terms.stack, rows, strict=True):
+        assert_same_bits(got, want / success)
 
 
 def test_report_decomposes_exactly(golden):

@@ -10,16 +10,23 @@ double range.  With every warning an error, both engines and
 the optimizer's capacity still overshoots 2 by one ulp on some points.  Each
 engine's kept weight is at least alpha_plus q^2 with alpha_plus >= 1/8, so
 no strength p in [0, 1] leaves either engine a vanishing weight to refuse.
+The well geometry's coupling is audited at lengths near both ends of the
+double range, where squaring a length overflows or underflows.
 """
 
+import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from gravcat_coding import SplitMix64, check_domain, optimize_strength_many
+from gravcat_coding import (
+    GravcatGeometry, SplitMix64, check_domain, coupling_from_geometry, optimize_strength_many,
+)
 from gravcat_coding.closed_form import _thermal_terms, closed_form_engine
 from gravcat_coding.numeric import numeric_engine
+from conftest import coupling_reference
 
 POINTS = 300
 
@@ -98,3 +105,18 @@ def test_optimal_capacity_is_at_most_two_bits(box):
     omega, gamma, temperature, _ = _draw(box)
     _, chi_star = optimize_strength_many(omega, gamma, temperature)
     assert (chi_star <= 2.0).all()
+
+
+# d_prime^2 overflows in the first and underflows in the second; gamma is
+# 7.7e-202 and 7.7e+198
+@pytest.mark.parametrize(
+    "geometry", [(1.0, 1.0, 1e200, 5e199), (1.0, 1.0, 1e-200, 5e-201)], ids=["huge", "tiny"]
+)
+def test_extreme_geometries_give_their_coupling(geometry):
+    geom = GravcatGeometry(*geometry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = coupling_from_geometry(geom)
+    want = coupling_reference(*astuple(geom))
+    assert abs(gamma - want) <= 4 * math.ulp(want)
+    check_domain(gamma=gamma)

@@ -19,6 +19,7 @@ from gravcat_coding import (
     InvalidStateError,
     MIN_TEMPERATURE,
     OutOfRangeError,
+    SplitMix64,
     check_domain,
     coupling_from_geometry,
     draw_samples,
@@ -32,7 +33,9 @@ from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_sta
 from gravcat_coding.coding import engine_report
 from gravcat_coding.linalg import _partial_trace_first, check_density
 from gravcat_coding.numeric import _gibbs, _hamiltonian
-from conftest import DOMAIN_CASES, VALID_POINT, boltzmann_weights, gibbs_state, gravcat_params
+from conftest import (
+    DOMAIN_CASES, VALID_POINT, boltzmann_weights, coupling_reference, gibbs_state, gravcat_params,
+)
 
 
 # ------------------------------------------------------- Hamiltonian
@@ -72,8 +75,28 @@ def test_coupling_hand_evaluated_point():
 
 
 def test_coupling_vanishes_at_large_separation():
+    # the difference 1/d - 1/d_prime rounds to 0.0 here; the true gamma is 2.5e-28
     geom = GravcatGeometry(G=1.0, mass=1.0, d_prime=1e9, L=1.0)
-    assert 0.0 <= coupling_from_geometry(geom) < 1e-9
+    want = coupling_reference(*astuple(geom))
+    assert want == 2.5e-28
+    assert abs(coupling_from_geometry(geom) - want) <= 4 * math.ulp(want)
+
+
+def test_coupling_is_a_few_ulp_from_the_reference_over_the_double_range():
+    # d_prime = 10^U(-300, 300) and L/d_prime = 10^U(-12, 0), where the difference
+    # 1/d - 1/d_prime loses 2 log10(d_prime/L) digits and gamma underflows in part
+    u = SplitMix64(2027).next_floats(2 * 2_000).reshape(2, -1)
+    d_prime = 10.0 ** (-300.0 + 600.0 * u[0])
+    offset = d_prime * 10.0 ** (-12.0 + 12.0 * u[1])
+    for dp, L in zip(d_prime.tolist(), offset.tolist()):
+        geom = GravcatGeometry(1.0, 1.0, dp, L)
+        want = coupling_reference(*astuple(geom))
+        assert abs(coupling_from_geometry(geom) - want) <= 4 * math.ulp(want), geom
+
+
+def test_coupling_past_the_double_range_is_inf():
+    # G m^2 alone is 1e320; no step overflows into a raise
+    assert coupling_from_geometry(GravcatGeometry(1e300, 1e10, 1e-300, 9e-301)) == math.inf
 
 
 def test_coupling_monotone_in_offset():
