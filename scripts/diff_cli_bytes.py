@@ -25,10 +25,13 @@ and ``optimize``, the removed opt-in flag for ``omega = 0`` (a usage error),
 ``q = 1 - p`` (about 1.6e-6 and 6.7e-10), ``optimize`` at the worst point
 of its small-``q`` shortfall, where the corner-balance strength ``q_eq`` is
 7.05e-23, ``capacity`` at ``q = 2^-53``, the optimizer's smallest candidate,
+``optimize`` at a point whose ``chi_star`` prints 2.0000000000000004, above
+the 2-bit optimum, as the reproducer of that rounding,
 ``optimize`` at twelve points of the benchmark's optimizer box where each
 of the three candidate strengths wins at least twice, ``capacity`` (both
 engines) and
-``optimize`` at subnormal ``omega`` and ``gamma``, and ``verify`` at its
+``optimize`` at subnormal ``omega`` and ``gamma``, ``figure 5a`` on the
+numeric engine at its default 200x200 axes, and ``verify`` at its
 default 1000 samples and seed 42, at 5000 samples, two chunks of 4,096 and
 904, and at 1 and 4097 samples, which end in a one-sample chunk.
 Each command that differs is printed with what differs; where a differing
@@ -170,6 +173,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("optimize", "--omega", "784163010358.5691", "--gamma", "1.106354213527136e-10",
      "--temp", "0.0003050889835232434"),
     ("capacity", "--omega", "1", "--gamma", "1", "--temp", "0.01", "--p", "0.9999999999999999"),
+    # chi_star 2.0000000000000004: S(rho) rounds below 0 where S(rho_bar) is 2
+    ("optimize", "--omega", "1.1529739589349701", "--gamma", "0.0006915803087722608",
+     "--temp", "0.01902926839870338"),
     ("optimize", "--omega", "1", "--gamma", "1", "--temp", "1", "--output", "optimize.json"),
     # subnormal energies, where theta = hypot(omega, gamma) keeps only a few bits
     *(
@@ -177,6 +183,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         for engine in ("closed_form", "numeric")
     ),
     ("optimize", "--omega", "5e-324", "--gamma", "5e-324", "--temp", "1e-6"),
+    ("figure", "5a", "--engine", "numeric"),  # the default 200x200 axes
     ("verify", "--samples", "1000", "--seed", "42"),
     ("verify", "--samples", "5000", "--seed", "3"),  # 4,096 + 904: across a chunk boundary
     # chunks of one sample, where every per-sample axis has length 1

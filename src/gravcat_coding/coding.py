@@ -105,9 +105,13 @@ def capacity_report(
 
 
 def capacity_numeric(rho) -> CapacityReport:
-    """chi = S(ensemble_average(rho)) - S(rho) on any real two-qubit state."""
-    rho = two_qubit_matrix(rho)
-    return capacity_report(*_entropies(rho, _twirl(rho)))
+    """chi = S(ensemble_average(rho)) - S(rho) on any real two-qubit state.
+
+    As in the numeric engine, S(ensemble_average(rho)) is read from the
+    eigenvalues of tr_A(rho), halved and each counted twice, which are those
+    of the twirl; the twirl itself is not formed.
+    """
+    return capacity_report(*_entropies(two_qubit_matrix(rho)))
 
 
 class _EngineTable(dict):

@@ -10,10 +10,12 @@ inside any stack.  Only two routes read eigenvectors: the Gibbs state
 checks) reads the spectrum alone, through the unguarded, eigenvalue-only
 `_eigenvalues`.  The symmetry scan `require_hermitian` runs where input
 from outside the package enters: in `eigh`, `matrix_function` and
-`check_density`, and in ``thermal.gibbs_numeric``; the stacks the engines
-build skip it, save a stack of Hamiltonians with a huge or non-finite entry
-(``numeric._gibbs``).  They are exactly symmetric: only `from_spectrum` and
-`check_density` re-symmetrize, and the post-selection and twirl keep that.
+`check_density`, and in ``thermal.gibbs_numeric``; the stacks the package
+builds skip it, save a stack of Hamiltonians with a huge or non-finite entry
+(``numeric._gibbs``), and ``verify`` checks its closed-form states with
+`_require_state`, the density check without the scan.  They are exactly
+symmetric: only `from_spectrum` and `check_density` re-symmetrize, and the
+post-selection, the partial trace and the twirl keep that.
 """
 
 from __future__ import annotations
@@ -145,7 +147,14 @@ def check_density(m, *, check_psd: bool = True) -> np.ndarray:
     """Return the stack re-symmetrized once each matrix is symmetric, has unit trace
     and, with ``check_psd``, no eigenvalue below the clamp floor; otherwise
     raise with the ``index`` of the first matrix that breaks the contract."""
-    a = require_hermitian(m)
+    return _symmetrized(_require_state(require_hermitian(m), check_psd=check_psd))
+
+
+def _require_state(a: np.ndarray, *, check_psd: bool = True) -> np.ndarray:
+    """`check_density` of a float64 symmetric stack without the symmetry scan: return
+    ``a`` as it is once each matrix has unit trace and, with ``check_psd``, no
+    eigenvalue below the clamp floor; otherwise raise ``InvalidStateError``
+    with the ``index`` of the first matrix that breaks the contract."""
     trace = np.trace(a, axis1=-2, axis2=-1)
     InvalidStateError.raise_first(
         np.abs(trace - 1.0) > TRACE_TOL, trace, "trace must be 1, got {:.12g}"
@@ -155,7 +164,7 @@ def check_density(m, *, check_psd: bool = True) -> np.ndarray:
         InvalidStateError.raise_first(
             low < EIG_CLAMP_FLOOR, low, "negative eigenvalue {:.3e} violates positivity"
         )
-    return _symmetrized(a)
+    return a
 
 
 def entropy_bits(eigenvalues):

@@ -1,10 +1,14 @@
 """The numeric engine: the matrix route to the gravcat state and its capacity.
 
-Hamiltonian, Gibbs state, Kraus post-selection, Pauli twirl of the sender's
-qubit and von Neumann entropies on stacks of real 4x4 matrices.  No closed
-form enters, so each engine is the other's oracle: only the success floor
-`MIN_SUCCESS_PROBABILITY` and its kept-branch rule `kept_weight` are shared
-with ``closed_form``, and both read q, not the model.
+Hamiltonian, Gibbs state, Kraus post-selection and von Neumann entropies on
+stacks of real 4x4 matrices.  Each post-selected state is solved once, for
+S(rho); S(rho_bar) comes from the 2x2 state left by tracing out the sender's
+qubit, since the Pauli twirl of that qubit is rho_bar = (I/2) (x) tr_A(rho).
+The twirl itself (`_twirl`) stays as the definitional route that ``verify``
+checks that identity against.  No closed form enters, so each engine is the
+other's oracle: only the success floor `MIN_SUCCESS_PROBABILITY` and its
+kept-branch rule `kept_weight` are shared with ``closed_form``, and both
+read q, not the model.
 """
 
 from __future__ import annotations
@@ -113,26 +117,32 @@ def _marginal_replacement(rho) -> np.ndarray:
     return out
 
 
-def _entropies(rho, average):
-    """(spectrum, S(rho), S(average)) over a stack of two-qubit states and their twirls,
-    where ``spectrum[i]`` is the i-th largest eigenvalue of ``rho`` over the stack."""
+def _entropies(rho):
+    """(spectrum, S(rho), S(rho_bar)) over a stack of two-qubit states, where
+    ``spectrum[i]`` is the i-th largest eigenvalue of ``rho`` over the stack.
+
+    rho_bar = (I/2) (x) tr_A(rho) has the eigenvalues of the 2x2 reduced state,
+    halved, each twice; `entropy_bits` reads those four, so its clamp policy
+    sees the twirl's own spectrum and no 1 + S(tr_A(rho)) is formed.
+    """
     spectrum = _eigenvalues(rho)
     entropy_state = entropy_bits(spectrum)
     leading = spectrum.transpose(-1, *range(spectrum.ndim - 1))
-    return leading, entropy_state, entropy_bits(_eigenvalues(average))
+    average = np.repeat(0.5 * _eigenvalues(_partial_trace_first(rho)), 2, axis=-1)
+    return leading, entropy_state, entropy_bits(average)
 
 
 def numeric_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) through the matrix route, with q = 1 - p.
 
     Each stage runs on the shape of its own inputs: the eigenpairs on
-    ``(omega, gamma)``, the weights on ``(omega, gamma, T)``, post-selection,
-    twirl and spectra on the broadcast block; no closed form enters.  An
+    ``(omega, gamma)``, the weights on ``(omega, gamma, T)``, post-selection
+    and spectra on the broadcast block; no closed form enters.  An
     unvalidated kernel: callers run ``thermal.check_domain`` first.
     """
     thermal = _gibbs(_hamiltonian(omega, gamma), temperature)
     state, success = _post_select(thermal, q, full_support=True)
-    return (*_entropies(state, _twirl(state)), success)
+    return (*_entropies(state), success)
 
 
 def chi_numeric(omega, gamma, temperature, q=1.0):

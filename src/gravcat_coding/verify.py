@@ -17,6 +17,11 @@ stages once per chunk over both strengths, q = 1 and q = 1 - p, so each
 deviation is |chi_closed_form - chi_numeric| at that draw, bit for bit:
 the numeric p = 0 capacity is that of the Gibbs state post-selected at
 q = 1 and divided by its trace, as `capacity --engine numeric` prints it.
+As there, S(rho_bar) comes from each state's 2x2 reduced state; the Pauli
+twirl is formed only for ``twirl_vs_marginal_identity``, which checks the
+identity rho_bar = (I/2) (x) tr_A(rho) that this rests on.  The closed-form
+thermal states get the density check's trace and positivity tests without
+its symmetry scan: `x_state` builds them exactly symmetric.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import numpy as np
 
 from .closed_form import _chi_from_terms, _post_selected_terms, _thermal_terms, x_state
-from .linalg import LocatedError, check_density
+from .linalg import LocatedError, _require_state
 from .numeric import (
     _entropies, _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl,
 )
@@ -87,13 +92,13 @@ def _deviations(omega, gamma, temperature, strength) -> dict[str, tuple[np.ndarr
     np.subtract(1.0, strength, out=q[1])
     thermal = _thermal_terms(omega, gamma, temperature)
     terms = _post_selected_terms(thermal, q)
-    rho_cf = check_density(x_state(thermal))
+    rho_cf = _require_state(x_state(thermal))  # symmetric as built; no scan
     rho_num = _gibbs(_hamiltonian(omega, gamma), temperature)
     wm_cf = x_state(thermal, q[1]) / terms.success[1, :, np.newaxis, np.newaxis]
     wm_kraus, kraus_success = _post_select(rho_cf, q[1], full_support=True)
     states, _ = _post_select(rho_num, q, full_support=True)  # as `numeric_engine` does
-    averages = _twirl(states)  # each row feeds a capacity and the identity
-    _, entropy_state, entropy_average = _entropies(states, averages)
+    _, entropy_state, entropy_average = _entropies(states)
+    averages = _twirl(states)  # the definitional rho_bar, for the identity check alone
     capacity = np.abs(_chi_from_terms(terms) - (entropy_average - entropy_state))
     return {
         "thermal_state_closed_vs_numeric": (_max_abs(rho_cf, rho_num),),

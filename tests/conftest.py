@@ -184,7 +184,7 @@ def broadcast_numeric_engine(omega, gamma, temperature, q):
     """(spectrum, S(rho), S(rho_bar), success) with every input broadcast first."""
     omega, gamma, temperature, q = np.broadcast_arrays(omega, gamma, temperature, q)
     state, success = _post_select(_gibbs(_hamiltonian(omega, gamma), temperature), q)
-    return (*_entropies(state, _twirl(state)), success)
+    return (*_entropies(state), success)
 
 
 def log_uniform_box(n, seed):
@@ -218,8 +218,8 @@ def gibbs_state(params: GravcatParams) -> np.ndarray:
 
 def state_report(rho) -> CapacityReport:
     """The capacity report of one real two-qubit state, from the numeric engine's
-    entropies of ``rho`` and of its Pauli twirl."""
-    return capacity_report(*_entropies(rho, _twirl(rho)))
+    entropies of ``rho`` and of its reduced state."""
+    return capacity_report(*_entropies(rho))
 
 
 # every rule of the domain, as (parameter, bad value, error class)

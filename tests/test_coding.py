@@ -16,16 +16,18 @@ from gravcat_coding import (
     GravcatParams,
     InvalidStateError,
     NumericalNoiseWarning,
+    SplitMix64,
     chi_closed_form,
     chi_numeric,
     classify_advantage,
+    draw_samples,
     eigh,
     entropy_bits,
 )
 from gravcat_coding.closed_form import _thermal_terms, closed_form_engine, x_state
 from gravcat_coding.coding import ENGINES, engine_report
 from gravcat_coding.linalg import (
-    _partial_trace_first, _symmetrized, check_density, two_qubit_matrix,
+    _eigenvalues, _partial_trace_first, _symmetrized, check_density, two_qubit_matrix,
 )
 from gravcat_coding.numeric import (
     _gibbs, _hamiltonian, _marginal_replacement, _post_select, _twirl, numeric_engine,
@@ -39,6 +41,7 @@ from conftest import (
     finite_floats,
     gibbs_state,
     gravcat_params,
+    log_uniform_box,
     maximally_mixed,
     pure_states,
     state_report,
@@ -114,20 +117,27 @@ def recorded_twirls(monkeypatch, module) -> list:
     return calls
 
 
-# the twirl does not re-symmetrize: each stack it is handed is exactly
-# symmetric, and so is what it returns
+# no stack is re-symmetrized: each one handed to the twirl or to LAPACK is
+# exactly symmetric, and so is what the twirl returns
 
 def test_numeric_engine_twirls_exactly_symmetric_states(monkeypatch):
-    # gamma = 0 at T = 1e-3 underflows the |00> weight, so q = 0 keeps |00><00|
-    calls = recorded_twirls(monkeypatch, numeric_module)
+    # gamma = 0 at T = 1e-3 underflows the |00> weight, so q = 0 keeps |00><00|;
+    # the engine forms no twirl and hands LAPACK the states and their reduced states
+    twirls, solved = recorded_twirls(monkeypatch, numeric_module), []
+
+    def recording(m):
+        solved.append(m)
+        return _eigenvalues(m)
+
+    monkeypatch.setattr(numeric_module, "_eigenvalues", recording)
     gamma = np.array([0.0, 0.7])[:, np.newaxis, np.newaxis]
     temperature = np.array([1e-3, 0.05, 1.0])[:, np.newaxis]
     q = np.array([0.0, 0.3, 1.0])
     success = numeric_engine(1.0, gamma, temperature, q)[3]
     assert success[0, 0, 0] == 0.0
-    assert len(calls) == 1
-    for x in calls[0]:
-        assert x.shape == (2, 3, 3, 4, 4)
+    assert twirls == []
+    assert [x.shape for x in solved] == [(2, 3, 3, 4, 4), (2, 3, 3, 2, 2)]
+    for x in solved:
         assert_exactly_symmetric(x)
 
 
@@ -182,13 +192,29 @@ def test_twirl_is_idempotent(rho):
     assert np.abs(once - twice).max() < 1e-12
 
 
+def _verify_box(n, seed):
+    omega, gamma, temperature, strength = draw_samples(SplitMix64(seed), n).T
+    return omega, gamma, temperature, 1.0 - strength
+
+
+@pytest.mark.parametrize("box", [_verify_box, log_uniform_box], ids=["verify", "golden"])
+def test_numeric_engine_averages_have_the_entropy_of_the_twirl(box):
+    # S(rho_bar) comes from the reduced state's spectrum; the twirl's own
+    # 4x4 spectrum, the definitional route, stays the reference
+    omega, gamma, temperature, q = box(5_000, 7)
+    thermal = _gibbs(_hamiltonian(omega, gamma), temperature)
+    states, _ = _post_select(thermal, q, full_support=True)
+    got = numeric_engine(omega, gamma, temperature, q)[2]
+    assert np.abs(got - entropy_bits(_eigenvalues(_twirl(states)))).max() < 1e-14
+
+
 # -------------------------------------------------- numeric capacity
 
 def test_capacity_of_maximally_mixed_is_zero(symmetry_scans):
     report = state_report(maximally_mixed(4))
     assert abs(report.chi) < 1e-10
     assert report.advantage is Advantage.NONE
-    assert symmetry_scans == [0]  # no kernel scans: the twirl is symmetric by construction
+    assert symmetry_scans == [0]  # no kernel scans: the reduced state is symmetric by construction
 
 
 def _rotated_state(spectrum, seed):

@@ -149,12 +149,12 @@ def test_numeric_grid_solves_eigenvectors_only_for_the_gibbs_states(
     solve_counts, symmetry_scans, x, y, fixed, hamiltonians
 ):
     # one eigh call over the grid's distinct Hamiltonians, one per
-    # (omega, gamma); the spectra of the 30 states and of their twirls are
-    # solved for eigenvalues alone
+    # (omega, gamma); the spectra of the 30 states and of their 2x2 reduced
+    # states are solved for eigenvalues alone
     evaluate_sweep(x, y, fixed, engine="numeric")
     assert solve_counts == {"eigh": [1, hamiltonians], "eigvalsh": [2, 60]}
     # no symmetry scan: the grid's parameters passed the domain check, and the
-    # Hamiltonians, states and twirls are symmetric by construction
+    # Hamiltonians, states and reduced states are symmetric by construction
     assert symmetry_scans == [0]
 
 

@@ -17,7 +17,7 @@ from gravcat_coding import (
     draw_samples,
     verification_report,
 )
-from gravcat_coding.linalg import check_density
+from gravcat_coding.linalg import _require_state
 from gravcat_coding.numeric import chi_numeric
 from conftest import assert_same_bits, per_sample_route
 
@@ -50,14 +50,13 @@ def test_only_the_gibbs_states_read_eigenvectors(
     # per chunk one eigh call, the Gibbs states; every other matrix, the
     # closed-form state's positivity check and the four spectra per sample of
     # the two capacities, is solved for its eigenvalues alone, the capacities'
-    # states in one call and their twirls in another
+    # states in one call and their 2x2 reduced states in another
     monkeypatch.setattr(verify_module, "CHUNK_SIZE", chunk)
     assert verification_report(50, 1)["all_passed"]
     assert solve_counts == {"eigh": [chunks, 50], "eigvalsh": [3 * chunks, 5 * 50]}
-    # symmetry is scanned once per chunk, in the closed-form state's density
-    # check; every other stack, the Hamiltonians among them, is symmetric by
-    # construction
-    assert symmetry_scans == [chunks]
+    # no symmetry scan: every stack, the closed-form states of the density
+    # check and the Hamiltonians among them, is symmetric by construction
+    assert symmetry_scans == [0]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 123456789])
@@ -130,9 +129,9 @@ def test_kernel_error_names_the_sample(monkeypatch):
         if len(chunks) == 2:
             stack = stack.copy()
             stack[0, 0, 0] += 0.1  # trace 1.1
-        return check_density(stack, **kwargs)
+        return _require_state(stack, **kwargs)
 
-    monkeypatch.setattr(verify_module, "check_density", corrupt_first_state_of_second_chunk)
+    monkeypatch.setattr(verify_module, "_require_state", corrupt_first_state_of_second_chunk)
     monkeypatch.setattr(verify_module, "CHUNK_SIZE", 2)
     with pytest.raises(InvalidStateError, match="verify sample 2: trace must be 1") as info:
         verification_report(3, 0)

@@ -30,8 +30,10 @@ from gravcat_coding import (
     draw_samples,
     gibbs_numeric,
 )
-from gravcat_coding.coding import ENGINES, engine_report
-from gravcat_coding.linalg import NonFiniteResultError, matrix_function
+from gravcat_coding.coding import ENGINES, engine_report, ensemble_average
+from gravcat_coding.linalg import (
+    NonFiniteResultError, _eigenvalues, _symmetrized, entropy_bits, matrix_function,
+)
 from gravcat_coding.numeric import _EXCHANGE, _SPLITTING
 from gravcat_coding.thermal import thermal_closed_form
 from gravcat_coding.verify import draw_sample
@@ -127,7 +129,19 @@ def test_capacity_of_maximally_mixed_is_zero(symmetry_scans):
     report = capacity_numeric(maximally_mixed(4))
     assert abs(report.chi) < 1e-10
     assert report.advantage is Advantage.NONE
-    assert symmetry_scans == [1]  # the input; its twirl is symmetric by construction
+    assert symmetry_scans == [1]  # the input; its reduced state is symmetric by construction
+
+
+def test_capacity_of_a_general_state_has_the_entropy_of_its_twirl():
+    # seeded full-rank states with every entry nonzero, not X-shaped: S(rho_bar)
+    # from the reduced state against the twirl's own spectrum, the definitional route
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        g = rng.standard_normal((4, 4))
+        rho = g @ g.T
+        rho = _symmetrized(rho / np.trace(rho))
+        twirled = entropy_bits(_eigenvalues(ensemble_average(rho)))
+        assert abs(capacity_numeric(rho).entropy_average - twirled) < 1e-14
 
 
 # -------------------------------------------------- post-selected state
